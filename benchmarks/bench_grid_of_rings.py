@@ -3,8 +3,9 @@
 The paper closes with "the design of reconfigurable multiple bus systems
 for 2- and 3-D grid connected computers" as an open direction.  This
 benchmark builds that system — every row and every column of a processor
-grid is an RMB ring, with a store-and-forward turn at the destination
-column — and races it against (a) one flat RMB ring over all N nodes at
+grid is an RMB ring (a ``(4, 4)`` :class:`~repro.hier.RMBLattice`), with a
+store-and-forward turn where the message reaches its destination row —
+and races it against (a) one flat RMB ring over all N nodes at
 an equal per-link lane budget and (b) the paper's wormhole mesh.
 
 Expected shape: the grid of rings cuts the flat ring's long spans to at
@@ -21,7 +22,7 @@ from conftest import report
 
 from repro.analysis.tables import render_table
 from repro.core import Message, RMBConfig, RMBRing
-from repro.grid import RMBGrid, RMBLattice
+from repro.hier import RMBLattice
 from repro.networks import MeshNetwork
 from repro.sim import RandomStream
 
@@ -40,13 +41,16 @@ def scattered_pairs(count, rng):
     return pairs
 
 
-def run_grid(pairs):
-    grid = RMBGrid(SIDE, SIDE, lanes=LANES, check_invariants=False)
+def run_lattice(lattice, pairs):
     for index, (source, destination) in enumerate(pairs):
-        grid.submit(index, source, destination, data_flits=FLITS)
-    makespan = grid.drain()
-    tally = grid.latency_tally()
-    return makespan, tally.mean
+        lattice.submit(Message(index, source, destination, data_flits=FLITS,
+                               created_at=lattice.sim.now))
+    makespan = lattice.drain()
+    return makespan, lattice.journey_run_stats().latency.mean
+
+
+def run_grid(pairs):
+    return run_lattice(RMBLattice((SIDE, SIDE), lanes=LANES), pairs)
 
 
 def run_flat_ring(pairs):
@@ -72,12 +76,12 @@ def run_lattice_3d(count, rng):
     """The 3-D case: a 4x4x4 lattice under equivalent scattered load."""
     lattice = RMBLattice((4, 4, 4), lanes=LANES)
     nodes = lattice.nodes
-    for index in range(count):
+    pairs = []
+    for _ in range(count):
         source = rng.randint(0, nodes - 1)
         destination = (source + rng.randint(1, nodes - 1)) % nodes
-        lattice.submit(index, source, destination, data_flits=FLITS)
-    makespan = lattice.drain()
-    return makespan, lattice.latency_tally().mean
+        pairs.append((source, destination))
+    return run_lattice(lattice, pairs)
 
 
 def run_comparison():

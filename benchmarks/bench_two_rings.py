@@ -14,7 +14,8 @@ from __future__ import annotations
 from conftest import report
 
 from repro.analysis.tables import render_table
-from repro.core import Message, RMBConfig, RMBRing, TwoRingRMB
+from repro.core import Message, RMBConfig, RMBRing
+from repro.hier import TwoRingRMB
 from repro.sim import RandomStream
 from repro.traffic import generate
 

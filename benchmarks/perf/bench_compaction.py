@@ -28,6 +28,7 @@ from repro.core.config import RMBConfig  # noqa: E402
 from repro.core.flits import Message, MessageRecord  # noqa: E402
 from repro.core.segments import SegmentGrid  # noqa: E402
 from repro.core.virtual_bus import BusPhase, VirtualBus  # noqa: E402
+from repro.obs import CompactionCollector  # noqa: E402
 
 NODES = 64
 LANES = 4
@@ -74,9 +75,6 @@ _LAST: dict[str, float] = {}
 def _attach_obs(engine: CompactionEngine):
     """Register a pull collector so move counts read through the registry."""
     obs = obs_bundle("off")
-    if obs is None:
-        return None
-    from repro.obs import CompactionCollector
     obs.registry.register_collector(CompactionCollector(engine, obs.registry))
     return obs
 
@@ -85,13 +83,9 @@ def pack_quiesce() -> int:
     _, _, engine = build_loaded_ring()
     obs = _attach_obs(engine)
     cycles = engine.quiesce()
-    if obs is not None:
-        value = scrape(obs)
-        _LAST["moves"] = value("rmb_compaction_moves")
-        _LAST["cycles_run"] = value("rmb_compaction_cycles_run")
-    else:  # trees that predate the observability layer
-        _LAST["moves"] = float(engine.stats.moves)
-        _LAST["cycles_run"] = float(engine.stats.cycles_run)
+    value = scrape(obs)
+    _LAST["moves"] = value("rmb_compaction_moves")
+    _LAST["cycles_run"] = value("rmb_compaction_cycles_run")
     return cycles
 
 

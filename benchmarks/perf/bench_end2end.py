@@ -6,12 +6,9 @@ traffic, measured in *kernel events per wall second*.  Two rows are
 reported:
 
 * ``load_sweep`` — the optimized operating point (tracing disabled,
-  ``check_level="sampled"`` when the tree supports it);
+  ``check_level="sampled"``);
 * ``load_sweep_full_checks`` — the same workload with the invariant
   monitor at full strength, isolating the checker's share of the cost.
-
-On trees that predate ``check_level`` both rows run with full checks,
-which is exactly the pre-PR baseline configuration.
 
 With ``--backend batch`` the same workload replays through the
 vectorized batch backend (``repro.batch``) instead of the event heap.
@@ -35,7 +32,7 @@ import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
 from perf_common import emit, instrument_events, obs_bundle, scrape, \
-    supports_kwarg, time_scenario  # noqa: E402
+    time_scenario  # noqa: E402
 
 from repro.core import RMBConfig, RMBRing  # noqa: E402
 from repro.sim import RandomStream  # noqa: E402
@@ -53,33 +50,22 @@ _LAST: dict[str, float] = {}
 
 def _run_ring(check_level: str) -> int:
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0)
-    kwargs = {}
-    if supports_kwarg(RMBRing, "check_level"):
-        kwargs["check_level"] = check_level
     # An off-level bundle: its pull collectors scrape final counts at
     # export time only, so the timed region is untouched while the
     # numbers below come through the metrics registry.
-    obs = obs_bundle("off") if supports_kwarg(RMBRing, "obs") else None
-    if obs is not None:
-        kwargs["obs"] = obs
+    obs = obs_bundle("off")
     ring = RMBRing(config, seed=SEED, trace_kinds=set(),
-                   probe_period=16.0, **kwargs)
+                   probe_period=16.0, check_level=check_level, obs=obs)
     events = instrument_events(ring.sim)
     rng = RandomStream(SEED, name="perf")
     schedule = bernoulli_schedule(NODES, DURATION, RATE, FLITS, rng)
     replay_on_ring(ring, schedule)
     ring.run(DURATION)
     ring.drain(max_ticks=2_000_000)
-    if obs is not None:
-        value = scrape(obs)
-        _LAST["messages"] = value("rmb_routing_completed")
-        _LAST["flits"] = value("rmb_routing_flits_delivered")
-        _LAST["sim_ticks"] = value("rmb_kernel_time_ticks")
-    else:  # trees that predate the observability layer
-        stats = ring.stats()
-        _LAST["messages"] = float(stats.completed)
-        _LAST["flits"] = float(stats.flits_delivered)
-        _LAST["sim_ticks"] = float(ring.sim.now)
+    value = scrape(obs)
+    _LAST["messages"] = value("rmb_routing_completed")
+    _LAST["flits"] = value("rmb_routing_flits_delivered")
+    _LAST["sim_ticks"] = value("rmb_kernel_time_ticks")
     return events()
 
 

@@ -24,10 +24,10 @@ import sys
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
-from perf_common import emit, instrument_events, supports_kwarg, \
-    time_scenario  # noqa: E402
+from perf_common import emit, instrument_events, time_scenario  # noqa: E402
 
 from repro.core import RMBConfig, RMBRing  # noqa: E402
+from repro.obs import Observability  # noqa: E402
 from repro.sim import RandomStream  # noqa: E402
 from repro.traffic import bernoulli_schedule, replay_on_ring  # noqa: E402
 
@@ -41,14 +41,9 @@ SEED = 7
 
 def _run_ring(level: str | None) -> int:
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0)
-    kwargs = {}
-    if supports_kwarg(RMBRing, "check_level"):
-        kwargs["check_level"] = "sampled"
-    if level is not None:
-        from repro.obs import Observability
-        kwargs["obs"] = Observability(level)
+    obs = Observability(level) if level is not None else None
     ring = RMBRing(config, seed=SEED, trace_kinds=set(),
-                   probe_period=16.0, **kwargs)
+                   probe_period=16.0, check_level="sampled", obs=obs)
     events = instrument_events(ring.sim)
     rng = RandomStream(SEED, name="perf")
     schedule = bernoulli_schedule(NODES, DURATION, RATE, FLITS, rng)
@@ -59,9 +54,6 @@ def _run_ring(level: str | None) -> int:
 
 
 def main() -> None:
-    if not supports_kwarg(RMBRing, "obs"):
-        print("this tree has no observability layer; nothing to measure")
-        return
     results = {
         "obs_none": time_scenario(lambda: _run_ring(None)),
         "obs_off": time_scenario(lambda: _run_ring("off")),

@@ -12,14 +12,11 @@ Conventions:
   reports ``ops_per_sec = work / best_wall_seconds``;
 * fresh state is built inside the scenario so repeats are independent;
 * ``best of N`` wall time is reported (robust against scheduler noise
-  on shared CI machines);
-* the suite is feature-detecting: it runs unchanged on trees that
-  predate the fast-path kernel (used to record the pre-PR baseline).
+  on shared CI machines).
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import pathlib
@@ -83,54 +80,24 @@ def time_scenario(fn: Callable[[], int], repeats: int = 0) -> dict[str, float]:
     }
 
 
-def events_executed(sim) -> int | None:
-    """Events the simulator has executed, if the kernel counts them."""
-    return getattr(sim, "events_executed", None)
-
-
 def instrument_events(sim) -> Callable[[], int]:
-    """Count executed events, portably across kernel generations.
+    """A reader of the kernel events ``sim`` executes from now on."""
+    start = sim.events_executed
 
-    On the fast-path kernel this simply reads ``sim.events_executed``;
-    on older kernels it wraps the event queue's ``pop`` (called exactly
-    once per executed event) with a counting shim.
-    """
-    if events_executed(sim) is not None:
-        start = sim.events_executed
+    def read() -> int:
+        return sim.events_executed - start
 
-        def read() -> int:
-            return sim.events_executed - start
-
-        return read
-
-    counter = {"n": 0}
-    original_pop = sim._queue.pop
-
-    def counting_pop():
-        event = original_pop()
-        counter["n"] += 1
-        return event
-
-    sim._queue.pop = counting_pop
-
-    def read_legacy() -> int:
-        return counter["n"]
-
-    return read_legacy
+    return read
 
 
 def obs_bundle(level: str = "off"):
-    """An :class:`Observability` bundle, when the tree has one.
+    """An :class:`Observability` bundle at ``level``.
 
     At ``level="off"`` the bundle's pull collectors still scrape final
     counts at export time, so benches read their numbers through the
-    metrics registry with zero cost inside the timed region.  Returns
-    ``None`` on trees that predate the observability layer.
+    metrics registry with zero cost inside the timed region.
     """
-    try:
-        from repro.obs import Observability
-    except ImportError:
-        return None
+    from repro.obs import Observability
     return Observability(level)
 
 
@@ -138,14 +105,6 @@ def scrape(obs) -> Callable[..., float]:
     """Collect the bundle's registry once and return its value reader."""
     obs.registry.collect()
     return obs.registry.value
-
-
-def supports_kwarg(callable_obj, name: str) -> bool:
-    """True when ``callable_obj`` accepts keyword argument ``name``."""
-    try:
-        return name in inspect.signature(callable_obj).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins
-        return False
 
 
 def emit(layer: str, results: dict[str, dict[str, float]],

@@ -1,10 +1,11 @@
 """A 2-D grid of RMB rings — the paper's closing future-work direction,
 running.
 
-Every row and column of a processor grid is its own RMB ring; messages
-ride their row ring to the destination column, turn (store-and-forward
-through the turning node's PE), and ride the column ring to the
-destination row.
+Every row and column of a processor grid is its own RMB ring.  The grid
+is a ``(rows, cols)`` :class:`~repro.hier.RMBLattice`, routed dimension
+by dimension: a message first rides its column ring to the destination
+row, turns (store-and-forward through the turning node's PE), and then
+rides that row's ring to the destination column.
 
 Usage:
     python examples/grid_fabric.py [rows] [cols] [lanes]
@@ -15,7 +16,8 @@ from __future__ import annotations
 import sys
 
 from repro.analysis import render_table
-from repro.grid import RMBGrid
+from repro.core import Message
+from repro.hier import RMBLattice
 from repro.sim import RandomStream
 
 
@@ -24,37 +26,39 @@ def main() -> None:
     cols = int(sys.argv[2]) if len(sys.argv) > 2 else 4
     lanes = int(sys.argv[3]) if len(sys.argv) > 3 else 2
 
-    grid = RMBGrid(rows, cols, lanes=lanes)
+    grid = RMBLattice((rows, cols), lanes=lanes)
     rng = RandomStream(5)
     nodes = grid.nodes
     count = nodes * 2
     for index in range(count):
         source = rng.randint(0, nodes - 1)
         destination = (source + rng.randint(1, nodes - 1)) % nodes
-        grid.submit(index, source, destination, data_flits=16)
+        grid.submit(Message(index, source, destination, data_flits=16,
+                            created_at=grid.sim.now))
 
     makespan = grid.drain()
-    tally = grid.latency_tally()
-    single = [record for record in grid.records.values()
-              if record.legs_total == 1]
-    double = [record for record in grid.records.values()
-              if record.legs_total == 2]
+    stats = grid.journey_run_stats()
+    single = [journey for journey in grid.journeys.values()
+              if journey.hops == 1]
+    turn_waits = [journey.trail[1].submitted_at - journey.message.created_at
+                  for journey in grid.journeys.values() if journey.hops == 2]
 
-    print(f"{grid.describe()}: {grid.completed()}/{count} journeys "
-          f"completed in {makespan:.0f} ticks\n")
+    print(f"{rows}x{cols} grid of RMB rings (k={lanes}, {len(grid.rings)} "
+          f"rings): {stats.completed}/{count} journeys completed in "
+          f"{makespan:.0f} ticks\n")
     rows_out = [
-        {"metric": "mean journey latency", "value": round(tally.mean, 1)},
-        {"metric": "max journey latency", "value": tally.maximum},
+        {"metric": "mean journey latency", "value": round(stats.latency.mean, 1)},
+        {"metric": "max journey latency", "value": stats.latency.maximum},
         {"metric": "single-leg journeys (same row/column)",
          "value": len(single)},
-        {"metric": "two-leg journeys (row then column)",
-         "value": len(double)},
+        {"metric": "two-leg journeys (column then row)",
+         "value": len(turn_waits)},
         {"metric": "mean wait before the turn",
-         "value": round(grid.turn_latency.mean, 1)},
+         "value": round(sum(turn_waits) / max(1, len(turn_waits)), 1)},
     ]
     print(render_table(rows_out, title="Grid fabric summary"))
 
-    busiest = max(grid.row_rings + grid.col_rings,
+    busiest = max(grid.rings.values(),
                   key=lambda ring: ring.routing.completed)
     print(f"\nbusiest ring: {busiest.name} carried "
           f"{busiest.routing.completed} legs, "

@@ -15,8 +15,10 @@ The package provides:
 * :mod:`repro.analysis` — Section 3.2 cost models, bisection bandwidth,
   offline-optimal scheduling and competitiveness, the tick-exact latency
   model, the experiment registry, table rendering.
-* :mod:`repro.grid` — 2-D grids and n-D lattices of RMB rings (the
-  paper's future-work direction for grid-connected computers).
+* :mod:`repro.hier` — multi-ring networks on one :class:`RingFabric`:
+  the two-ring variant, local rings bridged by a global ring, and 2-D /
+  n-D lattices of RMB rings (the paper's future-work direction for
+  grid-connected computers).
 * :mod:`repro.apps` — application workloads: HPC collectives, real-time
   stream sessions with deadlines, access-fairness metrics.
 
@@ -39,7 +41,6 @@ from repro.core import (
     RMBConfig,
     RMBRing,
     RunStats,
-    TwoRingRMB,
 )
 from repro.errors import (
     CapacityError,
@@ -52,6 +53,7 @@ from repro.errors import (
     TopologyError,
     WorkloadError,
 )
+from repro.hier import TwoRingRMB
 
 __version__ = "1.0.0"
 

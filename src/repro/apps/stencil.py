@@ -1,11 +1,11 @@
-"""Iterative stencil (halo-exchange) workloads on the RMB grid fabric.
+"""Iterative stencil (halo-exchange) workloads on a 2-D lattice of RMB rings.
 
 The classic HPC kernel the paper's motivation implies: every processor
 of a 2-D grid updates a tile and exchanges halo rows/columns with its
 four neighbours each iteration, with a global synchronisation between
 iterations.
 
-On the grid-of-rings fabric each exchange is a ring message: the
+On the lattice each exchange is a one-leg ring message: the
 clockwise neighbour is one segment away, but the *counter-clockwise*
 neighbour costs a full ring transit on a unidirectional ring — the
 asymmetry the paper's two-ring remark (Section 2.1) exists to fix.  The
@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.flits import Message
 from repro.errors import WorkloadError
-from repro.grid.rmb_grid import RMBGrid
+from repro.hier.lattice import RMBLattice
 from repro.sim.monitor import Tally
 
 
@@ -84,31 +85,31 @@ def run_stencil(
         raise WorkloadError("need at least one iteration")
     if halo_flits < 0:
         raise WorkloadError("halo_flits must be >= 0")
-    grid = RMBGrid(rows, cols, lanes=lanes, seed=seed,
-                   check_invariants=False)
+    lattice = RMBLattice((rows, cols), lanes=lanes, seed=seed)
     result = StencilResult(rows=rows, cols=cols, iterations=iterations,
                            halo_flits=halo_flits)
     message_id = 0
     for _ in range(iterations):
-        start = grid.sim.now
+        start = lattice.sim.now
         round_ids: list[tuple[int, bool]] = []
         for row in range(rows):
             for col in range(cols):
-                node = grid.node_id(row, col)
-                east = grid.node_id(row, (col + 1) % cols)
-                west = grid.node_id(row, (col - 1) % cols)
-                south = grid.node_id((row + 1) % rows, col)
-                north = grid.node_id((row - 1) % rows, col)
+                node = lattice.node_id((row, col))
+                east = lattice.node_id((row, (col + 1) % cols))
+                west = lattice.node_id((row, (col - 1) % cols))
+                south = lattice.node_id(((row + 1) % rows, col))
+                north = lattice.node_id(((row - 1) % rows, col))
                 for neighbour, forward in ((east, True), (west, False),
                                            (south, True), (north, False)):
-                    grid.submit(message_id, node, neighbour,
-                                data_flits=halo_flits)
+                    lattice.submit(Message(
+                        message_id, node, neighbour, data_flits=halo_flits,
+                        created_at=lattice.sim.now))
                     round_ids.append((message_id, forward))
                     message_id += 1
-        grid.drain(max_ticks=4_000_000)
-        result.iteration_ticks.append(grid.sim.now - start)
+        lattice.drain(max_ticks=4_000_000)
+        result.iteration_ticks.append(lattice.sim.now - start)
         for submitted_id, forward in round_ids:
-            latency = grid.records[submitted_id].latency()
+            latency = lattice.journeys[submitted_id].latency()
             if latency is None:  # pragma: no cover - drain guarantees done
                 continue
             if forward:

@@ -1,13 +1,13 @@
 """The RMB core — the paper's contribution.
 
-Public surface: build an :class:`RMBRing` (or :class:`TwoRingRMB`) from an
+Public surface: build an :class:`RMBRing` from an
 :class:`RMBConfig`, submit :class:`Message` objects, run or drain, then
 read :class:`RunStats`.  Lower layers (grid, compaction, cycles, routing)
 are exported for tests, benchmarks and power users.
 """
 
 from repro.core.compaction import CompactionEngine, CompactionStats, Move
-from repro.core.config import RMBConfig, TwoRingConfig
+from repro.core.config import RMBConfig
 from repro.core.cycles import (
     CycleController,
     GlobalCycleDriver,
@@ -24,7 +24,7 @@ from repro.core.flits import (
     broadcast_message,
 )
 from repro.core.invariants import InvariantMonitor
-from repro.core.network import RMBRing, TwoRingRMB
+from repro.core.network import RMBRing
 from repro.core.ports import PE_SOURCE, PortView, all_ports, inc_ports, port_view
 from repro.core.routing import (
     RoutingCensus,
@@ -76,8 +76,6 @@ __all__ = [
     "RunStats",
     "CheckResult",
     "SegmentGrid",
-    "TwoRingConfig",
-    "TwoRingRMB",
     "VirtualBus",
     "all_ports",
     "broadcast_message",

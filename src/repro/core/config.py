@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
@@ -18,7 +18,7 @@ class RetryPolicy:
     in :class:`~repro.supervision.watchdog.WatchdogConfig`.  The policy
     gathers them so a whole retry regime can be named, validated and
     swapped as a unit; the legacy :class:`RMBConfig` kwargs remain as
-    deprecated aliases so existing configs and checkpoints keep loading.
+    deprecated aliases so existing configs keep working.
 
     Attributes:
         delay: ticks a source waits after the first refusal before
@@ -197,10 +197,7 @@ class RMBConfig:
     admission_limit: int | None = None
     admission_policy: str = "defer"
     check_level: str = "full"
-    # default_factory (not ``= None``) on purpose: a plain default would
-    # become a class attribute that shadows ``__getattr__``, breaking the
-    # old-checkpoint path below.
-    retry: Optional[RetryPolicy] = field(default_factory=lambda: None)
+    retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         # Retry-knob unification: ``retry`` (a RetryPolicy) is the
@@ -264,20 +261,6 @@ class RMBConfig:
         """Index of the insertion lane, ``k - 1``."""
         return self.lanes - 1
 
-    def __getattr__(self, name: str) -> Any:
-        # Checkpoints written before the RetryPolicy unification restore
-        # an RMBConfig whose pickled state has no ``retry`` slot; derive
-        # the policy from the flat aliases that *are* present.  Only
-        # reached when normal attribute lookup fails.
-        if name == "retry":
-            policy = RetryPolicy(**{
-                policy_field: self.__dict__[config_field]
-                for config_field, policy_field in _RETRY_ALIASES.items()
-            })
-            object.__setattr__(self, "retry", policy)
-            return policy
-        raise AttributeError(name)
-
     def with_overrides(self, **changes: Any) -> "RMBConfig":
         """A copy with some fields replaced (validated again).
 
@@ -290,33 +273,3 @@ class RMBConfig:
                 and "retry" not in changes:
             changes["retry"] = None
         return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class TwoRingConfig:
-    """A bidirectional RMB: two unidirectional rings (paper Section 2.1).
-
-    The paper notes "one may like to organise the communication as two
-    parallel unidirectional rings".  Hardware is held comparable to a
-    single ring by giving each direction its own lane budget.
-    """
-
-    nodes: int
-    lanes_clockwise: int
-    lanes_counterclockwise: int
-    base: RMBConfig = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.lanes_clockwise < 1 or self.lanes_counterclockwise < 1:
-            raise ConfigurationError("each ring direction needs >= 1 lane")
-        if self.base is None:
-            object.__setattr__(
-                self, "base", RMBConfig(nodes=self.nodes, lanes=1)
-            )
-        if self.base.nodes != self.nodes:
-            raise ConfigurationError("base config node count mismatch")
-
-    def ring_config(self, clockwise: bool) -> RMBConfig:
-        """The :class:`RMBConfig` for one of the two directions."""
-        lanes = self.lanes_clockwise if clockwise else self.lanes_counterclockwise
-        return self.base.with_overrides(nodes=self.nodes, lanes=lanes)

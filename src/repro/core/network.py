@@ -1,16 +1,10 @@
-"""User-facing facades: a single RMB ring and the two-ring variant.
+"""User-facing facade: a single RMB ring.
 
 :class:`RMBRing` assembles the full machine — segment grid, routing engine,
 compaction engine, cycle control (global counter in synchronous mode, or
 per-INC handshake controllers on independent skewed clocks in asynchronous
 mode), invariant monitoring, and measurement probes — on one simulator.
-
-:class:`TwoRingRMB` (re-exported from :mod:`repro.hier.tworing`, where it
-is a thin :class:`~repro.hier.fabric.RingFabric` route-map instance)
-realises the paper's Section 2.1 remark that "one may like to organise
-the communication as two parallel unidirectional rings": it runs a
-clockwise and a counter-clockwise ring on a shared simulator and routes
-each message the short way round.
+Multi-ring networks compose rings in :mod:`repro.hier`.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from repro.supervision.watchdog import Watchdog, WatchdogConfig
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> faults cycle
     from repro.faults.plan import FaultPlan
-    from repro.hier.tworing import TwoRingRMB as TwoRingRMB  # noqa: F401
     from repro.obs.wiring import Observability
     from repro.resilience.recovery import RecoveryConfig, RecoveryManager
 
@@ -49,7 +42,7 @@ class RMBRing:
         seed: root seed for all stochastic elements (clock skew, retry
             jitter); two rings built with equal arguments behave
             identically.
-        sim: optional shared simulator (used by :class:`TwoRingRMB`); a
+        sim: optional shared simulator (used by ring fabrics); a
             private one is created when omitted.
         trace_kinds: restricts trace recording to these kinds (``None``
             records everything; pass an empty set to disable).
@@ -343,13 +336,3 @@ class RMBRing:
                 self.grid, self.buses, controllers=self.controllers
             )
         self.monitor.check()
-
-
-def __getattr__(name: str) -> object:
-    # TwoRingRMB now lives in the multi-ring composite layer as a thin
-    # RingFabric route-map instance; resolve it lazily so core <-> hier
-    # stays acyclic while every historical import keeps working.
-    if name == "TwoRingRMB":
-        from repro.hier.tworing import TwoRingRMB
-        return TwoRingRMB
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,8 +5,10 @@ members on one shared simulator behind the single-ring workload surface
 (``submit`` / ``run`` / ``drain`` / ``stats``), driving multi-leg
 journeys through a declarative :class:`RouteMap` with store-and-forward
 re-injection at ring boundaries.  :class:`TwoRingRMB` (the paper's
-Section 2.1 two-ring variant) and :class:`HierRMB` (local rings bridged
-by a global ring) are both thin route-map instances of it.
+Section 2.1 two-ring variant), :class:`HierRMB` (local rings bridged
+by a global ring) and :class:`RMBLattice` (the Section 4 n-dimensional
+grid of rings, routed dimension by dimension) are all thin route-map
+instances of it.
 """
 
 from repro.hier.fabric import (
@@ -17,9 +19,11 @@ from repro.hier.fabric import (
     RouteMap,
 )
 from repro.hier.hier import GLOBAL_RING, HierRMB, HierRouteMap, local_ring_name
+from repro.hier.lattice import DimensionOrderRouteMap, RMBLattice
 from repro.hier.tworing import MirrorRouteMap, TwoRingRMB
 
 __all__ = [
+    "DimensionOrderRouteMap",
     "FabricRecord",
     "GLOBAL_RING",
     "HierRMB",
@@ -27,6 +31,7 @@ __all__ = [
     "Hop",
     "HopRecord",
     "MirrorRouteMap",
+    "RMBLattice",
     "RingFabric",
     "RouteMap",
     "TwoRingRMB",

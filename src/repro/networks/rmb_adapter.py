@@ -12,8 +12,9 @@ from typing import Optional, Sequence
 
 from repro.core.config import RMBConfig
 from repro.core.flits import Message
-from repro.core.network import RMBRing, TwoRingRMB
+from repro.core.network import RMBRing
 from repro.hier.hier import HierRMB
+from repro.hier.tworing import TwoRingRMB
 from repro.networks.base import BatchResult, ComparisonNetwork
 
 

@@ -39,8 +39,10 @@ from repro.sim.kernel import Periodic
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.core.network import RMBRing
 
-#: Bump on any change that makes old snapshots unreadable.
-SNAPSHOT_VERSION = 1
+#: Bump on any change that makes old snapshots unreadable.  Version 2:
+#: ``RMBConfig`` no longer rebuilds a missing ``retry`` policy from the
+#: flat aliases of configs pickled before the RetryPolicy unification.
+SNAPSHOT_VERSION = 2
 
 _FORMAT = "rmb-snapshot"
 
@@ -64,9 +66,9 @@ def save_snapshot_bytes(ring: "RMBRing",
         "sim_time": ring.sim.now,
         "meta": dict(meta) if meta else {},
     }
-    # Ring fabrics (TwoRingRMB, HierRMB) are snapshotted as one graph;
-    # listing the member rings lets describe_snapshot() tell a fabric
-    # snapshot from a flat-ring one without unpickling.
+    # Ring fabrics (TwoRingRMB, HierRMB, RMBLattice) are snapshotted as
+    # one graph; listing the member rings lets describe_snapshot() tell a
+    # fabric snapshot from a flat-ring one without unpickling.
     members = getattr(ring, "rings", None)
     if isinstance(members, dict) and members:
         manifest["rings"] = list(members)

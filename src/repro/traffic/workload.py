@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Protocol, Sequence, Union
 
 from repro.core.flits import Message
-from repro.core.network import RMBRing, TwoRingRMB
+from repro.core.network import RMBRing
 from repro.core.stats import RunStats
 from repro.hier.fabric import RingFabric
 from repro.traffic.arrivals import ArrivalSchedule
@@ -52,11 +52,6 @@ def replay_on_fabric(network: RingFabric, schedule: ArrivalSchedule) -> None:
                                 label=f"arrive.msg{message.message_id}")
 
 
-def replay_on_two_ring(network: TwoRingRMB, schedule: ArrivalSchedule) -> None:
-    """Schedule-replay onto a bidirectional RMB."""
-    replay_on_fabric(network, schedule)
-
-
 class _Submitter:
     """Picklable deferred ``target.submit(message)`` call.
 
@@ -88,7 +83,7 @@ def run_load_point(
     Args:
         config_builder: zero-argument callable returning a new
             :class:`RMBRing` (or any :class:`RingFabric`, e.g.
-            :class:`TwoRingRMB`).
+            :class:`~repro.hier.TwoRingRMB`).
         schedule: the pre-generated workload.
         settle_ticks: extra simulated time after the last arrival before
             draining begins (lets queued work phase in naturally).

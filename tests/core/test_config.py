@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import RMBConfig, TwoRingConfig
+from repro.core.config import RMBConfig
 from repro.errors import ConfigurationError
 
 
@@ -62,14 +62,3 @@ def test_config_is_frozen():
     with pytest.raises(Exception):
         config.lanes = 9  # type: ignore[misc]
 
-
-def test_two_ring_config_splits_lanes():
-    two = TwoRingConfig(nodes=8, lanes_clockwise=3, lanes_counterclockwise=2)
-    assert two.ring_config(clockwise=True).lanes == 3
-    assert two.ring_config(clockwise=False).lanes == 2
-    assert two.ring_config(clockwise=True).nodes == 8
-
-
-def test_two_ring_config_rejects_zero_lanes():
-    with pytest.raises(ConfigurationError):
-        TwoRingConfig(nodes=8, lanes_clockwise=0, lanes_counterclockwise=2)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
 
 from repro.core import Message, RMBConfig, RMBRing
 from repro.core.config import RetryPolicy
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SnapshotError
+from repro.supervision import load_snapshot_bytes, save_snapshot_bytes
 
 
 class TestValidation:
@@ -88,20 +90,18 @@ class TestAliases:
         assert changed.retry_delay == 2.0
         assert changed.retry_jitter == 0.0
 
-    def test_old_checkpoint_state_derives_policy_lazily(self):
-        """An RMBConfig unpickled from before the unification has only
-        the flat aliases; ``config.retry`` must synthesise the policy."""
-        config = RMBConfig(nodes=8, lanes=3, retry_delay=8.0,
-                           max_retries=3)
-        state = dict(config.__dict__)
-        del state["retry"]                       # pre-unification pickle
-        old = object.__new__(RMBConfig)
-        old.__dict__.update(state)
-        policy = old.retry
-        assert policy.delay == 8.0
-        assert policy.max_retries == 3
-        # ...and the derived policy is cached on first access.
-        assert old.retry is policy
+    def test_version_one_checkpoint_is_refused_by_name(self):
+        """Version-1 snapshots may hold configs pickled before the
+        unification, without a ``retry`` slot; they are refused with both
+        versions named instead of being half-restored."""
+        ring = RMBRing(RMBConfig(nodes=8, lanes=3))
+        header, payload = save_snapshot_bytes(ring).split(b"\n", 1)
+        manifest = json.loads(header)
+        manifest["version"] = 1
+        old = json.dumps(manifest).encode("utf-8") + b"\n" + payload
+        with pytest.raises(SnapshotError,
+                           match=r"version 1 unsupported .*version 2"):
+            load_snapshot_bytes(old)
 
     def test_policy_survives_pickling(self):
         config = RMBConfig(nodes=8, lanes=3,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import Message, RMBConfig, TwoRingRMB
+from repro.core import Message, RMBConfig
+from repro.hier import TwoRingRMB
 from repro.errors import ProtocolError
 
 

@@ -1,6 +1,6 @@
 """Regenerate the two-ring differential golden files.
 
-One fixed-seed :class:`~repro.core.network.TwoRingRMB` scenario — two
+One fixed-seed :class:`~repro.hier.TwoRingRMB` scenario — two
 submission waves mixing clockwise, counter-clockwise, tie-break and
 multicast traffic, with mid-run lifecycle census capture — whose outputs
 are committed byte-for-byte under ``tests/fixtures/two_ring_golden/``:
@@ -28,8 +28,8 @@ import pathlib
 
 from repro.core.config import RMBConfig
 from repro.core.flits import Message
-from repro.core.network import TwoRingRMB
 from repro.core.routing import format_census
+from repro.hier import TwoRingRMB
 
 HERE = pathlib.Path(__file__).resolve().parent
 

@@ -14,9 +14,9 @@ import pytest
 
 from repro.core.config import RMBConfig
 from repro.core.flits import Message
-from repro.core.network import RMBRing, TwoRingRMB
+from repro.core.network import RMBRing
 from repro.errors import ProtocolError
-from repro.hier import HierRMB, Hop, RingFabric, RouteMap
+from repro.hier import HierRMB, Hop, RingFabric, RouteMap, TwoRingRMB
 
 
 @dataclass(frozen=True)

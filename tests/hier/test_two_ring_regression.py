@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from repro.core.config import RMBConfig
 from repro.core.flits import Message
-from repro.core.network import RMBRing, TwoRingRMB
+from repro.core.network import RMBRing
+from repro.hier import TwoRingRMB
 
 
 def _traffic(nodes):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import RMBConfig, RMBRing, TwoRingRMB
+from repro.core import RMBConfig, RMBRing
 from repro.errors import WorkloadError
+from repro.hier import TwoRingRMB
 from repro.sim import RandomStream
 from repro.traffic import (
     bernoulli_schedule,
