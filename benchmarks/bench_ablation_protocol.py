@@ -19,6 +19,7 @@ from conftest import report
 
 from repro.analysis.tables import render_table
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.sim import RandomStream
 from repro.traffic import bounded_load_pairs
 
@@ -78,8 +79,9 @@ def run_ablations():
         run_point("D9 off: compact travelling headers",
                   compact_head_while_extending=True),
         run_point("extend_up off: no upward sidestep", extend_up=False),
-        run_point("constant retry (no backoff)", retry_backoff=1.0),
-        run_point("no retry jitter", retry_jitter=0.0),
+        run_point("constant retry (no backoff)",
+                  retry=RetryPolicy(backoff=1.0)),
+        run_point("no retry jitter", retry=RetryPolicy(jitter=0.0)),
         run_point("2 TX + 2 RX ports per node", tx_ports=2, rx_ports=2),
     ]
 

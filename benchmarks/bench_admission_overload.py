@@ -25,6 +25,7 @@ from conftest import report
 
 from repro.analysis.tables import render_table
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.sim import RandomStream
 from repro.supervision import WatchdogConfig
 
@@ -42,7 +43,7 @@ POINTS = (
 def run_overload_point(label: str, limit, policy: str, seed: int = 11) -> dict:
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
                        admission_limit=limit, admission_policy=policy,
-                       retry_delay=8.0)
+                       retry=RetryPolicy(delay=8.0))
     ring = RMBRing(config, seed=seed, trace_kinds=set(),
                    watchdog=WatchdogConfig())
     rng = RandomStream(seed, name="burst")

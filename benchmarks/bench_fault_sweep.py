@@ -20,6 +20,7 @@ from conftest import report
 
 from repro.analysis.tables import render_table
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.faults import FaultPlan
 from repro.sim import RandomStream
 
@@ -35,7 +36,7 @@ def run_sweep_point(fraction: float, seed: int = 7) -> dict:
         grace=8.0, spread=60.0,
     )
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
-                       max_retries=6, retry_delay=8.0)
+                       retry=RetryPolicy(delay=8.0, max_retries=6))
     ring = RMBRing(config, seed=seed, fault_plan=plan, probe_period=16.0,
                    trace_kinds=set())
     rng = RandomStream(seed, name="traffic")

@@ -1,4 +1,4 @@
-"""Hierarchy benchmark: local-pattern latency across fabric scales.
+"""Hierarchy benchmark: local-pattern throughput and latency by scale.
 
 The hierarchical fabric's selling point is *locality isolation*: traffic
 that stays within a local ring only ever contends with that ring's own
@@ -9,12 +9,13 @@ with every message contending for one shared segment pool, so its
 latency climbs with scale.
 
 The workload is one standing-start round of intra-ring neighbour shift:
-every fabric node ``(L, i)`` sends to ``(L, (i+1) mod n)``.  All rows
-are **simulation facts, not wall-clock measurements**: ``ops_per_sec``
-carries the mean end-to-end latency in ticks (journey-level for the
-fabric), deterministic in the committed seed.  Lower is better, so the
-rows are informational, never gated — the committed JSON documents the
-scaling shape (hier roughly flat, flat ring growing).
+every fabric node ``(L, i)`` sends to ``(L, (i+1) mod n)``.  Each row's
+``ops_per_sec`` is what the name says: completed messages per wall
+second (build, submit and drain; best of ``PERF_REPEATS``), so it is
+machine-dependent and informational, never gated.  The deterministic
+simulation facts — mean end-to-end latency in ticks (journey-level for
+the fabric) at each scale — live in the ``latency_by_scale`` block,
+where the scaling shape shows (hier roughly flat, flat ring growing).
 
 Emits ``BENCH_hier.json``.  Run directly::
 
@@ -24,13 +25,13 @@ Emits ``BENCH_hier.json``.  Run directly::
 from __future__ import annotations
 
 import sys
-import time
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
-from perf_common import emit  # noqa: E402
+from perf_common import emit, time_scenario  # noqa: E402
 
 from repro.core import Message, RMBConfig, RMBRing  # noqa: E402
+from repro.core.stats import RunStats  # noqa: E402
 from repro.hier import HierRMB  # noqa: E402
 
 LANES = 4
@@ -55,24 +56,23 @@ def local_shift(locals_count: int, per_local: int) -> list[Message]:
     return messages
 
 
-def hier_latency(locals_count: int, per_local: int) -> tuple[float, int]:
+def hier_run(locals_count: int, per_local: int) -> RunStats:
+    """Journey-level stats of one local-shift round on the fabric."""
     network = HierRMB(locals=locals_count, nodes_per_local=per_local,
                       lanes=LANES, seed=SEED)
-    messages = local_shift(locals_count, per_local)
-    network.submit_all(messages)
+    network.submit_all(local_shift(locals_count, per_local))
     network.drain(max_ticks=2_000_000)
-    stats = network.journey_run_stats()
-    return stats.latency.mean, int(stats.completed)
+    return network.journey_run_stats()
 
 
-def flat_latency(locals_count: int, per_local: int) -> tuple[float, int]:
+def flat_run(locals_count: int, per_local: int) -> RunStats:
+    """Stats of the same round on one flat ring over all the nodes."""
     nodes = locals_count * per_local
     ring = RMBRing(RMBConfig(nodes=nodes, lanes=LANES), seed=SEED,
                    trace_kinds=set())
     ring.submit_all(local_shift(locals_count, per_local))
     ring.drain(max_ticks=2_000_000)
-    stats = ring.stats()
-    return stats.latency.mean, int(stats.completed)
+    return ring.stats()
 
 
 def main() -> None:
@@ -81,26 +81,21 @@ def main() -> None:
     for locals_count, per_local in SCALES:
         nodes = locals_count * per_local
         row = {"scale": f"{locals_count}x{per_local}", "nodes": nodes}
-        for label, measure in (("hier", hier_latency),
-                               ("flat", flat_latency)):
-            started = time.perf_counter()
-            latency, completed = measure(locals_count, per_local)
-            elapsed = time.perf_counter() - started
-            results[f"local_{label}_{locals_count}x{per_local}"] = {
-                "work": float(completed),
-                "wall_seconds": round(elapsed, 6),
-                # Deterministic simulation fact: mean end-to-end latency
-                # in ticks for the local pattern (lower is better).
-                "ops_per_sec": round(latency, 4),
-            }
+        for label, run in (("hier", hier_run), ("flat", flat_run)):
+            # Deterministic simulation fact (lower is better).
+            latency = run(locals_count, per_local).latency.mean
             row[f"{label}_mean_latency"] = round(latency, 4)
+            results[f"local_{label}_{locals_count}x{per_local}"] = \
+                time_scenario(lambda run=run: int(
+                    run(locals_count, per_local).completed))
         shape.append(row)
     emit("hier", results, extra={
-        "note": ("all rows carry the deterministic mean end-to-end "
-                 "latency (ticks) of one intra-ring neighbour-shift "
-                 "round in ops_per_sec — lower is better, informational "
-                 "only; the point is the shape: hier stays roughly flat "
-                 "with total N while the flat ring climbs"),
+        "note": ("ops_per_sec is completed messages per wall second for "
+                 "one intra-ring neighbour-shift round (build, submit and "
+                 "drain; best of PERF_REPEATS), informational only.  The "
+                 "deterministic mean end-to-end latency in ticks is in "
+                 "latency_by_scale: hier stays roughly flat with total N "
+                 "while the flat ring climbs"),
         "geometry": {"lanes": LANES, "data_flits": FLITS, "seed": SEED,
                      "scales": [f"{m}x{n}" for m, n in SCALES]},
         "latency_by_scale": shape,

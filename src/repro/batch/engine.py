@@ -177,7 +177,7 @@ class BatchRing:
         self._st = BatchState(config.nodes, config.lanes, S_NEW)
         self._nodes = config.nodes
         self._lanes = config.lanes
-        self._timeout = config.header_timeout
+        self._timeout = config.retry.header_timeout
         self._compact_head = config.compact_head_while_extending
         self.records: Dict[int, MessageRecord] = {}
         self._records_by_row: List[Optional[MessageRecord]] = []
@@ -879,9 +879,10 @@ class BatchRing:
     def _classify_retry(self, row: int, record: MessageRecord,
                         now: float) -> None:
         message = self._st.messages[row]
-        decision = retry_decision(record, self.config.max_retries)
+        policy = self.config.retry
+        decision = retry_decision(record, policy.max_retries)
         if decision is LifecycleEvent.RETRY_ARMED:
-            budget = self.config.retry.node_budget
+            budget = policy.node_budget
             if budget is not None and \
                     self._node_retry_totals[message.source] >= budget:
                 self.budget_abandoned += 1
@@ -898,12 +899,12 @@ class BatchRing:
                          now: float) -> None:
         attempts = retry_attempts(record)
         record.retries += 1
-        delay = self.config.retry_delay * (
-            self.config.retry_backoff
-            ** max(0, attempts - record.backoff_floor - 1)
+        policy = self.config.retry
+        delay = policy.delay * (
+            policy.backoff ** max(0, attempts - record.backoff_floor - 1)
         )
-        if self.config.retry_jitter > 0:
-            delay += self._rng.uniform(0, self.config.retry_jitter * delay)
+        if policy.jitter > 0:
+            delay += self._rng.uniform(0, policy.jitter * delay)
         source = self._st.messages[row].source
         self._awaiting_retry += 1
         self._awaiting_retry_by_node[source] += 1

@@ -49,6 +49,40 @@ def _add_geometry(parser: argparse.ArgumentParser) -> None:
                         help="root random seed")
 
 
+def _add_engine(parser: argparse.ArgumentParser) -> None:
+    """The flags ``run`` and ``saturate`` share: what runs, and how."""
+    parser.add_argument("--backend", choices=("event", "batch"),
+                        default="event",
+                        help="execution engine: the event heap (default) or "
+                             "the vectorized numpy batch backend — "
+                             "bit-identical results on the subset it models "
+                             "(synchronous flat rings, static faults), much "
+                             "faster at scale")
+    parser.add_argument("--topology", default="ring", metavar="SPEC",
+                        help="'ring' (flat RMB, default), 'hier' "
+                             "(auto-factored hierarchy) or 'hier:MxN' "
+                             "(M local rings of N nodes bridged by a global "
+                             "ring); hier reports journey-level stats plus "
+                             "per-ring rates (event backend only)")
+    parser.add_argument("--fault-plan", default=None, metavar="SPEC",
+                        help="inject faults: 'seg:S,L@T', 'lane:L@T', "
+                             "'inc:I@T', 'random:FRAC@T', '+...' to repair, "
+                             "';'-separated; or '@plan.json' (event backend, "
+                             "flat ring only)")
+    parser.add_argument("--recovery", action="store_true",
+                        help="arm the self-healing recovery manager: circuit "
+                             "breakers quarantine flapping segments, wedged "
+                             "buses are force-evacuated, fault storms tighten "
+                             "admission (event backend, flat ring only)")
+    parser.add_argument("--admission-limit", type=int, default=None,
+                        metavar="N",
+                        help="cap on outstanding requests per source INC "
+                             "(event backend only)")
+    parser.add_argument("--admission-policy", choices=("defer", "shed"),
+                        default="defer",
+                        help="what happens to over-limit submissions")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -59,19 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser(
         "run", help="simulate random traffic on an RMB ring")
     _add_geometry(run)
-    run.add_argument("--backend", choices=("event", "batch"),
-                     default="event",
-                     help="execution engine: the event heap (default) or "
-                          "the vectorized numpy batch backend — "
-                          "bit-identical results on the subset it models "
-                          "(synchronous rings, static faults), much "
-                          "faster at scale")
-    run.add_argument("--topology", default="ring", metavar="SPEC",
-                     help="'ring' (flat RMB, default), 'hier' "
-                          "(auto-factored hierarchy) or 'hier:MxN' "
-                          "(M local rings of N nodes bridged by a global "
-                          "ring); hier reports journey-level stats plus a "
-                          "per-ring breakdown")
+    _add_engine(run)
     run.add_argument("--messages", "-m", type=int, default=64,
                      help="number of messages")
     run.add_argument("--flits", "-f", type=int, default=16,
@@ -80,10 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-node injection probability per tick")
     run.add_argument("--asynchronous", action="store_true",
                      help="independent skewed INC clocks (rules 1-5)")
-    run.add_argument("--fault-plan", default=None, metavar="SPEC",
-                     help="inject faults: 'seg:S,L@T', 'lane:L@T', "
-                          "'inc:I@T', 'random:FRAC@T', '+...' to repair, "
-                          "';'-separated; or '@plan.json'")
     run.add_argument("--max-retries", type=int, default=None,
                      help="per-message retry cap (default: unlimited; "
                           "8 when a fault plan is given)")
@@ -102,17 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="lifetime retry budget per source INC; once "
                           "spent, further retries abandon (default: "
                           "unlimited)")
-    run.add_argument("--recovery", action="store_true",
-                     help="arm the self-healing recovery manager: circuit "
-                          "breakers quarantine flapping segments, wedged "
-                          "buses are force-evacuated, fault storms tighten "
-                          "admission (degraded mode)")
-    run.add_argument("--admission-limit", type=int, default=None,
-                     metavar="N",
-                     help="cap on outstanding requests per source INC")
-    run.add_argument("--admission-policy", choices=("defer", "shed"),
-                     default="defer",
-                     help="what happens to over-limit submissions")
     run.add_argument("--watchdog", action="store_true",
                      help="arm the no-progress watchdog (default windows)")
     run.add_argument("--checkpoint-every", type=float, default=None,
@@ -186,14 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry(saturate)
     saturate.add_argument("--pattern", default="uniform", metavar="SPEC",
                           help="traffic pattern spec (default: %(default)s)")
-    saturate.add_argument("--backend", choices=("event", "batch"),
-                          default="event",
-                          help="execution engine for every load point")
-    saturate.add_argument("--topology", default="ring", metavar="SPEC",
-                          help="'ring' (default), 'hier' or 'hier:MxN'; "
-                               "hier judges stability over the whole "
-                               "fabric and reports per-ring rates "
-                               "(event backend only)")
+    _add_engine(saturate)
     saturate.add_argument("--arrival", choices=ARRIVALS,
                           default="bernoulli",
                           help="arrival process (default: %(default)s)")
@@ -207,20 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="lowest candidate rate (msgs/node/tick)")
     saturate.add_argument("--rate-ceiling", type=float, default=0.5,
                           help="highest candidate rate (msgs/node/tick)")
-    saturate.add_argument("--fault-plan", default=None, metavar="SPEC",
-                          help="inject faults at every load point (same "
-                               "spec language as 'run'; event backend "
-                               "only)")
-    saturate.add_argument("--recovery", action="store_true",
-                          help="arm the recovery manager at every point "
-                               "(event backend only)")
-    saturate.add_argument("--admission-limit", type=int, default=None,
-                          metavar="N",
-                          help="cap on outstanding requests per source "
-                               "INC (event backend only)")
-    saturate.add_argument("--admission-policy",
-                          choices=("defer", "shed"), default="defer",
-                          help="what happens to over-limit submissions")
     saturate.add_argument("--json", default=None, metavar="PATH",
                           help="also write the curve summary as JSON")
 
@@ -320,29 +306,37 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
+class _Abort(Exception):
+    """A one-line user error: :func:`main` prints it and exits 1."""
+
+
 def command_run(args: argparse.Namespace) -> int:
+    """``run``: one Bernoulli workload on a flat ring or a hier fabric.
+
+    The schedule is generated, replayed, run and drained the same way on
+    every engine; only the title and the report differ.  A fabric's
+    headline table is *journey-level* (end to end across bridge hops,
+    what a PE actually experiences), followed by a per-ring breakdown.
+    Features the batch backend or a fabric does not model are refused up
+    front by flag name (:data:`~repro.traffic.saturation.BATCH_REFUSES`,
+    :data:`~repro.traffic.saturation.HIER_REFUSES`).  ``--check-level``
+    is accepted but moot on batch: it has no runtime invariant monitor —
+    its conformance guarantee is the differential suite in
+    ``tests/batch``.
+    """
     if args.resume_from:
         return _command_resume(args)
     if args.rate <= 0.0:
-        print("--rate must be positive")
-        return 1
-    fault_plan = None
-    if args.fault_plan:
-        from repro.errors import FaultError
-        from repro.faults import parse_spec
-        try:
-            fault_plan = parse_spec(args.fault_plan, args.nodes, args.lanes,
-                                    seed=args.seed)
-        except FaultError as exc:
-            print(f"bad --fault-plan: {exc}")
-            return 1
+        raise _Abort("--rate must be positive")
+    from repro.core.config import RetryPolicy
+    from repro.errors import ConfigurationError, ProtocolError
+    from repro.traffic.saturation import BATCH_REFUSES, HIER_REFUSES, refused
+    fault_plan = _fault_plan(args)
     max_retries = args.max_retries
     if max_retries is None and fault_plan is not None:
         # A permanently dead source column would otherwise retry forever
         # and the drain below would never terminate.
         max_retries = 8
-    from repro.core.config import RetryPolicy
-    from repro.errors import ConfigurationError
     try:
         retry = RetryPolicy(max_retries=max_retries).with_overrides(
             **{key: value for key, value in (
@@ -352,201 +346,135 @@ def command_run(args: argparse.Namespace) -> int:
                 ("node_budget", args.retry_budget),
             ) if value is not None})
     except ConfigurationError as exc:
-        print(f"bad retry policy: {exc}")
-        return 1
-    if args.topology != "ring":
-        return _command_run_hier(args, retry)
-    if args.backend == "batch":
-        return _command_run_batch(args, retry)
-    config = RMBConfig(nodes=args.nodes, lanes=args.lanes,
-                       cycle_period=2.0,
+        raise _Abort(f"bad retry policy: {exc}") from None
+    batch = args.backend == "batch"
+    hier = args.topology != "ring"
+    obs = _build_obs(args)
+    used = {
+        "asynchronous": args.asynchronous,
+        "fault_plan": fault_plan is not None,
+        "recovery": args.recovery,
+        "watchdog": args.watchdog,
+        "admission_limit": args.admission_limit is not None,
+        "checkpoint_every": args.checkpoint_every is not None,
+        "obs": obs is not None,
+        "topology": hier,
+    }
+    engine = "--backend batch" if batch else f"--topology {args.topology}"
+    for active, refuses, advice in (
+            (batch, BATCH_REFUSES, "use the default event backend"),
+            (hier, HIER_REFUSES, "use --topology ring")):
+        flagged = refused(refuses, used) if active else []
+        if flagged:
+            raise _Abort(f"{engine} does not support "
+                         f"{', '.join(refuses[name] for name in flagged)}; "
+                         f"{advice}")
+    nodes = args.nodes
+    if hier:
+        from repro.networks.registry import hier_shape
+        try:
+            locals_count, nodes = hier_shape(args.topology, args.nodes)
+        except ConfigurationError as exc:
+            raise _Abort(f"bad --topology: {exc}") from None
+    config = RMBConfig(nodes=nodes, lanes=args.lanes, cycle_period=2.0,
                        retry=retry,
                        admission_limit=args.admission_limit,
                        admission_policy=args.admission_policy,
                        check_level=args.check_level,
                        synchronous=not args.asynchronous)
+    try:
+        network = _build_run_network(args, config, fault_plan, obs)
+    except ProtocolError as exc:
+        raise _Abort(f"{engine}: {exc}") from None
+    rng = RandomStream(args.seed, name="cli")
+    duration = max(1, int(args.messages / (args.rate * args.nodes)))
+    schedule = bernoulli_schedule(
+        args.nodes, duration, args.rate, args.flits, rng)
+    if len(schedule) == 0:
+        raise _Abort("the requested rate produced no messages; raise "
+                     "--rate or --messages")
+    if batch:
+        from repro.batch import replay_on_batch
+        replay_on_batch(network, schedule)
+    else:
+        replay_on_ring(network, schedule)
+    if hier:
+        title = f"hier RMB {locals_count}x{nodes} k={args.lanes}"
+    else:
+        mode = "asynchronous" if args.asynchronous else "synchronous"
+        title = (f"RMB N={args.nodes} k={args.lanes} "
+                 f"({mode}{', batch' if batch else ''})")
+    title += f", {len(schedule)} messages @ rate {args.rate}"
+    # Every engine's clock starts at 0, so the horizon is also the
+    # absolute stop time a resumed run must reach.
+    run_until = schedule.horizon() + 1
+    if args.checkpoint_every is not None:
+        from repro.supervision import PeriodicCheckpointer
+        # The title reproduces the report header verbatim on resume.
+        PeriodicCheckpointer(
+            network, args.checkpoint_every, args.checkpoint_file,
+            meta={"run_until": run_until, "title": title},
+        )
+    network.run(run_until)
+    network.drain()
+    if hier:
+        _report_fabric(network, title, args.stats_json)
+    else:
+        _report_run(network, title, args.stats_json)
+    _export_obs(obs, args)
+    return 0
+
+
+def _build_run_network(args: argparse.Namespace, config: RMBConfig,
+                       fault_plan, obs):
+    """The ring, batch ring or hier fabric ``run`` drives."""
+    if args.backend == "batch":
+        from repro.batch import BatchRing
+        return BatchRing(config, seed=args.seed, probe_period=8.0)
+    if args.topology != "ring":
+        from repro.hier import HierRMB
+        return HierRMB(locals=args.nodes // config.nodes,
+                       nodes_per_local=config.nodes, lanes=args.lanes,
+                       seed=args.seed, config=config, probe_period=8.0,
+                       obs=obs)
     watchdog = None
     if args.watchdog:
         from repro.supervision import WatchdogConfig
         # The watchdog's storm knobs come from the unified retry policy
         # (the policy defaults mirror the historical WatchdogConfig ones).
-        watchdog = WatchdogConfig(retry_threshold=retry.storm_threshold,
-                                  retry_storm_action=retry.storm_action)
+        watchdog = WatchdogConfig(
+            retry_threshold=config.retry.storm_threshold,
+            retry_storm_action=config.retry.storm_action)
     recovery = None
     if args.recovery:
         from repro.resilience import RecoveryConfig
         recovery = RecoveryConfig()
-    obs = _build_obs(args)
-    ring = RMBRing(config, seed=args.seed, probe_period=8.0,
+    return RMBRing(config, seed=args.seed, probe_period=8.0,
                    fault_plan=fault_plan, watchdog=watchdog,
                    recovery=recovery, obs=obs)
-    rng = RandomStream(args.seed, name="cli")
-    duration = max(1, int(args.messages / (args.rate * args.nodes)))
-    schedule = bernoulli_schedule(
-        args.nodes, duration, args.rate, args.flits, rng)
-    if len(schedule) == 0:
-        print("the requested rate produced no messages; raise --rate "
-              "or --messages")
-        return 1
-    replay_on_ring(ring, schedule)
-    mode = "asynchronous" if args.asynchronous else "synchronous"
-    title = (f"RMB N={args.nodes} k={args.lanes} ({mode}), "
-             f"{len(schedule)} messages @ rate {args.rate}")
-    run_until = ring.sim.now + schedule.horizon() + 1
-    if args.checkpoint_every is not None:
-        from repro.supervision import PeriodicCheckpointer
-        # run_until lets a resumed run stop at the same absolute horizon
-        # as this one; the title reproduces the report header verbatim.
-        PeriodicCheckpointer(
-            ring, args.checkpoint_every, args.checkpoint_file,
-            meta={"run_until": run_until, "title": title},
-        )
-    ring.sim.run(until=run_until)
-    ring.drain()
-    _report_run(ring, title, args.stats_json)
-    _export_obs(obs, args)
-    return 0
 
 
-def _command_run_batch(args: argparse.Namespace, retry) -> int:
-    """``run --backend batch``: the same workload through repro.batch.
-
-    The batch backend models the synchronous, statically-faulted subset
-    of the protocol; flags that need the event kernel's machinery are
-    rejected up front with the flag name rather than surfacing as a
-    deep :class:`BatchUnsupported`.  ``--check-level`` is accepted but
-    moot: the batch backend has no runtime invariant monitor — its
-    conformance guarantee is the differential suite in ``tests/batch``
-    (results are identical at all monitor levels on the event backend).
-    """
-    from repro.batch import BatchRing, replay_on_batch
-    from repro.batch.engine import BatchUnsupported
-    needs_event = [
-        ("--asynchronous", args.asynchronous),
-        ("--fault-plan", args.fault_plan is not None),
-        ("--recovery", args.recovery),
-        ("--watchdog", args.watchdog),
-        ("--admission-limit", args.admission_limit is not None),
-        ("--checkpoint-every", args.checkpoint_every is not None),
-        ("--obs-level", args.obs_level != "off"),
-        ("--metrics-out", args.metrics_out is not None),
-        ("--spans-out", args.spans_out is not None),
-    ]
-    flagged = [flag for flag, used in needs_event if used]
-    if flagged:
-        print(f"--backend batch does not support {', '.join(flagged)}; "
-              f"use the default event backend")
-        return 1
-    config = RMBConfig(nodes=args.nodes, lanes=args.lanes,
-                       cycle_period=2.0, retry=retry)
+def _fault_plan(args: argparse.Namespace):
+    """The parsed ``--fault-plan``, or ``None`` when it is not given."""
+    if not args.fault_plan:
+        return None
+    from repro.errors import FaultError
+    from repro.faults import parse_spec
     try:
-        ring = BatchRing(config, seed=args.seed, probe_period=8.0)
-    except BatchUnsupported as exc:
-        print(f"--backend batch: {exc}")
-        return 1
-    rng = RandomStream(args.seed, name="cli")
-    duration = max(1, int(args.messages / (args.rate * args.nodes)))
-    schedule = bernoulli_schedule(
-        args.nodes, duration, args.rate, args.flits, rng)
-    if len(schedule) == 0:
-        print("the requested rate produced no messages; raise --rate "
-              "or --messages")
-        return 1
-    replay_on_batch(ring, schedule)
-    title = (f"RMB N={args.nodes} k={args.lanes} (synchronous, batch), "
-             f"{len(schedule)} messages @ rate {args.rate}")
-    ring.run(schedule.horizon() + 1)
-    ring.drain()
-    _report_run(ring, title, args.stats_json)
-    return 0
+        return parse_spec(args.fault_plan, args.nodes, args.lanes,
+                          seed=args.seed)
+    except FaultError as exc:
+        raise _Abort(f"bad --fault-plan: {exc}") from None
 
 
-def _command_run_hier(args: argparse.Namespace, retry) -> int:
-    """``run --topology hier[:MxN]``: traffic on a hierarchical fabric.
-
-    The headline table is *journey-level* (end to end across bridge
-    hops, what a PE actually experiences); a second table breaks the
-    delivered legs down per member ring.  The resilience stack does not
-    yet compose with fabrics, so those flags are rejected by name.
-    """
-    from repro.errors import ConfigurationError
-    from repro.hier import HierRMB
-    from repro.networks.registry import hier_shape
-    from repro.traffic import replay_on_fabric
-    needs_ring = [
-        ("--backend batch", args.backend == "batch"),
-        ("--asynchronous", args.asynchronous),
-        ("--fault-plan", args.fault_plan is not None),
-        ("--recovery", args.recovery),
-        ("--watchdog", args.watchdog),
-    ]
-    flagged = [flag for flag, used in needs_ring if used]
-    if flagged:
-        print(f"--topology {args.topology} does not support "
-              f"{', '.join(flagged)}; use --topology ring")
-        return 1
-    try:
-        locals_count, nodes_per_local = hier_shape(args.topology, args.nodes)
-    except ConfigurationError as exc:
-        print(f"bad --topology: {exc}")
-        return 1
-    lanes = max(2, args.lanes)
-    template = RMBConfig(nodes=nodes_per_local, lanes=lanes,
-                         cycle_period=2.0, retry=retry,
-                         admission_limit=args.admission_limit,
-                         admission_policy=args.admission_policy,
-                         check_level=args.check_level)
-    obs = _build_obs(args)
-    network = HierRMB(locals=locals_count, nodes_per_local=nodes_per_local,
-                      lanes=lanes, seed=args.seed, config=template,
-                      probe_period=8.0, obs=obs)
-    rng = RandomStream(args.seed, name="cli")
-    duration = max(1, int(args.messages / (args.rate * args.nodes)))
-    schedule = bernoulli_schedule(
-        args.nodes, duration, args.rate, args.flits, rng)
-    if len(schedule) == 0:
-        print("the requested rate produced no messages; raise --rate "
-              "or --messages")
-        return 1
-    replay_on_fabric(network, schedule)
-    title = (f"hier RMB {locals_count}x{nodes_per_local} k={args.lanes}, "
-             f"{len(schedule)} messages @ rate {args.rate}")
-    run_until = network.sim.now + schedule.horizon() + 1
-    if args.checkpoint_every is not None:
-        from repro.supervision import PeriodicCheckpointer
-        PeriodicCheckpointer(
-            network, args.checkpoint_every, args.checkpoint_file,
-            meta={"run_until": run_until, "title": title},
-        )
-    network.sim.run(until=run_until)
-    network.drain()
-    stats = network.journey_run_stats()
-    rows = [{"metric": key, "value": round(value, 3)}
-            for key, value in stats.summary().items()]
-    print(render_table(rows, title=f"{title} (journey-level)"))
-    ring_rows = []
-    for name, ring_stats in network.stats_by_ring().items():
-        ring_rows.append({
-            "ring": name,
-            "offered": int(ring_stats.offered),
-            "delivered": int(ring_stats.completed),
-            "mean_latency": round(ring_stats.latency.mean, 2),
-            "nacks": int(ring_stats.nacks),
-        })
-    print()
-    print(render_table(ring_rows, title="per-ring legs"))
-    if args.stats_json is not None:
-        import json
-        payload = dict(stats.summary())
-        payload["rings"] = {
-            name: ring_stats.summary()
-            for name, ring_stats in network.stats_by_ring().items()
-        }
-        with open(args.stats_json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    _export_obs(obs, args)
-    return 0
+def _write_json(path: Optional[str], payload) -> None:
+    """Write one JSON artifact (sorted, indented); nothing without a path."""
+    if not path:
+        return
+    import json
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _build_obs(args: argparse.Namespace):
@@ -582,8 +510,8 @@ def _command_resume(args: argparse.Namespace) -> int:
     try:
         ring, manifest = resume_run(args.resume_from)
     except (OSError, SnapshotError) as exc:
-        print(f"cannot resume from {args.resume_from}: {exc}")
-        return 1
+        raise _Abort(f"cannot resume from {args.resume_from}: {exc}") \
+            from None
     meta = manifest.get("meta", {})
     title = meta.get("title", f"resumed from {args.resume_from}")
     _report_run(ring, title, args.stats_json)
@@ -610,7 +538,7 @@ def _report_run(ring, title: str,
         fault_rows.append({"metric": "min_windowed_throughput",
                            "value": round(stats.min_windowed_throughput(), 3)})
         print(render_table(fault_rows, title="degraded-mode accounting"))
-    recovery = getattr(ring, "recovery", None)  # absent in old snapshots
+    recovery = getattr(ring, "recovery", None)
     if recovery is not None:
         recovery_rows = [{"metric": key, "value": value}
                          for key, value in recovery.stats.summary().items()]
@@ -621,11 +549,30 @@ def _report_run(ring, title: str,
     if watchdog is not None and len(watchdog.incidents):
         print("\nwatchdog incidents:")
         print(watchdog.incidents.render())
-    if stats_json is not None:
-        import json
-        with open(stats_json, "w", encoding="utf-8") as handle:
-            json.dump(stats.summary(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_json(stats_json, stats.summary())
+
+
+def _report_fabric(network, title: str, stats_json: Optional[str]) -> None:
+    """Journey-level table, per-ring legs, and the JSON with both."""
+    stats = network.journey_run_stats()
+    rows = [{"metric": key, "value": round(value, 3)}
+            for key, value in stats.summary().items()]
+    print(render_table(rows, title=f"{title} (journey-level)"))
+    by_ring = network.stats_by_ring()
+    ring_rows = [{
+        "ring": name,
+        "offered": int(ring_stats.offered),
+        "delivered": int(ring_stats.completed),
+        "mean_latency": round(ring_stats.latency.mean, 2),
+        "nacks": int(ring_stats.nacks),
+    } for name, ring_stats in by_ring.items()]
+    print()
+    print(render_table(ring_rows, title="per-ring legs"))
+    _write_json(stats_json, {
+        **stats.summary(),
+        "rings": {name: ring_stats.summary()
+                  for name, ring_stats in by_ring.items()},
+    })
 
 
 def command_chaos(args: argparse.Namespace) -> int:
@@ -648,8 +595,7 @@ def command_chaos(args: argparse.Namespace) -> int:
         plan = parse_chaos_spec(args.spec, args.nodes, args.lanes,
                                 seed=args.seed)
     except (ConfigurationError, FaultError) as exc:
-        print(f"bad chaos scenario: {exc}")
-        return 1
+        raise _Abort(f"bad chaos scenario: {exc}") from None
     if args.export_plan:
         with open(args.export_plan, "w", encoding="utf-8") as handle:
             handle.write(plan.to_json())
@@ -668,11 +614,7 @@ def command_chaos(args: argparse.Namespace) -> int:
             print(f"replay determinism FAILED: {result.signature[:16]}… "
                   f"vs {again.signature[:16]}…")
             failed = True
-    if args.json:
-        import json
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.summary(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_json(args.json, result.summary())
     if failed:
         print("\nchaos soak FAILED")
         return 1
@@ -712,30 +654,16 @@ def command_arena(args: argparse.Namespace) -> int:
             data_flits=args.flits, seed=args.seed, rounds=args.rounds,
             max_ticks=args.max_ticks)
     except ReproError as exc:
-        print(f"bad arena: {exc}")
-        return 1
+        raise _Abort(f"bad arena: {exc}") from None
     print(report.render())
-    if args.json:
-        import json
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.summary(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_json(args.json, report.summary())
     return 0
 
 
 def command_saturate(args: argparse.Namespace) -> int:
-    from repro.errors import FaultError, ReproError
+    from repro.errors import ReproError
     from repro.traffic import SaturationConfig, make_pattern, \
         saturation_search
-    fault_plan = None
-    if args.fault_plan:
-        from repro.faults import parse_spec
-        try:
-            fault_plan = parse_spec(args.fault_plan, args.nodes,
-                                    args.lanes, seed=args.seed)
-        except FaultError as exc:
-            print(f"bad --fault-plan: {exc}")
-            return 1
     recovery = None
     if args.recovery:
         from repro.resilience import RecoveryConfig
@@ -746,15 +674,14 @@ def command_saturate(args: argparse.Namespace) -> int:
         arrival=args.arrival, topology=args.topology,
         iterations=args.iterations,
         rate_floor=args.rate_floor, rate_ceiling=args.rate_ceiling,
-        fault_plan=fault_plan, admission_limit=args.admission_limit,
+        fault_plan=_fault_plan(args), admission_limit=args.admission_limit,
         admission_policy=args.admission_policy, recovery=recovery)
     try:
         pattern = make_pattern(args.pattern, args.nodes, k=args.lanes,
                                seed=args.seed)
         curve = saturation_search(cfg, pattern)
     except ReproError as exc:
-        print(f"saturation sweep failed: {exc}")
-        return 1
+        raise _Abort(f"saturation sweep failed: {exc}") from None
     rows = [dict(row, rate=f"{row['rate']:.5f}") for row in curve.rows()]
     print(render_table(
         rows,
@@ -781,11 +708,7 @@ def command_saturate(args: argparse.Namespace) -> int:
     else:
         print(f"\nsaturation rate: {curve.saturation_rate:.5f} "
               f"msgs/node/tick (unstable at {curve.unstable_rate:.5f})")
-    if args.json:
-        import json
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(curve.summary(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_json(args.json, curve.summary())
     return 0
 
 
@@ -999,7 +922,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except _Abort as exc:
+        print(exc)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
@@ -12,27 +12,28 @@ from repro.errors import ConfigurationError
 class RetryPolicy:
     """Every retry/timeout knob of one ring, in one validated place.
 
-    Before this class the knobs were scattered: the backoff floor,
-    multiplier and jitter lived as loose :class:`RMBConfig` scalars, the
-    header timeout next to them, and the watchdog's retry-storm response
-    in :class:`~repro.supervision.watchdog.WatchdogConfig`.  The policy
-    gathers them so a whole retry regime can be named, validated and
-    swapped as a unit; the legacy :class:`RMBConfig` kwargs remain as
-    deprecated aliases so existing configs keep working.
+    A refused request (Nack) makes its source retry; this policy is the
+    only home of how: the backoff, the give-up rules, the header timeout
+    and the watchdog's retry-storm response.  :class:`RMBConfig` carries
+    one as ``config.retry``, so a whole retry regime is named, validated
+    and swapped as a unit.
 
     Attributes:
         delay: ticks a source waits after the first refusal before
-            re-requesting (the backoff floor; alias ``retry_delay``).
+            re-requesting (the backoff floor).
         backoff: multiplier applied per extra refusal (1.0 = constant
-            retry interval; alias ``retry_backoff``).
+            retry interval).
         jitter: fraction of the retry delay drawn uniformly at random
-            and added, to break symmetric retry livelock (alias
-            ``retry_jitter``).
-        max_retries: give up after this many refusals (``None`` = never;
-            alias ``max_retries``).
+            and added, to break symmetric retry livelock.
+        max_retries: give up after this many refusals (``None`` = never).
         header_timeout: consecutive stalled ticks after which an
-            extending header gives up and retries (``None`` disables;
-            alias ``header_timeout``; design decision D8).
+            extending header gives up, releases its partial virtual bus
+            (as if Nacked) and retries.  ``None`` disables the timeout.
+            The paper does not specify behaviour for mutually-blocking
+            partial circuits (possible when message spans cover the ring
+            and all lanes fill); the timeout restores liveness without
+            changing behaviour in the uncongested regimes the paper
+            analyses (design decision D8).
         node_budget: cap on the *total* retries the messages of one
             source node may accumulate in a run.  Once a node has spent
             its budget, further refusals abandon the message instead of
@@ -61,39 +62,32 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.delay <= 0:
-            raise ConfigurationError("retry_delay must be positive")
+            raise ConfigurationError("retry.delay must be positive")
         if self.backoff < 1.0:
-            raise ConfigurationError("retry_backoff must be >= 1.0")
+            raise ConfigurationError("retry.backoff must be >= 1.0")
         if self.max_retries is not None and self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0 or None")
+            raise ConfigurationError(
+                "retry.max_retries must be >= 0 or None")
         if self.header_timeout is not None and self.header_timeout <= 0:
-            raise ConfigurationError("header_timeout must be positive or None")
+            raise ConfigurationError(
+                "retry.header_timeout must be positive or None")
         if self.jitter < 0:
-            raise ConfigurationError("retry_jitter must be >= 0")
+            raise ConfigurationError("retry.jitter must be >= 0")
         if self.node_budget is not None and self.node_budget < 0:
             raise ConfigurationError(
-                "retry node_budget must be >= 0 or None")
+                "retry.node_budget must be >= 0 or None")
         if self.storm_threshold < 1:
             raise ConfigurationError(
-                f"storm_threshold must be >= 1, got {self.storm_threshold}")
+                f"retry.storm_threshold must be >= 1, "
+                f"got {self.storm_threshold}")
         if self.storm_action not in ("reset_backoff", "report"):
             raise ConfigurationError(
-                f"storm_action must be 'reset_backoff' or 'report', "
+                f"retry.storm_action must be 'reset_backoff' or 'report', "
                 f"got {self.storm_action!r}")
 
     def with_overrides(self, **changes: Any) -> "RetryPolicy":
         """A copy with some fields replaced (validated again)."""
         return replace(self, **changes)
-
-
-#: RMBConfig field -> RetryPolicy field for the deprecated flat aliases.
-_RETRY_ALIASES: dict[str, str] = {
-    "retry_delay": "delay",
-    "retry_backoff": "backoff",
-    "retry_jitter": "jitter",
-    "max_retries": "max_retries",
-    "header_timeout": "header_timeout",
-}
 
 
 @dataclass(frozen=True)
@@ -121,24 +115,10 @@ class RMBConfig:
         compaction_enabled: master switch, used by the ablation experiment
             (E17).  With compaction off, virtual buses stay on the lanes the
             header drew and the top lane is only released at teardown.
-        retry_delay: ticks a source waits after a Nack before re-requesting.
-        retry_backoff: multiplier applied to ``retry_delay`` per extra Nack
-            (1.0 = constant retry interval).
-        max_retries: give up after this many Nacks (``None`` = never).
         extend_up: whether a stalled header may extend onto lane ``l+1``
             when lanes ``l-1`` and ``l`` ahead are busy.  The paper's INC
             crossbar permits it; keeping it on is required for Theorem 1's
             full-utilisation behaviour.
-        header_timeout: consecutive stalled ticks after which an extending
-            header gives up, releases its partial virtual bus (as if
-            Nacked) and retries.  ``None`` disables the timeout.  The paper
-            does not specify behaviour for mutually-blocking partial
-            circuits (possible when message spans cover the ring and all
-            lanes fill); the timeout restores liveness without changing
-            behaviour in the uncongested regimes the paper analyses
-            (design decision D8).
-        retry_jitter: fraction of the retry delay drawn uniformly at random
-            and added, to break symmetric retry livelock.
         tx_ports: concurrent outgoing messages a PE interface supports
             (paper Section 2.1: "it is possible for the interface to be
             enhanced to permit the PE to talk concurrently with multiple
@@ -171,10 +151,12 @@ class RMBConfig:
             stalled header to the bottom of the lane stack, where packed
             columns ahead leave free lanes only near the top — outside the
             header's +/-1 reach — so it can stall until a teardown frees a
-            low lane (recovered by ``header_timeout``).  Keeping the head
-            hop high (the default) preserves reachability and makes
+            low lane (recovered by ``retry.header_timeout``).  Keeping the
+            head hop high (the default) preserves reachability and makes
             load-within-capacity circuit sets establish without retries
             (design decision D9; ablated in E17).
+        retry: the :class:`RetryPolicy` — backoff, give-up rules and
+            header timeout after a refusal.
     """
 
     nodes: int
@@ -185,38 +167,16 @@ class RMBConfig:
     clock_drift: float = 0.03
     clock_jitter_fraction: float = 0.05
     compaction_enabled: bool = True
-    retry_delay: float = 16.0
-    retry_backoff: float = 2.0
-    max_retries: int | None = None
     extend_up: bool = True
-    header_timeout: float | None = 128.0
-    retry_jitter: float = 0.5
     compact_head_while_extending: bool = False
     tx_ports: int = 1
     rx_ports: int = 1
     admission_limit: int | None = None
     admission_policy: str = "defer"
     check_level: str = "full"
-    retry: Optional[RetryPolicy] = None
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
-        # Retry-knob unification: ``retry`` (a RetryPolicy) is the
-        # authoritative home of every retry/timeout knob; the flat
-        # ``retry_delay`` / ``retry_backoff`` / ``retry_jitter`` /
-        # ``max_retries`` / ``header_timeout`` kwargs are deprecated
-        # aliases.  Given a policy, the aliases are backfilled from it so
-        # all existing readers stay correct; given only aliases (or
-        # nothing), the policy is derived from them — which also runs the
-        # policy's validation.
-        if self.retry is None:
-            object.__setattr__(self, "retry", RetryPolicy(**{
-                policy_field: getattr(self, config_field)
-                for config_field, policy_field in _RETRY_ALIASES.items()
-            }))
-        else:
-            for config_field, policy_field in _RETRY_ALIASES.items():
-                object.__setattr__(self, config_field,
-                                   getattr(self.retry, policy_field))
         if self.nodes < 4:
             raise ConfigurationError(
                 f"an RMB ring needs at least 4 nodes, got {self.nodes}"
@@ -262,14 +222,5 @@ class RMBConfig:
         return self.lanes - 1
 
     def with_overrides(self, **changes: Any) -> "RMBConfig":
-        """A copy with some fields replaced (validated again).
-
-        Overriding a deprecated retry alias (``retry_delay`` etc.)
-        without also passing ``retry`` rebuilds the policy from the new
-        alias values; passing ``retry`` makes the policy authoritative
-        and backfills the aliases from it.
-        """
-        if any(field_name in changes for field_name in _RETRY_ALIASES) \
-                and "retry" not in changes:
-            changes["retry"] = None
+        """A copy with some fields replaced (validated again)."""
         return replace(self, **changes)

@@ -411,7 +411,7 @@ class RoutingEngine:
             )
             for bus in self.buses.values()
         )
-        if self.config.header_timeout is None:
+        if self.config.retry.header_timeout is None:
             stalls: tuple[tuple[int, int], ...] = ()
         else:
             stalls = tuple(
@@ -427,7 +427,7 @@ class RoutingEngine:
         # abstracts away) and statistics — so they are elided exactly
         # like uncapped stall counters: otherwise one dead segment plus
         # unlimited retries makes the signature space infinite.
-        capped = self.config.max_retries is not None
+        capped = self.config.retry.max_retries is not None
         records = tuple(
             (
                 message_id,
@@ -626,7 +626,7 @@ class RoutingEngine:
     def _stall(self, bus: VirtualBus) -> None:
         bus.record.head_stall_ticks += 1
         self._stall_ticks[bus.bus_id] = self._stall_ticks.get(bus.bus_id, 0) + 1
-        timeout = self.config.header_timeout
+        timeout = self.config.retry.header_timeout
         if timeout is not None and \
                 self._stall_ticks[bus.bus_id] * self.config.flit_period >= timeout:
             self._record("header_timeout", bus.message, bus=bus.bus_id,
@@ -754,7 +754,7 @@ class RoutingEngine:
     def reset_backoff(self, message_id: int) -> None:
         """Watchdog recovery: forgive a message's accumulated backoff.
 
-        The next retry delay restarts from ``retry_delay`` instead of the
+        The next retry delay restarts from ``retry.delay`` instead of the
         current exponential step; an already-armed retry timer is not
         touched (rescheduling it would break checkpoint determinism).
         """
@@ -996,12 +996,13 @@ class RoutingEngine:
     def _fx_classify_retry(self, message: Message, record: MessageRecord,
                            bus: Optional[VirtualBus], ctx: FireContext,
                            effect: Effect) -> None:
-        decision = retry_decision(record, self.config.max_retries)
+        policy = self.config.retry
+        decision = retry_decision(record, policy.max_retries)
         if decision is LifecycleEvent.RETRY_ARMED:
             # The retry policy's node budget is a second, node-wide bound:
             # once a source INC's lifetime retry total is spent, further
             # would-be retries abandon even below per-message max_retries.
-            budget = self.config.retry.node_budget
+            budget = policy.node_budget
             if budget is not None and \
                     self._node_retry_totals[message.source] >= budget:
                 self.budget_abandoned += 1
@@ -1017,12 +1018,12 @@ class RoutingEngine:
         record.retries += 1
         # backoff_floor is the number of attempts forgiven by a watchdog
         # reset_backoff() call: the exponent restarts from there.
-        delay = self.config.retry_delay * (
-            self.config.retry_backoff
-            ** max(0, attempts - record.backoff_floor - 1)
+        policy = self.config.retry
+        delay = policy.delay * (
+            policy.backoff ** max(0, attempts - record.backoff_floor - 1)
         )
-        if self._rng is not None and self.config.retry_jitter > 0:
-            delay += self._rng.uniform(0, self.config.retry_jitter * delay)
+        if self._rng is not None and policy.jitter > 0:
+            delay += self._rng.uniform(0, policy.jitter * delay)
         self._awaiting_retry += 1
         self._awaiting_retry_by_node[message.source] += 1
         self._node_retry_totals[message.source] += 1

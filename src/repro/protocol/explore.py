@@ -112,7 +112,7 @@ from typing import (
 )
 
 from repro.core.compaction import CompactionEngine
-from repro.core.config import RMBConfig
+from repro.core.config import RetryPolicy, RMBConfig
 from repro.core.flits import Message
 from repro.core.invariants import check_bus_shapes, check_grid_bus_agreement
 from repro.core.ports import validate_ports
@@ -418,7 +418,7 @@ def exploration_config(nodes: int, lanes: int, **overrides: object) -> RMBConfig
     legal_nodes = nodes if nodes >= 4 and nodes % 2 == 0 else 4
     defaults: Dict[str, object] = {
         "synchronous": True,
-        "retry_jitter": 0.0,
+        "retry": RetryPolicy(jitter=0.0),
         "check_level": "off",
     }
     defaults.update(overrides)
@@ -1335,8 +1335,8 @@ class Scenario:
         return exploration_config(
             self.nodes,
             self.lanes,
-            header_timeout=self.header_timeout,
-            max_retries=self.max_retries,
+            retry=RetryPolicy(jitter=0.0, header_timeout=self.header_timeout,
+                              max_retries=self.max_retries),
             extend_up=self.extend_up,
         )
 

@@ -40,8 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.core.network import RMBRing
 
 #: Bump on any change that makes old snapshots unreadable.  Version 2:
-#: ``RMBConfig`` no longer rebuilds a missing ``retry`` policy from the
-#: flat aliases of configs pickled before the RetryPolicy unification.
+#: every pickled ``RMBConfig`` carries its ``retry`` policy.
 SNAPSHOT_VERSION = 2
 
 _FORMAT = "rmb-snapshot"

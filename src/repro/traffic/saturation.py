@@ -24,7 +24,7 @@ backend; asking the batch backend for a feature it does not model raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.core.config import RMBConfig, RetryPolicy
 from repro.core.network import RMBRing
@@ -33,7 +33,7 @@ from repro.errors import ProtocolError
 from repro.hier.fabric import RingFabric
 from repro.hier.hier import HierRMB
 from repro.traffic.patterns import TrafficPattern, pattern_schedule
-from repro.traffic.workload import replay_on_fabric, replay_on_ring
+from repro.traffic.workload import replay_on_ring
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.faults.plan import FaultPlan
@@ -45,6 +45,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 #: drain finite so instability shows up as lost completion, not a hang.
 BOUNDED_RETRY = RetryPolicy(delay=8.0, backoff=1.4, jitter=0.5,
                             max_retries=8)
+
+#: What the batch backend does not model: each run feature it refuses,
+#: by field name, with the ``repro`` flag that switches it on.  Both
+#: ``repro run`` and :func:`run_point` refuse from this one table.
+BATCH_REFUSES: dict[str, str] = {
+    "asynchronous": "--asynchronous",
+    "fault_plan": "--fault-plan",
+    "recovery": "--recovery",
+    "watchdog": "--watchdog",
+    "admission_limit": "--admission-limit",
+    "checkpoint_every": "--checkpoint-every",
+    "obs": "--obs-level/--metrics-out/--spans-out",
+    "topology": "--topology",
+}
+
+#: What a hier fabric does not yet compose with, in the same shape.
+HIER_REFUSES: dict[str, str] = {
+    "asynchronous": "--asynchronous",
+    "fault_plan": "--fault-plan",
+    "recovery": "--recovery",
+    "watchdog": "--watchdog",
+}
+
+
+def refused(refuses: Mapping[str, str],
+            used: Mapping[str, bool]) -> list[str]:
+    """The fields of a refusal table that ``used`` switches on."""
+    return [name for name in refuses if used.get(name)]
 
 
 @dataclass
@@ -188,15 +216,22 @@ def _build_event_ring(cfg: SaturationConfig) -> RMBRing:
                    trace_kinds=set())
 
 
+def _in_use(cfg: SaturationConfig) -> dict[str, bool]:
+    """Which refusable features ``cfg`` switches on."""
+    return {
+        "fault_plan": cfg.fault_plan is not None,
+        "recovery": cfg.recovery is not None,
+        "watchdog": cfg.watchdog is not None,
+        "admission_limit": cfg.admission_limit is not None,
+        "obs": cfg.obs is not None,
+        "topology": cfg.topology != "ring",
+    }
+
+
 def _build_event_hier(cfg: SaturationConfig) -> HierRMB:
     from repro.networks.registry import hier_shape
 
-    unsupported = [
-        ("fault_plan", cfg.fault_plan is not None),
-        ("recovery", cfg.recovery is not None),
-        ("watchdog", cfg.watchdog is not None),
-    ]
-    flagged = [name for name, used in unsupported if used]
+    flagged = refused(HIER_REFUSES, _in_use(cfg))
     if flagged:
         raise ProtocolError(
             f"saturation on a hier topology does not yet compose with "
@@ -204,7 +239,7 @@ def _build_event_hier(cfg: SaturationConfig) -> HierRMB:
         )
     locals_count, nodes_per_local = hier_shape(cfg.topology, cfg.nodes)
     template = RMBConfig(
-        nodes=nodes_per_local, lanes=max(2, cfg.lanes),
+        nodes=nodes_per_local, lanes=cfg.lanes,
         cycle_period=cfg.cycle_period, retry=cfg.retry,
         admission_limit=cfg.admission_limit,
         admission_policy=cfg.admission_policy,
@@ -212,7 +247,7 @@ def _build_event_hier(cfg: SaturationConfig) -> HierRMB:
     )
     return HierRMB(
         locals=locals_count, nodes_per_local=nodes_per_local,
-        lanes=max(2, cfg.lanes), seed=cfg.seed, config=template,
+        lanes=cfg.lanes, seed=cfg.seed, config=template,
         probe_period=cfg.probe_period, obs=cfg.obs,
     )
 
@@ -221,15 +256,7 @@ def _build_batch_ring(cfg: SaturationConfig) -> Any:
     from repro.batch import BatchRing
     from repro.batch.engine import BatchUnsupported
 
-    needs_event = [
-        ("fault_plan", cfg.fault_plan is not None),
-        ("recovery", cfg.recovery is not None),
-        ("watchdog", cfg.watchdog is not None),
-        ("admission_limit", cfg.admission_limit is not None),
-        ("obs", cfg.obs is not None),
-        (f"topology {cfg.topology!r}", cfg.topology != "ring"),
-    ]
-    flagged = [name for name, used in needs_event if used]
+    flagged = refused(BATCH_REFUSES, _in_use(cfg))
     if flagged:
         raise BatchUnsupported(
             f"saturation on the batch backend does not support "
@@ -258,15 +285,14 @@ def run_point(cfg: SaturationConfig, pattern: TrafficPattern,
     elif cfg.backend == "event":
         if cfg.topology == "ring":
             ring = _build_event_ring(cfg)
-            replay_on_ring(ring, schedule)
         elif cfg.topology == "hier" or cfg.topology.startswith("hier:"):
             ring = _build_event_hier(cfg)
-            replay_on_fabric(ring, schedule)
         else:
             raise ProtocolError(
                 f"unknown topology {cfg.topology!r}; choose 'ring', "
                 f"'hier' or 'hier:MxN'"
             )
+        replay_on_ring(ring, schedule)
     else:
         raise ProtocolError(
             f"unknown backend {cfg.backend!r}; choose 'event' or 'batch'"

@@ -13,43 +13,41 @@ from repro.core.flits import Message
 from repro.core.network import RMBRing
 from repro.core.stats import RunStats
 from repro.hier.fabric import RingFabric
+from repro.sim import Simulator
 from repro.traffic.arrivals import ArrivalSchedule
 from repro.traffic.permutations import is_permutation
 from repro.errors import WorkloadError
 
 
-class _SubmitTarget(Protocol):
-    """Anything a schedule can be replayed onto (ring or two-ring)."""
+class _ReplayTarget(Protocol):
+    """Anything a schedule can be replayed onto: a ring or a fabric."""
+
+    @property
+    def sim(self) -> Simulator: ...
 
     def submit(self, message: Message) -> object: ...
 
 
-def replay_on_ring(ring: RMBRing, schedule: ArrivalSchedule) -> None:
+def replay_on_ring(network: _ReplayTarget, schedule: ArrivalSchedule) -> None:
     """Arrange for every schedule entry to be submitted at its time.
 
-    Call before running the simulation.  Entries at times earlier than the
-    ring's current clock are rejected.
+    ``network`` is anything with a ``sim`` and a ``submit``: an
+    :class:`RMBRing` or any :class:`RingFabric`.  Call before running
+    the simulation.  Entries at times earlier than the network's current
+    clock are rejected.
     """
-    now = ring.sim.now
-    for time, message in schedule:
-        if time < now:
-            raise WorkloadError(
-                f"schedule entry at t={time} is in the ring's past ({now})"
-            )
-        ring.sim.schedule_at(time, _submitter(ring, message),
-                             label=f"arrive.msg{message.message_id}")
-
-
-def replay_on_fabric(network: RingFabric, schedule: ArrivalSchedule) -> None:
-    """Schedule-replay onto any ring fabric (two-ring, hierarchy, ...)."""
     now = network.sim.now
     for time, message in schedule:
         if time < now:
             raise WorkloadError(
                 f"schedule entry at t={time} is in the network's past ({now})"
             )
-        network.sim.schedule_at(time, _submitter(network, message),
+        network.sim.schedule_at(time, _Submitter(network, message),
                                 label=f"arrive.msg{message.message_id}")
+
+
+#: The same replay under the name fabric callers use.
+replay_on_fabric = replay_on_ring
 
 
 class _Submitter:
@@ -60,16 +58,12 @@ class _Submitter:
     checkpoint/restore.
     """
 
-    def __init__(self, target: _SubmitTarget, message: Message) -> None:
+    def __init__(self, target: _ReplayTarget, message: Message) -> None:
         self._target = target
         self._message = message
 
     def __call__(self) -> None:
         self._target.submit(self._message)
-
-
-def _submitter(target: _SubmitTarget, message: Message) -> _Submitter:
-    return _Submitter(target, message)
 
 
 def run_load_point(
@@ -89,10 +83,7 @@ def run_load_point(
             draining begins (lets queued work phase in naturally).
     """
     network = config_builder()
-    if isinstance(network, RingFabric):
-        replay_on_fabric(network, schedule)
-    else:
-        replay_on_ring(network, schedule)
+    replay_on_ring(network, schedule)
     horizon = schedule.horizon() + settle_ticks
     network.run(horizon)
     network.drain(max_ticks=max_ticks)

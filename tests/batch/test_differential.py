@@ -135,8 +135,7 @@ def test_no_probes_backends_agree():
 def test_custom_timeout_backends_agree():
     config = RMBConfig(nodes=12, lanes=3, cycle_period=2.0,
                        retry=RetryPolicy(delay=6.0, backoff=1.5, jitter=0.3,
-                                         max_retries=4),
-                       header_timeout=24.0)
+                                         max_retries=4, header_timeout=24.0))
     event, batch = run_both(config, 37, rate=0.15, duration=100,
                             probe_period=None)
     assert_identical(event, batch)

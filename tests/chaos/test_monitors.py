@@ -12,6 +12,7 @@ from repro.chaos import (
     Violation,
 )
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 
 
 def healthy_ring(asynchronous=False) -> RMBRing:
@@ -63,7 +64,7 @@ class TestStuckBusMonitor:
     def test_frozen_bus_is_reported_after_window(self):
         # Blockade wedges the bus; header_timeout off keeps it frozen.
         config = RMBConfig(nodes=8, lanes=3, compaction_enabled=False,
-                           header_timeout=None)
+                           retry=RetryPolicy(header_timeout=None))
         ring = RMBRing(config, seed=1, check_invariants=False,
                        trace_kinds=set())
         for lane in range(3):

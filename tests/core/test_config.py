@@ -1,8 +1,10 @@
 """Unit tests for RMB configuration validation."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.core.config import RMBConfig
+from repro.core.config import RetryPolicy, RMBConfig
 from repro.errors import ConfigurationError
 
 
@@ -39,13 +41,21 @@ def test_zero_lanes_rejected():
     ("retry_jitter", -1),
 ])
 def test_invalid_fields_rejected(field, value):
+    # Retry knobs are fields of the config's RetryPolicy:
+    # ``retry_delay`` is ``retry.delay``, ``max_retries`` is
+    # ``retry.max_retries``.
+    knob = field.removeprefix("retry_")
     with pytest.raises(ConfigurationError):
-        RMBConfig(nodes=8, lanes=2, **{field: value})
+        if knob in {policy_field.name for policy_field in fields(RetryPolicy)}:
+            RMBConfig(nodes=8, lanes=2, retry=RetryPolicy(**{knob: value}))
+        else:
+            RMBConfig(nodes=8, lanes=2, **{field: value})
 
 
 def test_header_timeout_none_allowed():
-    config = RMBConfig(nodes=8, lanes=2, header_timeout=None)
-    assert config.header_timeout is None
+    config = RMBConfig(nodes=8, lanes=2,
+                       retry=RetryPolicy(header_timeout=None))
+    assert config.retry.header_timeout is None
 
 
 def test_with_overrides_revalidates():

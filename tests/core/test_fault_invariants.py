@@ -21,6 +21,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Message, RMBConfig, RMBRing, max_neighbour_skew
+from repro.core.config import RetryPolicy
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim import RandomStream
 
@@ -78,8 +79,10 @@ def fault_batches(draw, nodes=NODES):
 def build_ring(plan, seed=3, synchronous=True, **overrides):
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
                        synchronous=synchronous,
-                       max_retries=overrides.pop("max_retries", 5),
-                       retry_delay=4.0, **overrides)
+                       retry=RetryPolicy(
+                           delay=4.0,
+                           max_retries=overrides.pop("max_retries", 5)),
+                       **overrides)
     # check_invariants defaults on: the monitor (including the fault-aware
     # monotonicity and no-dead-occupancy checks) runs every cycle and
     # raises mid-run on any Theorem 1 violation.

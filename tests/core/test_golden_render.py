@@ -20,6 +20,7 @@ import pathlib
 import pytest
 
 from repro.core import Message, PortHealth, RMBConfig, RMBRing, SegmentGrid
+from repro.core.config import RetryPolicy
 from repro.core.trace_render import render_grid, render_ring
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 
@@ -70,8 +71,9 @@ def test_render_grid_highlight_matches_golden():
 
 
 def deterministic_fault_run() -> RMBRing:
-    config = RMBConfig(nodes=8, lanes=3, cycle_period=2.0, max_retries=4,
-                       retry_delay=4.0, retry_jitter=0.0)
+    config = RMBConfig(nodes=8, lanes=3, cycle_period=2.0,
+                       retry=RetryPolicy(delay=4.0, jitter=0.0,
+                                         max_retries=4))
     plan = FaultPlan((
         FaultEvent(time=24.0, kind=FaultKind.SEGMENT, segment=2, lane=2,
                    grace=8.0),

@@ -9,6 +9,7 @@ hand-built blockades so the timing arithmetic is pinned down.
 from __future__ import annotations
 
 from repro.core import BusPhase, Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 
 
 def msg(mid, src, dst, flits=4):
@@ -16,14 +17,14 @@ def msg(mid, src, dst, flits=4):
                    data_flits=flits)
 
 
-def blocked_column_ring(**overrides) -> RMBRing:
+def blocked_column_ring(**policy) -> RMBRing:
     """A ring where segment column 2 is fully claimed by fake bus ids.
 
     Compaction and invariants are off (the fake ids exist nowhere else);
     a header extending from node 0 wedges in front of column 2.
     """
     config = RMBConfig(nodes=8, lanes=3, compaction_enabled=False,
-                       retry_jitter=0.0, **overrides)
+                       retry=RetryPolicy(jitter=0.0, **policy))
     ring = RMBRing(config, seed=1, check_invariants=False)
     for lane in range(3):
         ring.grid.claim(2, lane, 900 + lane)
@@ -52,7 +53,7 @@ class TestHeaderTimeout:
     def test_timeout_frees_the_held_segments(self):
         # A long retry delay leaves a window where the released segments
         # are observably free before the re-injection claims them again.
-        ring = blocked_column_ring(header_timeout=16.0, retry_delay=64.0)
+        ring = blocked_column_ring(header_timeout=16.0, delay=64.0)
         ring.submit(msg(0, 0, 4))
         ring.run(30)
         # The Nack walk has released the partial bus segment by segment.
@@ -75,7 +76,7 @@ class TestHeaderTimeout:
             "without a timeout the header waits indefinitely"
 
     def test_message_completes_after_blockade_clears(self):
-        ring = blocked_column_ring(header_timeout=16.0, retry_delay=8.0)
+        ring = blocked_column_ring(header_timeout=16.0, delay=8.0)
         record = ring.submit(msg(0, 0, 4))
         ring.run(30)
         unblock(ring)
@@ -85,11 +86,11 @@ class TestHeaderTimeout:
 
 
 class TestExponentialBackoff:
-    def nacking_ring(self, **overrides) -> RMBRing:
+    def nacking_ring(self, **policy) -> RMBRing:
         """Destination 4's RX port is artificially exhausted: pure Nacks."""
-        overrides.setdefault("retry_jitter", 0.0)
-        config = RMBConfig(nodes=8, lanes=3,
-                           retry_delay=4.0, retry_backoff=2.0, **overrides)
+        policy.setdefault("jitter", 0.0)
+        config = RMBConfig(nodes=8, lanes=3, retry=RetryPolicy(
+            delay=4.0, backoff=2.0, **policy))
         ring = RMBRing(config, seed=1)
         ring.routing._rx_active[4] = config.rx_ports
         return ring
@@ -118,7 +119,7 @@ class TestExponentialBackoff:
         base = self.nacking_ring()
         base.submit(msg(0, 0, 4))
         base.run(300)
-        jittered = self.nacking_ring(retry_jitter=0.5)
+        jittered = self.nacking_ring(jitter=0.5)
         jittered.routing._rx_active[4] = jittered.config.rx_ports
         jittered.submit(msg(0, 0, 4))
         jittered.run(300)
@@ -135,7 +136,7 @@ class TestExponentialBackoff:
         assert record.retries >= 3
         before = len(self.inject_times(ring))
         # Forgive the accumulated attempts: the next retry delay drops
-        # back to retry_delay instead of the current exponential step.
+        # back to retry.delay instead of the current exponential step.
         ring.routing.reset_backoff(0)
         ring.routing._rx_active[4] = 0
         ring.drain()

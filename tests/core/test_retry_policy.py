@@ -1,4 +1,4 @@
-"""RetryPolicy unification: validation, aliases, budgets, compatibility."""
+"""RetryPolicy: validation, the config's only retry home, budgets, pickles."""
 
 from __future__ import annotations
 
@@ -29,14 +29,13 @@ class TestValidation:
             RetryPolicy(**overrides)
 
     def test_defaults_match_legacy_config_defaults(self):
-        """The policy's defaults mirror the historical flat RMBConfig
-        knobs and the watchdog's storm response — so rings built either
-        way behave identically (the baseline-preservation contract)."""
+        """The policy's defaults are the historical retry knobs and the
+        watchdog's storm response, and a config without an explicit
+        policy gets exactly them (the baseline-preservation contract)."""
         policy = RetryPolicy()
-        config = RMBConfig(nodes=8, lanes=3)
-        assert policy.delay == config.retry_delay == 16.0
-        assert policy.backoff == config.retry_backoff == 2.0
-        assert policy.jitter == config.retry_jitter == 0.5
+        assert RMBConfig(nodes=8, lanes=3).retry == policy
+        assert (policy.delay, policy.backoff, policy.jitter) == \
+            (16.0, 2.0, 0.5)
         assert policy.max_retries is None
         assert policy.header_timeout == 128.0
         assert policy.node_budget is None
@@ -53,42 +52,21 @@ class TestValidation:
 
 
 class TestAliases:
-    def test_flat_aliases_build_the_policy(self):
-        config = RMBConfig(nodes=8, lanes=3, retry_delay=8.0,
-                           retry_backoff=1.5, retry_jitter=0.0,
-                           max_retries=4, header_timeout=64.0)
-        assert config.retry == RetryPolicy(
-            delay=8.0, backoff=1.5, jitter=0.0, max_retries=4,
-            header_timeout=64.0)
+    """The policy is the only home of the retry knobs: the config's old
+    flat spellings are not fields any more."""
 
-    def test_policy_backfills_the_aliases(self):
-        policy = RetryPolicy(delay=8.0, backoff=3.0, jitter=0.25,
-                             max_retries=2, header_timeout=None)
-        config = RMBConfig(nodes=8, lanes=3, retry=policy)
-        assert config.retry_delay == 8.0
-        assert config.retry_backoff == 3.0
-        assert config.retry_jitter == 0.25
-        assert config.max_retries == 2
-        assert config.header_timeout is None
-
-    def test_alias_validation_runs_through_the_policy(self):
-        with pytest.raises(ConfigurationError):
-            RMBConfig(nodes=8, lanes=3, retry_delay=0.0)
-        with pytest.raises(ConfigurationError):
-            RMBConfig(nodes=8, lanes=3, retry_backoff=0.5)
-
-    def test_with_overrides_on_alias_rebuilds_policy(self):
-        config = RMBConfig(nodes=8, lanes=3)
-        changed = config.with_overrides(retry_delay=4.0)
-        assert changed.retry.delay == 4.0
-        assert changed.retry_delay == 4.0
+    @pytest.mark.parametrize("alias", [
+        "retry_delay", "retry_backoff", "retry_jitter", "max_retries",
+        "header_timeout",
+    ])
+    def test_flat_retry_kwargs_are_refused(self, alias):
+        with pytest.raises(TypeError, match=alias):
+            RMBConfig(nodes=8, lanes=2, **{alias: 1.0})
 
     def test_with_overrides_on_policy_is_authoritative(self):
-        config = RMBConfig(nodes=8, lanes=3, retry_delay=8.0)
-        changed = config.with_overrides(
-            retry=RetryPolicy(delay=2.0, jitter=0.0))
-        assert changed.retry_delay == 2.0
-        assert changed.retry_jitter == 0.0
+        config = RMBConfig(nodes=8, lanes=3, retry=RetryPolicy(delay=8.0))
+        policy = RetryPolicy(delay=2.0, jitter=0.0)
+        assert config.with_overrides(retry=policy).retry == policy
 
     def test_version_one_checkpoint_is_refused_by_name(self):
         """Version-1 snapshots may hold configs pickled before the
@@ -108,7 +86,6 @@ class TestAliases:
                            retry=RetryPolicy(delay=8.0, node_budget=5))
         clone = pickle.loads(pickle.dumps(config))
         assert clone.retry == config.retry
-        assert clone.retry_delay == 8.0
 
 
 class TestNodeBudget:

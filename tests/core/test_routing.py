@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import BusPhase, Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.errors import RoutingError
 from tests.conftest import make_ring
 
@@ -137,7 +138,8 @@ class TestNackAndRetry:
         assert ring.grid.occupied_segments() == 0
 
     def test_max_retries_abandons(self):
-        ring = make_ring(nodes=8, lanes=3, max_retries=0, retry_jitter=0.0)
+        ring = make_ring(nodes=8, lanes=3,
+                         retry=RetryPolicy(jitter=0.0, max_retries=0))
         ring.submit(msg(0, 3, 4, flits=500))  # span 1: holds RX for ages
         ring.run(8)
         ring.submit(msg(1, 1, 4, flits=1))    # Nacked once, then abandoned
@@ -152,7 +154,8 @@ class TestHeaderTimeout:
         # One lane, three long mutually-overlapping messages: partial
         # circuits can block each other; the timeout must recover and all
         # messages must ultimately deliver (liveness).
-        ring = make_ring(nodes=12, lanes=1, header_timeout=32.0,
+        ring = make_ring(nodes=12, lanes=1,
+                         retry=RetryPolicy(header_timeout=32.0),
                          cycle_period=2.0)
         ring.submit(msg(0, 0, 8, flits=30))
         ring.submit(msg(1, 4, 0, flits=30))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import pathlib
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.obs import Observability, spans_jsonl_lines
 
@@ -56,8 +57,8 @@ def fault_small() -> Observability:
                    segment=2, lane=2),
     ])
     obs = Observability("full")
-    config = RMBConfig(nodes=NODES, lanes=LANES, retry_jitter=0.25,
-                       max_retries=6)
+    config = RMBConfig(nodes=NODES, lanes=LANES,
+                       retry=RetryPolicy(jitter=0.25, max_retries=6))
     ring = RMBRing(config, seed=5, probe_period=16.0, fault_plan=plan,
                    obs=obs)
     _submit(ring, 10)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.supervision import load_snapshot_bytes, save_snapshot_bytes
 
@@ -53,9 +54,11 @@ def fault_plans(draw):
 def build_ring(seed: int, plan: FaultPlan | None, *,
                incremental: bool, check_level: str,
                synchronous: bool = True) -> RMBRing:
-    config = RMBConfig(nodes=NODES, lanes=LANES, retry_jitter=0.25,
+    config = RMBConfig(nodes=NODES, lanes=LANES,
                        check_level=check_level, synchronous=synchronous,
-                       max_retries=8 if plan is not None else None)
+                       retry=RetryPolicy(
+                           jitter=0.25,
+                           max_retries=8 if plan is not None else None))
     ring = RMBRing(config, seed=seed, probe_period=16.0, fault_plan=plan)
     ring.compaction.incremental = incremental
     ring.submit_all(

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.obs import Observability
 from repro.supervision import WatchdogConfig
@@ -52,9 +53,10 @@ def fault_plans(draw):
 def run_and_observe(seed: int, plan: FaultPlan | None, *,
                     synchronous: bool, watchdog: bool,
                     obs: Observability | None) -> tuple:
-    config = RMBConfig(nodes=NODES, lanes=LANES, retry_jitter=0.25,
-                       synchronous=synchronous,
-                       max_retries=8 if plan is not None else None)
+    config = RMBConfig(nodes=NODES, lanes=LANES, synchronous=synchronous,
+                       retry=RetryPolicy(
+                           jitter=0.25,
+                           max_retries=8 if plan is not None else None))
     ring = RMBRing(
         config, seed=seed, probe_period=16.0, fault_plan=plan, obs=obs,
         watchdog=WatchdogConfig(period=8.0) if watchdog else None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.protocol.lifecycle import (
     LIFECYCLE,
     TERMINAL_STATES,
@@ -32,8 +33,8 @@ def workloads(draw):
         flits = draw(st.integers(min_value=0, max_value=5))
         messages.append(Message(message_id, source,
                                 (source + hop) % nodes, data_flits=flits))
-    config = RMBConfig(nodes=nodes, lanes=lanes, header_timeout=24.0,
-                       max_retries=6, retry_jitter=0.0)
+    config = RMBConfig(nodes=nodes, lanes=lanes, retry=RetryPolicy(
+        jitter=0.0, max_retries=6, header_timeout=24.0))
     return config, messages
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import RetryPolicy
 from repro.protocol.explore import (
     ExplorationError,
     Scenario,
@@ -98,9 +99,10 @@ def test_exploration_config_allows_small_and_odd_rings():
 
 
 def test_exploration_config_keeps_overrides():
-    config = exploration_config(3, 1, header_timeout=None, max_retries=7)
-    assert config.header_timeout is None
-    assert config.max_retries == 7
+    policy = RetryPolicy(header_timeout=None, max_retries=7)
+    config = exploration_config(3, 1, retry=policy, extend_up=False)
+    assert config.retry == policy
+    assert not config.extend_up
 
 
 def test_exploration_config_rejects_degenerate_rings():

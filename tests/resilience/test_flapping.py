@@ -23,6 +23,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.resilience import BreakerConfig, RecoveryConfig
 
@@ -73,7 +74,7 @@ def message_batches(draw):
 
 def build_ring(plan, seed=3):
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
-                       max_retries=6, retry_delay=4.0)
+                       retry=RetryPolicy(delay=4.0, max_retries=6))
     recovery = RecoveryConfig(
         period=8.0,
         breaker=BreakerConfig(failure_threshold=2, window=300.0,

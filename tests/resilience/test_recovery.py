@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.core.status import PortHealth
 from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultKind, FaultPlan
@@ -61,8 +62,8 @@ def flapping_ring(obs=None, watchdog=None) -> RMBRing:
     the breaker ~50 ticks later.  Storm detection is parked out of the
     way so only the breaker path runs.
     """
-    config = RMBConfig(nodes=8, lanes=3, max_retries=8, retry_delay=4.0,
-                       retry_jitter=0.0)
+    config = RMBConfig(nodes=8, lanes=3, retry=RetryPolicy(
+        delay=4.0, jitter=0.0, max_retries=8))
     recovery = RecoveryConfig(
         period=10.0,
         breaker=BreakerConfig(failure_threshold=3, window=200.0,
@@ -115,8 +116,9 @@ class TestForcedEvacuation:
         # blockade — fake claims on segment 4 — with the DYING hop
         # arriving afterwards, mid-path.
         config = RMBConfig(nodes=8, lanes=2, compaction_enabled=False,
-                           header_timeout=None, retry_jitter=0.0,
-                           retry_delay=8.0, max_retries=4)
+                           retry=RetryPolicy(delay=8.0, jitter=0.0,
+                                             max_retries=4,
+                                             header_timeout=None))
         recovery = RecoveryConfig(period=10.0, evacuation_patience=30.0,
                                   storm_threshold=50)
         ring = RMBRing(config, seed=1, check_invariants=False,
@@ -181,8 +183,8 @@ class TestDegradedMode:
                        segment=index, lane=2, grace=4.0)
             for index in range(7)
         )
-        config = RMBConfig(nodes=8, lanes=3, max_retries=8,
-                           retry_delay=4.0, retry_jitter=0.0)
+        config = RMBConfig(nodes=8, lanes=3, retry=RetryPolicy(
+            delay=4.0, jitter=0.0, max_retries=8))
         recovery = RecoveryConfig(
             period=10.0, storm_threshold=5, storm_window=100.0,
             calm_window=100.0, degraded_admission_limit=2,
@@ -234,8 +236,8 @@ class TestIncidentConsumption:
         *reports* the stall, and the recovery manager must close the loop.
         """
         config = RMBConfig(nodes=8, lanes=3, compaction_enabled=False,
-                           header_timeout=None, retry_jitter=0.0,
-                           retry_delay=8.0)
+                           retry=RetryPolicy(delay=8.0, jitter=0.0,
+                                             header_timeout=None))
         ring = RMBRing(
             config, seed=1, check_invariants=False,
             watchdog=WatchdogConfig(period=8.0, stall_window=32.0,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.errors import ConfigurationError
 from repro.supervision import AdmissionController
 from repro.supervision.admission import ADMIT, DEFER, SHED
@@ -15,10 +16,10 @@ def msg(mid, src, dst, flits=4):
                    data_flits=flits)
 
 
-def capped_ring(limit, policy, **overrides) -> RMBRing:
+def capped_ring(limit, policy, delay=16.0) -> RMBRing:
     config = RMBConfig(nodes=8, lanes=3, admission_limit=limit,
-                       admission_policy=policy, retry_jitter=0.0,
-                       **overrides)
+                       admission_policy=policy,
+                       retry=RetryPolicy(delay=delay, jitter=0.0))
     return RMBRing(config, seed=1)
 
 
@@ -144,7 +145,7 @@ class TestRetryInteraction:
     def test_awaiting_retry_counts_toward_the_cap(self):
         # Node 0's message to a blocked destination keeps retrying; with
         # limit=1 a second submission must defer until the first resolves.
-        ring = capped_ring(limit=1, policy="defer", retry_delay=4.0)
+        ring = capped_ring(limit=1, policy="defer", delay=4.0)
         ring.routing._rx_active[4] = ring.config.rx_ports
         first = ring.submit(msg(0, 0, 4))
         ring.run(40)

@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.errors import SnapshotError
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.supervision import (
@@ -37,8 +38,8 @@ def build_ring(seed=3, fault=False) -> RMBRing:
             FaultEvent(time=48.0, kind=FaultKind.SEGMENT, action="repair",
                        segment=2, lane=1),
         ])
-    config = RMBConfig(nodes=8, lanes=3, retry_jitter=0.25,
-                       max_retries=8 if fault else None)
+    config = RMBConfig(nodes=8, lanes=3, retry=RetryPolicy(
+        jitter=0.25, max_retries=8 if fault else None))
     ring = RMBRing(config, seed=seed, probe_period=16.0, fault_plan=plan,
                    watchdog=WatchdogConfig())
     ring.submit_all(msg(i, i % 8, (i + 3) % 8) for i in range(12))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.supervision import (
     WatchdogConfig,
@@ -48,9 +49,11 @@ def fault_plans(draw):
 
 
 def build_ring(seed: int, plan: FaultPlan | None) -> RMBRing:
-    config = RMBConfig(nodes=NODES, lanes=LANES, retry_jitter=0.25,
+    config = RMBConfig(nodes=NODES, lanes=LANES,
                        admission_limit=3, admission_policy="defer",
-                       max_retries=8 if plan is not None else None)
+                       retry=RetryPolicy(
+                           jitter=0.25,
+                           max_retries=8 if plan is not None else None))
     ring = RMBRing(config, seed=seed, probe_period=16.0, fault_plan=plan,
                    watchdog=WatchdogConfig())
     ring.submit_all(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.config import RetryPolicy
 from repro.errors import ConfigurationError
 from repro.supervision import Watchdog, WatchdogConfig
 from repro.supervision.watchdog import FORCE_TEARDOWN, REPORT, RESET_BACKOFF
@@ -25,8 +26,8 @@ def stalled_ring(action: str = FORCE_TEARDOWN,
     timeout is off so only the watchdog can unwedge the run.
     """
     config = RMBConfig(nodes=8, lanes=3, compaction_enabled=False,
-                       header_timeout=None, retry_jitter=0.0,
-                       retry_delay=8.0)
+                       retry=RetryPolicy(delay=8.0, jitter=0.0,
+                                         header_timeout=None))
     ring = RMBRing(config, seed=1, check_invariants=False,
                    watchdog=WatchdogConfig(period=period,
                                            stall_window=stall_window,
@@ -103,8 +104,8 @@ class TestStalledBus:
 
 class TestRetryStorm:
     def busy_destination_ring(self, action: str) -> RMBRing:
-        config = RMBConfig(nodes=8, lanes=3, retry_jitter=0.0,
-                           retry_delay=4.0, retry_backoff=2.0)
+        config = RMBConfig(nodes=8, lanes=3, retry=RetryPolicy(
+            delay=4.0, backoff=2.0, jitter=0.0))
         ring = RMBRing(config, seed=1,
                        watchdog=WatchdogConfig(period=8.0,
                                                stall_window=10_000.0,

@@ -324,3 +324,17 @@ class TestHierTopologyCLI:
                      "--backend", "batch", "--duration", "40"])
         assert code == 1
         assert "batch backend does not support" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["run", "-m", "8"],
+        ["saturate", "--duration", "40", "--iterations", "1"],
+    ])
+    def test_hier_with_one_lane_is_refused_by_name(self, command, capsys):
+        # A fabric splits its lanes between the local and global tiers;
+        # one lane cannot be split, and is not silently widened to two.
+        code = main(command + ["--topology", "hier:4x4", "-n", "16",
+                               "-k", "1"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "2 lanes" in out
+        assert len(out.strip().splitlines()) == 1

@@ -179,7 +179,8 @@ class TestHierTopology:
 
         cfg = SaturationConfig(backend="batch", **self.HIER)
         pattern = make_pattern("uniform", 16, k=4, seed=1)
-        with pytest.raises(BatchUnsupported, match="topology 'hier:4x4'"):
+        with pytest.raises(BatchUnsupported,
+                           match="does not support topology"):
             run_point(cfg, pattern, rate=0.02)
 
     def test_hier_refuses_the_resilience_stack(self):
