@@ -506,6 +506,7 @@ def _export_obs(obs, args: argparse.Namespace) -> None:
 
 def _command_resume(args: argparse.Namespace) -> int:
     from repro.errors import SnapshotError
+    from repro.hier import RingFabric
     from repro.supervision import resume_run
     try:
         ring, manifest = resume_run(args.resume_from)
@@ -514,7 +515,10 @@ def _command_resume(args: argparse.Namespace) -> int:
             from None
     meta = manifest.get("meta", {})
     title = meta.get("title", f"resumed from {args.resume_from}")
-    _report_run(ring, title, args.stats_json)
+    if isinstance(ring, RingFabric):
+        _report_fabric(ring, title, args.stats_json)
+    else:
+        _report_run(ring, title, args.stats_json)
     return 0
 
 

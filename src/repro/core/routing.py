@@ -91,6 +91,10 @@ PHASE_OF_STATE: Dict[LifecycleState, BusPhase] = {
     state: BusPhase(name) for state, name in PHASE_NAME_OF_STATE.items()
 }
 
+#: Bound once: ``_fire`` tests every transition against it, and an enum
+#: member lookup costs several times a global read.
+_EXTENDING = LifecycleState.EXTENDING
+
 
 class _RetryRequeue:
     """Picklable retry-timer callback: put a message back in its queue.
@@ -183,6 +187,13 @@ class RoutingEngine:
             List[Tuple[int, LifecycleState, LifecycleEvent, LifecycleState]]
         ] = None
         self._stall_ticks: dict[int, int] = {}   # bus_id -> consecutive stalls
+        #: Buses whose header is extending, in bus-id order: the only
+        #: buses the header pass visits.  ``_fire`` keeps it in step.
+        self._extending: dict[int, VirtualBus] = {}
+        #: Stalled headers: bus_id -> ``(head column, its epoch, next
+        #: column, its epoch)`` when its lane pick last failed (DESIGN.md
+        #: P4).
+        self._parked: dict[int, tuple[int, int, int, int]] = {}
         # Aggregate counters
         self.injected = 0
         self.established = 0
@@ -239,11 +250,6 @@ class RoutingEngine:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if "_node_retry_totals" not in self.__dict__:
-            # Checkpoint from before per-node retry budgets existed.
-            self._node_retry_totals = [0] * self.config.nodes
-        if "budget_abandoned" not in self.__dict__:
-            self.budget_abandoned = 0
         self._dispatch = self._build_dispatch()
 
     def _fire(self, message: Message, event: LifecycleEvent,
@@ -272,6 +278,11 @@ class RoutingEngine:
             phase = PHASE_OF_STATE.get(arc.target)
             if phase is not None:
                 bus.phase = phase
+            if arc.target is _EXTENDING:
+                self._extending[bus.bus_id] = bus
+            elif state is _EXTENDING:
+                del self._extending[bus.bus_id]
+                self._parked.pop(bus.bus_id, None)
         if ctx is None:
             ctx = {}
         record = self.records[message.message_id]
@@ -544,6 +555,8 @@ class RoutingEngine:
         segment still works (design decision F3).  ``None`` when the whole
         column is faulty.
         """
+        if not self.grid.faulty_count():
+            return self.config.top_lane
         for lane in range(self.config.top_lane, -1, -1):
             if self.grid.health(node, lane) is PortHealth.OK:
                 return lane
@@ -577,8 +590,19 @@ class RoutingEngine:
     # Header extension
     # ------------------------------------------------------------------
     def _advance_headers(self) -> None:
-        for bus in list(self.buses.values()):
-            if bus.phase is not BusPhase.EXTENDING or bus.complete:
+        epochs = self.grid.epochs
+        parked = self._parked
+        for bus in list(self._extending.values()):
+            wait = parked.get(bus.bus_id)
+            if wait is not None and epochs[wait[0]] == wait[1] \
+                    and epochs[wait[2]] == wait[3]:
+                # The evaluation below reads only the head and next
+                # columns; while neither has changed since it last
+                # failed, it fails again, so the header just waits
+                # (DESIGN.md P4).
+                self._stall(bus)
+                continue
+            if bus.complete:
                 continue
             next_segment = bus.segment_index(len(bus.hops))
             if not any(self.grid.health(next_segment, lane) is PortHealth.OK
@@ -596,8 +620,12 @@ class RoutingEngine:
                 continue
             lane = self._pick_extension_lane(next_segment, bus.head_lane())
             if lane is None:
+                head_segment = bus.segment_index(len(bus.hops) - 1)
+                parked[bus.bus_id] = (head_segment, epochs[head_segment],
+                                      next_segment, epochs[next_segment])
                 self._stall(bus)
                 continue
+            parked.pop(bus.bus_id, None)
             self._fire(bus.message, LifecycleEvent.EXTEND, bus=bus,
                        ctx={"segment": next_segment, "lane": lane})
             if self._trace_on:
@@ -625,10 +653,11 @@ class RoutingEngine:
 
     def _stall(self, bus: VirtualBus) -> None:
         bus.record.head_stall_ticks += 1
-        self._stall_ticks[bus.bus_id] = self._stall_ticks.get(bus.bus_id, 0) + 1
+        stalls = self._stall_ticks.get(bus.bus_id, 0) + 1
+        self._stall_ticks[bus.bus_id] = stalls
         timeout = self.config.retry.header_timeout
         if timeout is not None and \
-                self._stall_ticks[bus.bus_id] * self.config.flit_period >= timeout:
+                stalls * self.config.flit_period >= timeout:
             self._record("header_timeout", bus.message, bus=bus.bus_id,
                          hops=len(bus.hops))
             if self._obs_on:

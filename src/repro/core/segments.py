@@ -14,7 +14,10 @@ structures that keep the per-cycle engines off full ``N x k`` scans:
   for the (usually tiny) set of DYING/DEAD segments;
 * a **dirty-segment set**: every mutation records which segment column
   changed, and the compaction engine drains this set each cycle to limit
-  its candidate search to neighbourhoods where something actually moved.
+  its candidate search to neighbourhoods where something actually moved;
+* a **per-column epoch**: a counter every occupancy or health mutation
+  of the column bumps, so a reader can tell later whether anything in a
+  column it examined has changed (stalled headers park on it).
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ class SegmentGrid:
         self._faulty_count = 0
         self._faulty_index: dict[tuple[int, int], PortHealth] = {}
         self._dirty: set[int] = set()
+        # Per-column mutation counters (see the module docstring).
+        self.epochs: list[int] = [0] * nodes
         # Cumulative segment-ticks are integrated externally; the grid
         # keeps simple structural counters only.
         self.total_claims = 0
@@ -219,6 +224,7 @@ class SegmentGrid:
         self._occupied_count += 1
         self._occupied_index[(segment, lane)] = bus_id
         self._dirty.add(segment)
+        self.epochs[segment] += 1
         self.total_claims += 1
 
     def release(self, segment: int, lane: int, bus_id: int) -> None:
@@ -234,6 +240,7 @@ class SegmentGrid:
         self._occupied_count -= 1
         del self._occupied_index[(segment, lane)]
         self._dirty.add(segment)
+        self.epochs[segment] += 1
         self.total_releases += 1
 
     def move_down(self, segment: int, lane: int, bus_id: int) -> None:
@@ -263,6 +270,7 @@ class SegmentGrid:
         del self._occupied_index[(segment, lane)]
         self._occupied_index[(segment, lane - 1)] = bus_id
         self._dirty.add(segment)
+        self.epochs[segment] += 1
 
     def move_up(self, segment: int, lane: int, bus_id: int) -> None:
         """Move a bus's claim from ``lane`` to ``lane + 1`` (evacuation only).
@@ -293,6 +301,7 @@ class SegmentGrid:
         del self._occupied_index[(segment, lane)]
         self._occupied_index[(segment, lane + 1)] = bus_id
         self._dirty.add(segment)
+        self.epochs[segment] += 1
 
     # ------------------------------------------------------------------
     # Dirty tracking
@@ -348,3 +357,4 @@ class SegmentGrid:
         else:
             self._faulty_index[(segment, lane)] = health
         self._dirty.add(segment)
+        self.epochs[segment] += 1

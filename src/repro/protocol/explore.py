@@ -643,12 +643,14 @@ class _World:
         def turn(segment: int) -> int:
             return (segment + rotation) % nodes
 
-        # Grid: occupancy and health rows move with their segments.
+        # Grid: occupancy, health and epoch rows move with their segments.
         grid = self.grid
         grid._occupant = [grid._occupant[(s - rotation) % nodes]
                           for s in range(nodes)]
         grid._health = [grid._health[(s - rotation) % nodes]
                         for s in range(nodes)]
+        grid.epochs = [grid.epochs[(s - rotation) % nodes]
+                       for s in range(nodes)]
         grid._occupied_index = {
             (turn(segment), lane): bus_id
             for (segment, lane), bus_id in sorted(grid._occupied_index.items())
@@ -663,6 +665,9 @@ class _World:
         # message-id keys relabel.  Bus ids, the bus dict order, and the
         # per-bus geometry are untouched — a bus's ring position derives
         # from its message's source, so swapping the message moves it.
+        # The extending headers are keyed by bus id and carry over as
+        # they are; a parked header's columns turn like every other
+        # segment index (their epochs moved with the grid rows above).
         engine = self.engine
         engine._queues = [
             deque(replace[m.message_id] for m in
@@ -685,6 +690,11 @@ class _World:
         engine._rx_holders = {
             bus_id: {turn(node) for node in holders}
             for bus_id, holders in engine._rx_holders.items()
+        }
+        engine._parked = {
+            bus_id: (turn(head), head_epoch, turn(ahead), ahead_epoch)
+            for bus_id, (head, head_epoch, ahead, ahead_epoch)
+            in engine._parked.items()
         }
         for record in engine.records.values():
             record.message = replace[record.message.message_id]

@@ -40,8 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.core.network import RMBRing
 
 #: Bump on any change that makes old snapshots unreadable.  Version 2:
-#: every pickled ``RMBConfig`` carries its ``retry`` policy.
-SNAPSHOT_VERSION = 2
+#: every pickled ``RMBConfig`` carries its ``retry`` policy.  Version 3:
+#: every grid carries its column epochs and every routing engine its
+#: extending and parked headers.
+SNAPSHOT_VERSION = 3
 
 _FORMAT = "rmb-snapshot"
 

@@ -68,17 +68,19 @@ class TestAliases:
         policy = RetryPolicy(delay=2.0, jitter=0.0)
         assert config.with_overrides(retry=policy).retry == policy
 
-    def test_version_one_checkpoint_is_refused_by_name(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_checkpoint_version_is_refused_by_name(self, version):
         """Version-1 snapshots may hold configs pickled before the
-        unification, without a ``retry`` slot; they are refused with both
+        unification, without a ``retry`` slot; version-2 ones lack the
+        grid epochs and parked headers.  Both are refused with both
         versions named instead of being half-restored."""
         ring = RMBRing(RMBConfig(nodes=8, lanes=3))
         header, payload = save_snapshot_bytes(ring).split(b"\n", 1)
         manifest = json.loads(header)
-        manifest["version"] = 1
+        manifest["version"] = version
         old = json.dumps(manifest).encode("utf-8") + b"\n" + payload
         with pytest.raises(SnapshotError,
-                           match=r"version 1 unsupported .*version 2"):
+                           match=rf"version {version} unsupported .*version 3"):
             load_snapshot_bytes(old)
 
     def test_policy_survives_pickling(self):

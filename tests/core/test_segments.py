@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.segments import SegmentGrid
+from repro.core.status import PortHealth
 from repro.errors import CapacityError, ConfigurationError
 
 
@@ -121,3 +122,26 @@ def test_invalid_geometry_rejected():
         SegmentGrid(1, 3)
     with pytest.raises(ConfigurationError):
         SegmentGrid(4, 0)
+
+
+def test_every_mutation_bumps_only_its_column_epoch():
+    """Parked headers rely on this: a column whose epoch is unchanged
+    has the same occupancy and health it had when the epoch was read."""
+    grid = SegmentGrid(4, 3)
+    steps = [
+        lambda: grid.claim(5, 2, bus_id=1),          # column 1 (wraps)
+        lambda: grid.move_down(1, 2, bus_id=1),
+        lambda: grid.move_up(1, 1, bus_id=1),
+        lambda: grid.set_health(1, 0, PortHealth.DYING),
+        lambda: grid.set_health(1, 0, PortHealth.OK),
+        lambda: grid.release(1, 2, bus_id=1),
+    ]
+    for step in steps:
+        before = list(grid.epochs)
+        step()
+        assert grid.epochs == [before[0], before[1] + 1,
+                               before[2], before[3]]
+    before = list(grid.epochs)
+    grid.set_health(1, 0, PortHealth.OK)   # no change, no bump
+    grid.touch(1)                          # not an occupancy change
+    assert grid.epochs == before

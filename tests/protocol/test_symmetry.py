@@ -206,6 +206,47 @@ def test_world_rotation_surgery_matches_signature_transform(scenario):
                 scenario.label, rotation)
 
 
+def test_world_rotation_carries_parked_headers():
+    """A parked header records its head and next columns with their
+    epochs.  Rotation turns the epoch rows with the occupancy rows and
+    the recorded columns with every other segment index, so in the
+    rotated world the record still names the header's own two columns
+    and their unchanged epochs.  One lane and two-hop messages make
+    headers park along the walk."""
+    scenario = Scenario("4x1-span2", 4, 1, ((0, 2), (1, 3), (2, 0), (3, 1)))
+    config = scenario.config()
+    messages = scenario.messages()
+    nodes = config.nodes
+    cloner = _Cloner(config, messages)
+    world = _World(config, messages, ExploreOptions())
+    parked_seen = 0
+    step = 0
+    for _ in range(25):
+        actions = world.actions()
+        if not actions:
+            break
+        world.apply(actions[step % len(actions)])
+        step += 3
+        parked_seen += len(world.engine._parked)
+        for rotation, _ in symmetry_group(config, messages):
+            if rotation == 0:
+                continue
+            twin = cloner.loads(cloner.dumps(world))
+            twin.rotate(rotation)
+            assert twin.grid.epochs == [
+                world.grid.epochs[(s - rotation) % nodes]
+                for s in range(nodes)]
+            assert twin.engine._parked.keys() == world.engine._parked.keys()
+            for bus_id, (head, head_epoch, ahead, ahead_epoch) in \
+                    twin.engine._parked.items():
+                bus = twin.buses[bus_id]
+                assert head == bus.segment_index(len(bus.hops) - 1)
+                assert ahead == bus.segment_index(len(bus.hops))
+                assert (head_epoch, ahead_epoch) == \
+                    world.engine._parked[bus_id][1::2]
+    assert parked_seen > 0
+
+
 def test_rotate_rejects_non_symmetry():
     scenario = Scenario("4x1-cross", 4, 1, ((0, 2), (1, 3)))
     world = _World(scenario.config(), scenario.messages(), ExploreOptions())

@@ -113,6 +113,28 @@ class TestRunSupervision:
         assert (tmp_path / "a.json").read_text() == \
             (tmp_path / "b.json").read_text()
 
+    def test_hier_resume_reproduces_the_journey_report(self, tmp_path,
+                                                       capsys):
+        """A fabric snapshot resumes to the journey-level report (title,
+        per-ring table and the JSON's ``rings``), not the leg-level one."""
+        stats_a = tmp_path / "a.json"
+        stats_b = tmp_path / "b.json"
+        code = main(["run", "-n", "16", "-k", "4", "-m", "64",
+                     "--rate", "0.05", "--seed", "9",
+                     "--topology", "hier:4x4", "--checkpoint-every", "60",
+                     "--checkpoint-file", str(tmp_path / "h-{tick}.snap"),
+                     "--stats-json", str(stats_a)])
+        assert code == 0
+        first_report = capsys.readouterr().out
+        code = main(["run", "--resume-from", str(tmp_path / "h-60.snap"),
+                     "--stats-json", str(stats_b)])
+        assert code == 0
+        resumed_report = capsys.readouterr().out
+        assert "(journey-level)" in resumed_report
+        assert "per-ring legs" in resumed_report
+        assert resumed_report == first_report
+        assert stats_b.read_text() == stats_a.read_text()
+
     def test_resume_from_garbage_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.snap"
         bad.write_bytes(b"not a snapshot")
