@@ -315,6 +315,7 @@ class RMBRing:
 
     def stats(self) -> RunStats:
         """Aggregate statistics for everything submitted so far."""
+        self.routing.settle_stalls()
         return RunStats.from_records(
             self.routing.records.values(),
             duration=self.sim.now,

@@ -32,6 +32,7 @@ executes the arc's effects via the ``_fx_*`` handler methods below.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -91,9 +92,14 @@ PHASE_OF_STATE: Dict[LifecycleState, BusPhase] = {
     state: BusPhase(name) for state, name in PHASE_NAME_OF_STATE.items()
 }
 
-#: Bound once: ``_fire`` tests every transition against it, and an enum
-#: member lookup costs several times a global read.
+#: Bound once: ``_fire`` tests every transition against them, and an
+#: enum member lookup (or hash) costs several times a global read.
 _EXTENDING = LifecycleState.EXTENDING
+_ESTABLISHED = LifecycleState.ESTABLISHED
+_NACKED = LifecycleState.NACKED
+_RELEASING = LifecycleState.RELEASING
+_STREAMING = LifecycleState.STREAMING
+_DRAINING = LifecycleState.DRAINING
 
 
 class _RetryRequeue:
@@ -187,13 +193,23 @@ class RoutingEngine:
             List[Tuple[int, LifecycleState, LifecycleEvent, LifecycleState]]
         ] = None
         self._stall_ticks: dict[int, int] = {}   # bus_id -> consecutive stalls
-        #: Buses whose header is extending, in bus-id order: the only
-        #: buses the header pass visits.  ``_fire`` keeps it in step.
+        #: The buses each flit-tick pass visits, keyed by bus id: headers
+        #: extending (in bus-id order, as a bus enters once), reverse
+        #: signals walking home, and data streaming or draining.
+        #: ``_fire`` keeps all three in step (DESIGN.md P5).
         self._extending: dict[int, VirtualBus] = {}
+        self._signalling: dict[int, VirtualBus] = {}
+        self._streaming: dict[int, VirtualBus] = {}
+        #: Header passes run so far: the clock parked headers wait on.
+        self._passes = 0
         #: Stalled headers: bus_id -> ``(head column, its epoch, next
-        #: column, its epoch)`` when its lane pick last failed (DESIGN.md
-        #: P4).
-        self._parked: dict[int, tuple[int, int, int, int]] = {}
+        #: column, its epoch, last pass counted in its stall ticks, pass
+        #: its header timeout falls due)`` when its lane pick last failed
+        #: (DESIGN.md P4, P5).
+        self._parked: dict[int, tuple[int, int, int, int, int, float]] = {}
+        #: Nodes with a queued request and a free transmit port: the
+        #: only nodes admission visits.
+        self._ready: set[int] = set()
         # Aggregate counters
         self.injected = 0
         self.established = 0
@@ -278,11 +294,18 @@ class RoutingEngine:
             phase = PHASE_OF_STATE.get(arc.target)
             if phase is not None:
                 bus.phase = phase
-            if arc.target is _EXTENDING:
-                self._extending[bus.bus_id] = bus
-            elif state is _EXTENDING:
-                del self._extending[bus.bus_id]
-                self._parked.pop(bus.bus_id, None)
+            if arc.target is not state:
+                left = self._pass_of(state)
+                if left is not None:
+                    del left[bus.bus_id]
+                    wait = self._parked.pop(bus.bus_id, None)
+                    if wait is not None:
+                        # A parked header leaves EXTENDING: count the
+                        # passes it waited out unvisited (DESIGN.md P5).
+                        self._settle(bus, self._passes - wait[4])
+                entered = self._pass_of(arc.target)
+                if entered is not None:
+                    entered[bus.bus_id] = bus
         if ctx is None:
             ctx = {}
         record = self.records[message.message_id]
@@ -290,6 +313,18 @@ class RoutingEngine:
         for effect in arc.effects:
             dispatch[type(effect)](message, record, bus, ctx, effect)
         return ctx
+
+    def _pass_of(self, state: LifecycleState) -> Optional[dict[int, VirtualBus]]:
+        """The bus map of the flit-tick pass that acts in ``state``: the
+        header pass, the reverse-signal pass (Hack, Nack or Fack walking
+        home) or the stream pass (data, then the FF)."""
+        if state is _EXTENDING:
+            return self._extending
+        if state is _ESTABLISHED or state is _NACKED or state is _RELEASING:
+            return self._signalling
+        if state is _STREAMING or state is _DRAINING:
+            return self._streaming
+        return None
 
     def lifecycle_of(self, message_id: int) -> LifecycleState:
         """Current lifecycle state of a submitted message."""
@@ -400,6 +435,7 @@ class RoutingEngine:
         appear only through these tuples, which is what lets the
         explorer's symmetry quotient relabel them structurally.
         """
+        self.settle_stalls()
         by_message = {
             bus.bus_id: bus.message.message_id for bus in self.buses.values()
         }
@@ -484,17 +520,21 @@ class RoutingEngine:
     # ------------------------------------------------------------------
     def _admit(self) -> None:
         self._release_deferred()
+        if not self._ready:
+            return
         queues = self._queues
-        if not any(queues):
-            return  # nothing waiting anywhere: skip the per-node scan
-        tx_active = self._tx_active
-        tx_ports = self.config.tx_ports
-        for node in range(self.config.nodes):
+        grid = self.grid
+        if not grid.faulty_count():
+            # Fault-free every node inserts on the top lane: test that
+            # segment inline, no dearer than a parked header's check.
+            top = self.config.top_lane
+            occupant = grid._occupant
+            for node in sorted(self._ready):
+                if occupant[node][top] is None:
+                    self._inject(queues[node].popleft(), top)
+            return
+        for node in sorted(self._ready):
             queue = queues[node]
-            if not queue:
-                continue
-            if tx_active[node] >= tx_ports:
-                continue
             lane = self._insertion_lane(node)
             if lane is None:
                 # Every output segment at this INC is DYING or DEAD: the
@@ -503,10 +543,19 @@ class RoutingEngine:
                 # let the backoff machinery retry.
                 self._fault_nack_queued(queue.popleft())
                 continue
-            if not self.grid.is_free(node, lane):
+            if not grid.is_free(node, lane):
                 continue
             message = queue.popleft()
             self._inject(message, lane)
+
+    def _note_ready(self, node: int) -> None:
+        """Keep ``node`` in ``_ready`` iff it could inject: a request
+        queued and a transmit port free."""
+        if self._queues[node] and \
+                self._tx_active[node] < self.config.tx_ports:
+            self._ready.add(node)
+        else:
+            self._ready.discard(node)
 
     def _release_deferred(self) -> None:
         """Move deferred requests into the real queues as capacity frees."""
@@ -553,10 +602,8 @@ class RoutingEngine:
         insertion rule).  Under faults the rule degrades gracefully: the
         insertion point slides down to the highest lane whose output
         segment still works (design decision F3).  ``None`` when the whole
-        column is faulty.
+        column is faulty.  ``_admit`` tests the fault-free case inline.
         """
-        if not self.grid.faulty_count():
-            return self.config.top_lane
         for lane in range(self.config.top_lane, -1, -1):
             if self.grid.health(node, lane) is PortHealth.OK:
                 return lane
@@ -569,6 +616,7 @@ class RoutingEngine:
         if self._obs_on:
             self._spans.event(message.message_id, self._now(), "fault_nack",
                               reason="source_column_dead")
+        self._note_ready(message.source)
         self._fire(message, LifecycleEvent.FAULT_NACK)
 
     def _inject(self, message: Message, top: int) -> None:
@@ -592,16 +640,26 @@ class RoutingEngine:
     def _advance_headers(self) -> None:
         epochs = self.grid.epochs
         parked = self._parked
-        for bus in list(self._extending.values()):
-            wait = parked.get(bus.bus_id)
-            if wait is not None and epochs[wait[0]] == wait[1] \
-                    and epochs[wait[2]] == wait[3]:
+        self._passes += 1
+        now = self._passes
+        for bus_id, bus in list(self._extending.items()):
+            wait = parked.get(bus_id)
+            if wait is not None:
                 # The evaluation below reads only the head and next
                 # columns; while neither has changed since it last
                 # failed, it fails again, so the header just waits
-                # (DESIGN.md P4).
-                self._stall(bus)
-                continue
+                # (DESIGN.md P4).  Its stall ticks are counted when it
+                # is next evaluated, leaves EXTENDING or is read, and
+                # its header timeout is a deadline (P5).
+                stuck = epochs[wait[0]] == wait[1] and \
+                    epochs[wait[2]] == wait[3]
+                if stuck and now < wait[5]:
+                    continue
+                del parked[bus_id]
+                self._settle(bus, now - 1 - wait[4])
+                if stuck:
+                    self._stall(bus)  # the header timeout falls due
+                    continue
             if bus.complete:
                 continue
             next_segment = bus.segment_index(len(bus.hops))
@@ -621,11 +679,13 @@ class RoutingEngine:
             lane = self._pick_extension_lane(next_segment, bus.head_lane())
             if lane is None:
                 head_segment = bus.segment_index(len(bus.hops) - 1)
-                parked[bus.bus_id] = (head_segment, epochs[head_segment],
-                                      next_segment, epochs[next_segment])
+                stalls = self._stall_ticks[bus_id] + 1
+                parked[bus_id] = (
+                    head_segment, epochs[head_segment],
+                    next_segment, epochs[next_segment],
+                    now, now + self._stalls_to_timeout(stalls))
                 self._stall(bus)
                 continue
-            parked.pop(bus.bus_id, None)
             self._fire(bus.message, LifecycleEvent.EXTEND, bus=bus,
                        ctx={"segment": next_segment, "lane": lane})
             if self._trace_on:
@@ -664,6 +724,38 @@ class RoutingEngine:
                 self._spans.event(bus.message.message_id, self._now(),
                                   "header_timeout", hops=len(bus.hops))
             self._fire(bus.message, LifecycleEvent.HEADER_TIMEOUT, bus=bus)
+
+    def _stalls_to_timeout(self, stalls: int) -> float:
+        """Stall ticks after ``stalls`` until ``_stall``'s header-timeout
+        test first holds (``inf`` without a timeout)."""
+        timeout = self.config.retry.header_timeout
+        if timeout is None:
+            return math.inf
+        period = self.config.flit_period
+        total = max(stalls + 1, math.ceil(timeout / period))
+        while total > stalls + 1 and (total - 1) * period >= timeout:
+            total -= 1
+        while total * period < timeout:
+            total += 1
+        return total - stalls
+
+    def _settle(self, bus: VirtualBus, ticks: int) -> None:
+        """Count ``ticks`` stall ticks a parked header waited unvisited."""
+        bus.record.head_stall_ticks += ticks
+        self._stall_ticks[bus.bus_id] += ticks
+
+    def settle_stalls(self) -> None:
+        """Bring every parked header's stall ticks up to the last pass.
+
+        A parked header is not visited while it waits (DESIGN.md P5), so
+        its record and stall count lag behind; every reader of them
+        (statistics, exploration signatures) calls this first.
+        """
+        now = self._passes
+        for bus_id, wait in list(self._parked.items()):
+            if wait[4] != now:
+                self._settle(self._extending[bus_id], now - wait[4])
+                self._parked[bus_id] = wait[:4] + (now, wait[5])
 
     def _on_header_advanced(self, bus: VirtualBus) -> None:
         """Handle the header's arrival at its current INC.
@@ -723,7 +815,11 @@ class RoutingEngine:
     # Reverse signals (Hack / Nack / Fack)
     # ------------------------------------------------------------------
     def _advance_signals(self) -> None:
-        for bus in list(self.buses.values()):
+        if not self._signalling:
+            return
+        # Bus-id order, as ever: a finished Nack walk arms a retry timer
+        # whose jitter draws from the RNG.
+        for _, bus in sorted(self._signalling.items()):
             if bus.phase is BusPhase.ACK_RETURN:
                 bus.signal_position -= 1
                 if bus.signal_position < 0:
@@ -738,7 +834,7 @@ class RoutingEngine:
                                               - record.injected_at)
                         self._spans.event(bus.message.message_id,
                                           self._now(), "established")
-            elif bus.phase in (BusPhase.NACK_RETURN, BusPhase.TEARDOWN):
+            else:  # NACK_RETURN or TEARDOWN
                 self._release_step(bus)
 
     def _release_step(self, bus: VirtualBus) -> None:
@@ -825,7 +921,9 @@ class RoutingEngine:
     # Data streaming
     # ------------------------------------------------------------------
     def _advance_streams(self) -> None:
-        for bus in list(self.buses.values()):
+        if not self._streaming:
+            return
+        for _, bus in sorted(self._streaming.items()):
             if bus.phase is BusPhase.STREAMING:
                 if bus.data_sent < bus.message.data_flits:
                     if bus.data_sent == 0 and self._obs_on:
@@ -838,7 +936,7 @@ class RoutingEngine:
                     if self._trace_on:
                         self._record("final_flit", bus.message,
                                      bus=bus.bus_id)
-            elif bus.phase is BusPhase.DRAINING:
+            else:  # DRAINING
                 bus.signal_position += 1
                 # The FF has crossed hop signal_position - 1, reaching the
                 # INC after it: a tap there has now received every flit.
@@ -872,6 +970,7 @@ class RoutingEngine:
                     bus: Optional[VirtualBus], ctx: FireContext,
                     effect: Effect) -> None:
         self._queues[message.source].append(message)
+        self._note_ready(message.source)
 
     def _fx_park(self, message: Message, record: MessageRecord,
                  bus: Optional[VirtualBus], ctx: FireContext,
@@ -904,6 +1003,7 @@ class RoutingEngine:
             record.injected_at = self._now()
         self.buses[opened.bus_id] = opened
         self._tx_active[message.source] += 1
+        self._note_ready(message.source)
         self._rx_holders[opened.bus_id] = set()
         self._stall_ticks[opened.bus_id] = 0
         self.injected += 1
@@ -986,6 +1086,7 @@ class RoutingEngine:
                               effect: Effect) -> None:
         assert bus is not None
         self._tx_active[bus.source] -= 1
+        self._note_ready(bus.source)
         for node in list(self._rx_holders.get(bus.bus_id, ())):
             self._release_rx(bus, node)
         self._rx_holders.pop(bus.bus_id, None)

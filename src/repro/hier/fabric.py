@@ -447,6 +447,7 @@ class RingFabric:
         """
         records: list[MessageRecord] = []
         for ring in self.rings.values():
+            ring.routing.settle_stalls()
             records.extend(ring.routing.records.values())
         return RunStats.from_records(
             records,
@@ -484,10 +485,13 @@ class RingFabric:
             forced_teardowns=sum(ring.routing.forced_teardowns
                                  for ring in self.rings.values()),
         )
+        for ring in self.rings.values():
+            ring.routing.settle_stalls()
         for journey in self.journeys.values():
             stats.offered += 1
             legs = [hop.record for hop in journey.trail]
-            if legs and legs[0].shed:
+            if any(leg.shed for leg in legs):
+                # Shed at its source or at a bridge: either ends it.
                 stats.shed += 1
                 continue
             stats.nacks += sum(leg.nacks for leg in legs)

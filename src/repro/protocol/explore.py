@@ -665,9 +665,11 @@ class _World:
         # message-id keys relabel.  Bus ids, the bus dict order, and the
         # per-bus geometry are untouched — a bus's ring position derives
         # from its message's source, so swapping the message moves it.
-        # The extending headers are keyed by bus id and carry over as
+        # The per-pass bus maps are keyed by bus id and carry over as
         # they are; a parked header's columns turn like every other
-        # segment index (their epochs moved with the grid rows above).
+        # segment index (their epochs moved with the grid rows above,
+        # its pass stamps count header passes, not positions), and the
+        # ready nodes turn with the queues.
         engine = self.engine
         engine._queues = [
             deque(replace[m.message_id] for m in
@@ -691,9 +693,11 @@ class _World:
             bus_id: {turn(node) for node in holders}
             for bus_id, holders in engine._rx_holders.items()
         }
+        engine._ready = {turn(node) for node in engine._ready}
         engine._parked = {
-            bus_id: (turn(head), head_epoch, turn(ahead), ahead_epoch)
-            for bus_id, (head, head_epoch, ahead, ahead_epoch)
+            bus_id: (turn(head), head_epoch, turn(ahead), ahead_epoch,
+                     settled, due)
+            for bus_id, (head, head_epoch, ahead, ahead_epoch, settled, due)
             in engine._parked.items()
         }
         for record in engine.records.values():

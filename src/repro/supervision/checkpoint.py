@@ -42,8 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
 #: Bump on any change that makes old snapshots unreadable.  Version 2:
 #: every pickled ``RMBConfig`` carries its ``retry`` policy.  Version 3:
 #: every grid carries its column epochs and every routing engine its
-#: extending and parked headers.
-SNAPSHOT_VERSION = 3
+#: extending and parked headers.  Version 4: every routing engine
+#: carries its signalling and streaming buses, its ready nodes, its
+#: header-pass count, and each parked header's settled and due passes.
+SNAPSHOT_VERSION = 4
 
 _FORMAT = "rmb-snapshot"
 

@@ -1,9 +1,13 @@
 """Property-based tests for the hierarchical fabric.
 
-Four contracts, each over randomly drawn traffic on a 4x4 hierarchy:
+Five contracts, over randomly drawn traffic on a 4x4 hierarchy unless
+noted:
 
 * delivery conservation — every journey completes, and each member
   ring executes exactly the legs the route plans assigned to it;
+* journey conservation under admission control — on drawn hierarchy
+  shapes, after every drain each offered journey is completed,
+  abandoned or shed, including journeys shed at a bridge;
 * locality — same-local-ring traffic never touches the global ring;
 * shortest chain — plans have the minimum length the bridge topology
   allows, and name the right rings in the right order;
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import RMBConfig
 from repro.core.flits import Message
 from repro.hier import GLOBAL_RING, HierRMB, HierRouteMap, local_ring_name
 
@@ -60,6 +65,40 @@ def test_delivery_is_conserved_across_bridge_hops(messages, seed):
     # Leg totals line up with the plans (conservation at the bridges).
     total_legs = sum(len(j.trail) for j in network.journeys.values())
     assert total_legs == sum(j.hops for j in network.journeys.values())
+
+
+@settings(max_examples=15, deadline=None)
+@given(shape=st.sampled_from([(4, 4), (4, 6), (6, 4)]),
+       limit=st.integers(min_value=1, max_value=3),
+       policy=st.sampled_from(["shed", "defer"]),
+       seed=st.integers(min_value=0, max_value=3),
+       data=st.data())
+def test_journeys_are_conserved_under_admission_control(shape, limit, policy,
+                                                         seed, data):
+    """Every offered journey ends completed, abandoned or shed after each
+    drain, whether admission sheds its first leg or a later one."""
+    locals_count, per_local = shape
+    nodes = locals_count * per_local
+    network = HierRMB(locals=locals_count, nodes_per_local=per_local,
+                      lanes=3, seed=seed,
+                      config=RMBConfig(nodes=per_local, lanes=3,
+                                       admission_limit=limit,
+                                       admission_policy=policy))
+    for burst in range(2):
+        for index in range(data.draw(st.integers(min_value=1,
+                                                 max_value=12))):
+            source = data.draw(st.integers(min_value=0,
+                                           max_value=nodes - 1))
+            offset = data.draw(st.integers(min_value=1,
+                                           max_value=nodes - 1))
+            network.submit(Message(100 * burst + index, source,
+                                   (source + offset) % nodes,
+                                   data_flits=2))
+        network.drain()
+        stats = network.journey_run_stats()
+        assert stats.offered == len(network.journeys)
+        assert stats.offered == \
+            stats.completed + stats.abandoned + stats.shed
 
 
 @settings(max_examples=15, deadline=None)

@@ -13,15 +13,20 @@ manifest of a mid-run snapshot.
 
 Parked headers (DESIGN.md P4) skip the full evaluation while the epochs
 of their head and next columns are unchanged; the soundness tests below
-run that full evaluation anyway before every header pass and require it
-to agree that each such header stalls.
+run that full evaluation anyway before every pass and require it to
+agree that each such header stalls.  Before every pass they also rebuild
+the per-pass bus maps and the ready nodes (DESIGN.md P5) from a scan of
+the buses, queues and transmit ports.  A stall oracle kept entirely in
+the test pins the deferred stall accounting: every header that neither
+advances nor is fault-Nacked during a header pass stalls exactly once.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from typing import Iterator
+from collections import Counter
+from contextlib import ExitStack, contextmanager
+from typing import Iterator, Optional
 from unittest import mock
 
 import pytest
@@ -36,7 +41,11 @@ from repro.core.virtual_bus import BusPhase
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.hier import HierRMB
 from repro.sim import RandomStream
-from repro.supervision import load_snapshot_bytes, save_snapshot_bytes
+from repro.supervision import (
+    WatchdogConfig,
+    load_snapshot_bytes,
+    save_snapshot_bytes,
+)
 from repro.traffic import bernoulli_schedule, replay_on_fabric
 
 NODES = 8
@@ -68,14 +77,18 @@ def fault_plans(draw):
 def build_ring(seed: int, plan: FaultPlan | None, *,
                incremental: bool, check_level: str,
                synchronous: bool = True, messages: int = 10,
-               **overrides: bool) -> RMBRing:
+               header_timeout: Optional[float] = 128.0,
+               watchdog: Optional[WatchdogConfig] = None,
+               **overrides: object) -> RMBRing:
     config = RMBConfig(nodes=NODES, lanes=LANES,
                        check_level=check_level, synchronous=synchronous,
                        retry=RetryPolicy(
                            jitter=0.25,
-                           max_retries=8 if plan is not None else None),
+                           max_retries=8 if plan is not None else None,
+                           header_timeout=header_timeout),
                        **overrides)
-    ring = RMBRing(config, seed=seed, probe_period=16.0, fault_plan=plan)
+    ring = RMBRing(config, seed=seed, probe_period=16.0, fault_plan=plan,
+                   watchdog=watchdog)
     ring.compaction.incremental = incremental
     ring.submit_all(
         Message(message_id=i, source=(i + seed) % NODES,
@@ -167,20 +180,41 @@ def test_check_level_is_read_only(seed, plan, level, snapshot_at):
     assert fast == reference
 
 
+SIGNALLING = (BusPhase.ACK_RETURN, BusPhase.NACK_RETURN, BusPhase.TEARDOWN)
+STREAMING = (BusPhase.STREAMING, BusPhase.DRAINING)
+
+
+def check_pass_maps(engine: RoutingEngine) -> None:
+    """The signalling and streaming bus maps and the ready nodes are
+    exactly what a scan of the buses, queues and transmit ports gives."""
+    for kept, phases in ((engine._signalling, SIGNALLING),
+                         (engine._streaming, STREAMING)):
+        scanned = [bus for bus in engine.buses.values()
+                   if bus.phase in phases]
+        assert sorted(kept) == [bus.bus_id for bus in scanned]
+        assert all(kept[bus.bus_id] is bus for bus in scanned)
+    assert engine._ready == {
+        node for node, queue in enumerate(engine._queues)
+        if queue and engine._tx_active[node] < engine.config.tx_ports}
+
+
 def check_parked_headers(engine: RoutingEngine) -> int:
     """Re-run the full evaluation for every parked header whose recorded
-    epochs still match; it must agree that the header stalls.  Returns
-    how many parked headers were checked."""
+    epochs still match; it must agree that the header stalls.  Check the
+    pass maps, and that no parked header has outlived its deadline.
+    Returns how many parked headers were checked."""
     extending = [bus_id for bus_id, bus in engine.buses.items()
                  if bus.phase is BusPhase.EXTENDING]
     assert list(engine._extending) == extending
+    check_pass_maps(engine)
     grid = engine.grid
     checked = 0
-    for bus_id, (head, head_epoch, ahead, ahead_epoch) in \
+    for bus_id, (head, head_epoch, ahead, ahead_epoch, settled, due) in \
             engine._parked.items():
         bus = engine._extending[bus_id]
         assert head == bus.segment_index(len(bus.hops) - 1)
         assert ahead == bus.segment_index(len(bus.hops))
+        assert settled <= engine._passes < due
         if (grid.epochs[head], grid.epochs[ahead]) != \
                 (head_epoch, ahead_epoch):
             continue
@@ -192,18 +226,26 @@ def check_parked_headers(engine: RoutingEngine) -> int:
     return checked
 
 
+PASSES = ("_advance_signals", "_advance_streams", "_advance_headers",
+          "_admit")
+
+
 @contextmanager
 def checking_parked_headers() -> Iterator[list[int]]:
-    """Check every parked header before each header pass; yields a
-    one-element list counting the headers checked."""
+    """Run ``check_parked_headers`` before each of the four flit-tick
+    passes; yields a one-element list counting the headers checked."""
     count = [0]
-    advance = RoutingEngine._advance_headers
 
-    def checked(engine: RoutingEngine) -> None:
-        count[0] += check_parked_headers(engine)
-        advance(engine)
+    def checking(advance):
+        def checked(engine: RoutingEngine) -> None:
+            count[0] += check_parked_headers(engine)
+            advance(engine)
+        return checked
 
-    with mock.patch.object(RoutingEngine, "_advance_headers", checked):
+    with ExitStack() as stack:
+        for name in PASSES:
+            stack.enter_context(mock.patch.object(
+                RoutingEngine, name, checking(getattr(RoutingEngine, name))))
         yield count
 
 
@@ -225,13 +267,134 @@ def test_parked_headers_really_stall(seed, plan, synchronous, extend_up,
         ring.drain()
 
 
+def loaded_fabric() -> HierRMB:
+    fabric = HierRMB(locals=4, nodes_per_local=4, lanes=3, seed=5,
+                     check_invariants=False, probe_period=16.0)
+    replay_on_fabric(fabric, bernoulli_schedule(
+        16, 120, 0.08, 4, RandomStream(5, name="parking")))
+    return fabric
+
+
 def test_parked_headers_really_stall_on_a_fabric():
     """The same check on every ring of a loaded HierRMB fabric."""
     with checking_parked_headers() as count:
-        fabric = HierRMB(locals=4, nodes_per_local=4, lanes=3, seed=5,
-                         check_invariants=False, probe_period=16.0)
-        replay_on_fabric(fabric, bernoulli_schedule(
-            16, 120, 0.08, 4, RandomStream(5, name="parking")))
+        fabric = loaded_fabric()
         fabric.run(120)
         fabric.drain()
     assert count[0] > 0
+
+
+@contextmanager
+def stall_oracle() -> Iterator[Counter]:
+    """Count stall ticks per message the long way: a header extending
+    before a header pass whose hop count and fault-Nack count are
+    unchanged after it has stalled for that pass (its header timeout
+    included).  A header times out exactly on the pass that brings its
+    run of consecutive stalls to the header timeout.  Yields the
+    per-message counts."""
+    stalls: Counter = Counter()
+    runs: Counter = Counter()   # bus id -> consecutive stalls
+    advance = RoutingEngine._advance_headers
+
+    def counted(engine: RoutingEngine) -> None:
+        before = [(bus, len(bus.hops), bus.record.fault_nacks)
+                  for bus in engine.buses.values()
+                  if bus.phase is BusPhase.EXTENDING]
+        advance(engine)
+        timeout = engine.config.retry.header_timeout
+        for bus, hops, fault_nacks in before:
+            if len(bus.hops) != hops or \
+                    bus.record.fault_nacks != fault_nacks:
+                runs[bus.bus_id] = 0
+                continue
+            stalls[bus.message.message_id] += 1
+            runs[bus.bus_id] += 1
+            due = timeout is not None and \
+                runs[bus.bus_id] * engine.config.flit_period >= timeout
+            assert (bus.phase is not BusPhase.EXTENDING) == due, \
+                bus.describe()
+
+    with mock.patch.object(RoutingEngine, "_advance_headers", counted):
+        yield stalls
+
+
+def stall_ticks(ring: RMBRing) -> dict[int, int]:
+    return {mid: record.head_stall_ticks
+            for mid, record in ring.routing.records.items()
+            if record.head_stall_ticks}
+
+
+#: Header timeouts as ``(header_timeout, flit_period)``: none, the
+#: default, and four that are no multiple of the flit period.  In floats
+#: 3 * 0.3 < 0.9, so 0.9 needs a fourth stall, and 2.1 / 0.3 rounds up
+#: past 7 although 7 * 0.3 >= 2.1.
+TIMEOUTS = [(None, 1.0), (128.0, 1.0), (2.5, 1.0), (0.7, 0.1), (0.9, 0.3),
+            (2.1, 0.3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       plan=fault_plans(),
+       synchronous=st.booleans(),
+       timing=st.sampled_from(TIMEOUTS),
+       watchdog=st.booleans(),
+       reads=st.lists(st.tuples(st.integers(min_value=1, max_value=89),
+                                st.sampled_from(["stats", "snapshot"])),
+                      max_size=4))
+def test_parked_stall_ticks_settle_exactly(seed, plan, synchronous, timing,
+                                          watchdog, reads):
+    """Parked headers settle their stall ticks late (DESIGN.md P5): read
+    at random chunk boundaries, every record's settled stall ticks equal
+    the oracle's, and neither the reads nor a snapshot restored mid-run
+    change the final records of the uninterrupted run.  A watchdog, when
+    drawn, tears stalled headers down between passes."""
+    header_timeout, flit_period = timing
+
+    def build() -> RMBRing:
+        return build_ring(seed, plan, incremental=True, check_level="off",
+                          synchronous=synchronous, messages=32,
+                          header_timeout=header_timeout,
+                          watchdog=(WatchdogConfig(period=4.0,
+                                                   stall_window=8.0)
+                                    if watchdog else None),
+                          flit_period=flit_period)
+
+    with stall_oracle() as oracle:
+        ring = build()
+        for until, read in sorted(reads):
+            ring.sim.run(until=float(until))
+            if read == "snapshot":
+                ring, _ = load_snapshot_bytes(save_snapshot_bytes(ring))
+            ring.stats()
+            assert stall_ticks(ring) == dict(+oracle)
+        ring.sim.run(until=HORIZON)
+        ring.drain()
+        assert stall_ticks(ring) == dict(+oracle)
+    reference = build()
+    reference.sim.run(until=HORIZON)
+    reference.drain()
+    assert ring.routing.records == reference.routing.records
+    assert observables(ring) == observables(reference)
+
+
+def test_fabric_readers_settle_parked_stall_ticks():
+    """Leg-level and journey-level fabric statistics read mid-run count
+    every stall tick the oracle saw, and reading them changes nothing."""
+    with stall_oracle() as oracle:
+        fabric = loaded_fabric()
+        for step in range(15):
+            fabric.run(10)
+            total = sum(oracle.values())
+            readers = [fabric.stats, fabric.journey_run_stats]
+            if step % 4 >= 2:   # each reader goes first on some reads
+                readers.reverse()
+            for read in readers:
+                assert read().stalls.total == total
+        fabric.drain()
+    reference = loaded_fabric()
+    reference.run(120)
+    reference.drain()
+    assert {name: ring.routing.records
+            for name, ring in fabric.rings.items()} == \
+        {name: ring.routing.records
+         for name, ring in reference.rings.items()}

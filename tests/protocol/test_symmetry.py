@@ -211,15 +211,17 @@ def test_world_rotation_carries_parked_headers():
     epochs.  Rotation turns the epoch rows with the occupancy rows and
     the recorded columns with every other segment index, so in the
     rotated world the record still names the header's own two columns
-    and their unchanged epochs.  One lane and two-hop messages make
-    headers park along the walk."""
+    and their unchanged epochs; its settled and due passes count header
+    passes and carry over as they are.  The ready nodes turn with the
+    ring.  One lane and two-hop messages make headers park along the
+    walk."""
     scenario = Scenario("4x1-span2", 4, 1, ((0, 2), (1, 3), (2, 0), (3, 1)))
     config = scenario.config()
     messages = scenario.messages()
     nodes = config.nodes
     cloner = _Cloner(config, messages)
     world = _World(config, messages, ExploreOptions())
-    parked_seen = 0
+    parked_seen = ready_seen = 0
     step = 0
     for _ in range(25):
         actions = world.actions()
@@ -228,6 +230,7 @@ def test_world_rotation_carries_parked_headers():
         world.apply(actions[step % len(actions)])
         step += 3
         parked_seen += len(world.engine._parked)
+        ready_seen += len(world.engine._ready)
         for rotation, _ in symmetry_group(config, messages):
             if rotation == 0:
                 continue
@@ -236,15 +239,19 @@ def test_world_rotation_carries_parked_headers():
             assert twin.grid.epochs == [
                 world.grid.epochs[(s - rotation) % nodes]
                 for s in range(nodes)]
+            assert twin.engine._ready == {
+                (node + rotation) % nodes for node in world.engine._ready}
             assert twin.engine._parked.keys() == world.engine._parked.keys()
-            for bus_id, (head, head_epoch, ahead, ahead_epoch) in \
-                    twin.engine._parked.items():
+            for bus_id, (head, head_epoch, ahead, ahead_epoch, settled,
+                         due) in twin.engine._parked.items():
                 bus = twin.buses[bus_id]
                 assert head == bus.segment_index(len(bus.hops) - 1)
                 assert ahead == bus.segment_index(len(bus.hops))
                 assert (head_epoch, ahead_epoch) == \
-                    world.engine._parked[bus_id][1::2]
+                    world.engine._parked[bus_id][1:4:2]
+                assert (settled, due) == world.engine._parked[bus_id][4:]
     assert parked_seen > 0
+    assert ready_seen > 0
 
 
 def test_rotate_rejects_non_symmetry():

@@ -291,6 +291,21 @@ class TestHierTopologyCLI:
         for ring in ("local0", "local3", "global"):
             assert ring in out
 
+    def test_run_hier_counts_journeys_shed_at_a_bridge(self, tmp_path):
+        """A journey whose later leg is shed at a bridge counts as shed,
+        so every offered journey lands in exactly one outcome."""
+        import json
+        path = tmp_path / "stats.json"
+        code = main(["run", "-n", "16", "-k", "4", "-m", "200",
+                     "--rate", "0.2", "--seed", "3",
+                     "--topology", "hier:4x4", "--admission-limit", "1",
+                     "--admission-policy", "shed",
+                     "--stats-json", str(path)])
+        assert code == 0
+        payload = json.loads(path.read_text())
+        assert (payload["offered"], payload["completed"], payload["shed"],
+                payload["abandoned"]) == (220, 20, 200, 0)
+
     def test_run_hier_stats_json_carries_ring_breakdown(self, tmp_path):
         import json
         path = tmp_path / "stats.json"
