@@ -66,7 +66,7 @@ from repro.core.config import RMBConfig
 from repro.core.flits import Message, MessageRecord
 from repro.core.routing import format_census
 from repro.core.stats import RunStats
-from repro.core.status import PortHealth, classify_condition
+from repro.core.status import PortHealth, move_condition
 from repro.errors import ProtocolError, RoutingError, WorkloadError
 from repro.protocol.lifecycle import (
     TERMINAL_STATES,
@@ -1352,7 +1352,9 @@ class BatchRing:
         """D3 commit loop over ``(lane, seg, bus_id, hop, row)`` tuples:
         higher lanes first; skip hops adjacent to a committed move (the
         register file serializes adjacent-hop moves); re-verify D1
-        against the partially-committed grid."""
+        against the partially-committed grid, since
+        :meth:`BatchState.move_down` checks nothing; walk Figure 7 once
+        per move class (:func:`move_condition`)."""
         st = self._st
         stats = self.compaction_stats
         committed: set = set()
@@ -1365,12 +1367,13 @@ class BatchRing:
             up = st.hops.item(row, hop_ - 1) if hop_ > 0 else None
             down = (st.hops.item(row, hop_ + 1)
                     if hop_ < st.hops_len.item(row) - 1 else None)
+            condition = move_condition(up, lane, down)
             st.move_down(seg, lane)
             st.hops[row, hop_] = lane - 1
             record = self._records_by_row[row]
             assert record is not None
             record.lanes_visited.add(lane - 1)
-            stats.count(classify_condition(up, lane, down))
+            stats.count(condition)
             committed.add((bus_id, hop_))
 
     def _move_legal(self, seg: int, lane: int, row: int,

@@ -19,6 +19,9 @@ lanes in even cycles and so on.  Two engines are provided:
   cycle counter; decisions use a start-of-cycle snapshot and conflicts
   between adjacent hops of one bus are resolved *higher-lane-first* (D3),
   which reproduces Figure 5's "whole bus drops one lane in two cycles".
+  A candidate that survives D3 is committed without a second D1 check:
+  no earlier commit of the pass can change what its D1 test read
+  (DESIGN.md §9 P6).
 * :meth:`CompactionEngine.inc_pass` — asynchronous mode: each INC moves its
   own output segments when its cycle controller reaches the WORK phase;
   moves commit atomically in event order, so legality is always evaluated
@@ -48,12 +51,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import RMBConfig
 from repro.core.segments import SegmentGrid
-from repro.core.status import (
-    PortHealth,
-    classify_condition,
-    move_sequences,
-    move_sequences_up,
-)
+from repro.core.status import PortHealth, move_condition, move_sequences_up
 from repro.core.virtual_bus import BusPhase, VirtualBus
 from repro.errors import ProtocolError
 from repro.sim.trace import TraceRecorder
@@ -69,6 +67,12 @@ def _zero_time() -> float:
     still pickles (checkpoint/restore walks the whole ring object graph).
     """
     return 0.0
+
+
+#: A synchronous move candidate: ``(lane, segment, bus_id, hop, bus)``.
+#: ``(lane, segment)`` is unique per candidate, so sorting never compares
+#: buses.
+_Candidate = tuple[int, int, int, int, VirtualBus]
 
 
 @dataclass(frozen=True)
@@ -200,26 +204,22 @@ class CompactionEngine:
     # ------------------------------------------------------------------
     # Committing
     # ------------------------------------------------------------------
-    def _commit(self, segment: int, lane: int, cycle: int) -> None:
-        """Execute one legal move, updating grid, bus, registers and stats."""
-        held = self._hop_at(segment, lane)
-        assert held is not None
-        bus, hop = held
-        upstream = bus.upstream_lane(hop)
-        downstream = bus.downstream_lane(hop)
-        # Walk the make-before-break register sequences; raises if any step
-        # would need an illegal Table 1 code (it cannot, given D1 holds —
-        # this is the executable form of the paper's Figure 7 argument).
-        for sequence in move_sequences(upstream, lane, downstream):
-            if not sequence.validates():
-                raise ProtocolError(
-                    f"illegal register sequence during move of "
-                    f"{bus.describe()} at segment {segment}"
-                )
+    def _commit(self, bus: VirtualBus, hop: int, segment: int, lane: int,
+                cycle: int) -> None:
+        """Execute one legal move, updating grid, bus, registers and stats.
+
+        Every D1 condition is tested again here, on live state: Figure 7
+        (:func:`move_condition`) raises if the hop's neighbour lanes fall
+        outside it, and the grid raises if the target is taken or
+        unhealthy or the occupant is wrong.
+        """
+        hops = bus.hops
+        upstream = hops[hop - 1] if hop else None
+        downstream = hops[hop + 1] if hop < len(hops) - 1 else None
+        condition = move_condition(upstream, lane, downstream)
         self.grid.move_down(segment, lane, bus.bus_id)
-        bus.hops[hop] = lane - 1
+        hops[hop] = lane - 1
         bus.record.lanes_visited.add(lane - 1)
-        condition = classify_condition(upstream, lane, downstream)
         self.stats.count(condition)
         if self.keep_move_log:
             self.recent_moves.append(
@@ -245,6 +245,7 @@ class CompactionEngine:
 
         Decisions are taken on a start-of-cycle snapshot; conflicting moves
         on adjacent hops of one bus are resolved higher-lane-first (D3).
+        Every other candidate is still legal when its turn comes (P6).
         Returns the number of moves committed.
         """
         if not self.config.compaction_enabled:
@@ -258,52 +259,57 @@ class CompactionEngine:
 
         committed_hops: set[tuple[int, int]] = set()  # (bus_id, hop)
         moves = 0
-        for lane, segment, bus_id, hop in sorted(candidates, reverse=True):
+        for lane, segment, bus_id, hop, bus in sorted(candidates,
+                                                      reverse=True):
             if (bus_id, hop - 1) in committed_hops or \
                (bus_id, hop + 1) in committed_hops:
                 continue  # D3: adjacent hop of the same bus already moved
-            # Re-verify against committed state: a neighbouring hop's move
-            # may have changed this hop's upstream/downstream lane.
-            if not self.move_legal(segment, lane):
-                continue
-            self._commit(segment, lane, cycle)
+            self._commit(bus, hop, segment, lane, cycle)
             committed_hops.add((bus_id, hop))
             moves += 1
         return moves
 
     def _candidate_at(self, segment: int, lane: int, bus_id: int,
-                      candidates: list[tuple[int, int, int, int]]) -> None:
-        """Append ``(lane, segment, bus_id, hop)`` if the move passes D1/D9.
+                      candidates: list[_Candidate]) -> None:
+        """Append ``(lane, segment, bus_id, hop, bus)`` if D1 and D9 allow it.
 
         Shared filter of the full and incremental candidate builders; the
         caller has already applied the parity rule (D2), the dropped-INC
-        exclusion, and the free-target check.
+        exclusion, and the free-target check.  This is the pass's only D1
+        decision for the move (DESIGN.md §9 P6).
         """
         bus = self.buses[bus_id]
-        hop = bus.hop_of_segment(segment)
-        if hop is None or hop not in bus.held_hops():
-            return
-        if (not self.config.compact_head_while_extending
+        hops = bus.hops
+        last = len(hops) - 1
+        hop = (segment - bus.source) % bus.ring_size
+        if hop > last or hops[hop] != lane:
+            raise ProtocolError(
+                f"grid/bus inconsistency at segment ({segment}, {lane}): "
+                f"{bus.describe()}"
+            )
+        if (hop == last
+                and not self.config.compact_head_while_extending
                 and bus.phase is BusPhase.EXTENDING
-                and hop == len(bus.hops) - 1
                 and not bus.complete):
             return  # D9: travelling headers stay high
-        upstream = bus.upstream_lane(hop)
-        if upstream is not None and upstream not in (lane - 1, lane):
-            return
-        downstream = bus.downstream_lane(hop)
-        if downstream is not None and downstream not in (lane - 1, lane):
-            return
-        candidates.append((lane, segment, bus_id, hop))
+        if hop:
+            upstream = hops[hop - 1]
+            if upstream != lane and upstream != lane - 1:
+                return
+        if hop < last:
+            downstream = hops[hop + 1]
+            if downstream != lane and downstream != lane - 1:
+                return
+        candidates.append((lane, segment, bus_id, hop, bus))
 
-    def _candidates_full(self, cycle: int) -> list[tuple[int, int, int, int]]:
+    def _candidates_full(self, cycle: int) -> list[_Candidate]:
         """Reference candidate builder: exhaustive scan of the grid.
 
         No mutation happens between here and the commit loop, so checking
         ``is_usable`` live is identical to the historical start-of-cycle
         free-set snapshot.
         """
-        candidates: list[tuple[int, int, int, int]] = []  # lane, seg, bus, hop
+        candidates: list[_Candidate] = []
         for segment, lane, bus_id in list(self.grid.iter_occupied()):
             if segment in self.dropped_incs:
                 continue
@@ -326,8 +332,7 @@ class CompactionEngine:
             hot[segment] = 0b11
             hot[(segment + 1) % nodes] = 0b11
 
-    def _candidates_incremental(self, cycle: int) -> \
-            list[tuple[int, int, int, int]]:
+    def _candidates_incremental(self, cycle: int) -> list[_Candidate]:
         """Candidate builder restricted to hot columns.
 
         A cold column has, by construction, been examined at both cycle
@@ -342,10 +347,12 @@ class CompactionEngine:
         bit = 1 << (cycle & 1)
         hot = self._hot
         examined = sorted(s for s, mask in hot.items() if mask & bit)
-        candidates: list[tuple[int, int, int, int]] = []
+        candidates: list[_Candidate] = []
         grid = self.grid
         lanes = grid.lanes
         dropped = self.dropped_incs
+        # Health is read only while some segment is faulty.
+        health = grid._health if grid._faulty_count else None
         for segment in examined:
             if segment not in dropped:
                 column = grid._occupant[segment]
@@ -353,9 +360,10 @@ class CompactionEngine:
                 first = 1 + ((segment + 1 + cycle) & 1)
                 for lane in range(first, lanes, 2):
                     bus_id = column[lane]
-                    if bus_id is None:
+                    if bus_id is None or column[lane - 1] is not None:
                         continue
-                    if not grid.is_usable(segment, lane - 1):
+                    if health is not None and \
+                            health[segment][lane - 1] is not PortHealth.OK:
                         continue
                     self._candidate_at(segment, lane, bus_id, candidates)
         # Cool the examined parity; this pass's commits re-dirty their
@@ -405,7 +413,8 @@ class CompactionEngine:
             if not self.considered(inc_index, lane, cycle):
                 continue
             if self.move_legal(inc_index, lane):
-                self._commit(inc_index, lane, cycle)
+                self._commit(*self._hop_at(inc_index, lane), inc_index, lane,
+                             cycle)
                 moves += 1
         return moves
 
@@ -430,7 +439,8 @@ class CompactionEngine:
             if self.grid.occupant(segment, lane) is None:
                 continue
             if self.move_legal(segment, lane, ignore_head_rule=True):
-                self._commit(segment, lane, cycle)
+                self._commit(*self._hop_at(segment, lane), segment, lane,
+                             cycle)
                 self.stats.evacuations += 1
                 moved += 1
             elif self._evacuate_up_legal(segment, lane):
@@ -456,7 +466,8 @@ class CompactionEngine:
             if self.grid.occupant(segment, lane) is None:
                 continue
             if self.move_legal(segment, lane, ignore_head_rule=True):
-                self._commit(segment, lane, cycle)
+                self._commit(*self._hop_at(segment, lane), segment, lane,
+                             cycle)
                 self.stats.evacuations += 1
                 moved += 1
             elif self._evacuate_up_legal(segment, lane):
@@ -535,7 +546,7 @@ class CompactionEngine:
         cycles = 0
         start = self.stats.cycles_run
         while idle_streak < 2:
-            if cycles > max_cycles:
+            if cycles >= max_cycles:
                 raise ProtocolError(
                     f"compaction failed to quiesce within {max_cycles} cycles"
                 )

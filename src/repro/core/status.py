@@ -16,12 +16,15 @@ This module also encodes the **four legal move conditions** of Figure 7 as
 :func:`move_sequences`: given where the virtual bus enters the upstream INC
 and leaves the downstream INC, it returns the exact intermediate register
 sequences the hardware walks through, which the invariant tests check
-against Table 1.
+against Table 1.  :func:`move_condition` is the form the engines call per
+move: the walk depends only on where the bus enters and leaves relative
+to the moving lane, so each of the nine relative classes is walked once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
@@ -288,3 +291,48 @@ ALL_CONDITIONS = (
     "upstream-below/downstream-straight",
     "upstream-below/downstream-below",
 )
+
+
+def move_condition(upstream_in: int | None, lane: int,
+                   downstream_out: int | None) -> str:
+    """Check a move from ``lane`` to ``lane - 1`` against Figure 7 and name it.
+
+    The answer of :func:`move_sequences` plus :meth:`PortSequence.validates`
+    for the move, computed once per relative class ``(upstream_in - lane,
+    downstream_out - lane)``.  Returns the :func:`classify_condition` name.
+
+    Raises:
+        ProtocolError: wherever :func:`move_sequences` raises or a step of
+            its walk is not a Table 1 code.  The diagnostic names the real
+            lanes; failures are not cached.
+    """
+    if lane < 1:
+        raise ProtocolError("cannot move below lane 0")
+    try:
+        return _relative_move_condition(
+            None if upstream_in is None else upstream_in - lane,
+            None if downstream_out is None else downstream_out - lane)
+    except ProtocolError:
+        # Walk again at the real lanes, so the raised diagnostic names them.
+        move_sequences(upstream_in, lane, downstream_out)
+        raise
+
+
+@functools.cache
+def _relative_move_condition(upstream: int | None,
+                             downstream: int | None) -> str:
+    """:func:`move_condition` for a move from lane 1, by offsets from it.
+
+    The walk reads lanes only through their offsets from the moving lane,
+    so lane 1 stands for every lane that can move.
+    """
+    lane = 1
+    upstream_in = None if upstream is None else lane + upstream
+    downstream_out = None if downstream is None else lane + downstream
+    for sequence in move_sequences(upstream_in, lane, downstream_out):
+        if not sequence.validates():
+            raise ProtocolError(
+                f"illegal register sequence {sequence.codes} on the "
+                f"{sequence.side.value} side of a lane move"
+            )
+    return classify_condition(upstream_in, lane, downstream_out)

@@ -8,8 +8,8 @@ styles of use, both employed in this repository:
   uses this style for its tick engines.
 * **Process style** — generator coroutines that ``yield`` delays or
   :class:`repro.sim.process.Waitable` objects, started with
-  :meth:`Simulator.spawn`.  Workload drivers and the baseline network
-  simulators use this style.
+  :meth:`Simulator.spawn`.  No component under ``src/`` uses this
+  style; the kernel's tests and micro-benchmark do.
 
 Time is a float but every built-in component uses integral ticks; the
 kernel itself is unit-agnostic.

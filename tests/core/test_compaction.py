@@ -8,6 +8,7 @@ from repro.core.flits import Message, MessageRecord
 from repro.core.segments import SegmentGrid
 from repro.core.status import ALL_CONDITIONS
 from repro.core.virtual_bus import BusPhase, VirtualBus
+from repro.errors import ProtocolError
 
 
 def build(nodes=8, lanes=4, compaction_enabled=True):
@@ -108,6 +109,15 @@ class TestMoveLegality:
         grid.claim(1, 1, 0)
         assert not engine.move_legal(2, 3)
 
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_bus_off_its_grid_cell_is_an_error(self, incremental):
+        _, grid, buses, engine = build(lanes=3)
+        engine.incremental = incremental
+        bus = add_bus(grid, buses, 0, source=0, destination=3, lanes=[2] * 3)
+        bus.hops[1] = 1  # the grid still has hop 1 on (1, 2)
+        with pytest.raises(ProtocolError, match="inconsistency"):
+            engine.global_pass(1)
+
     def test_segment_state_classification(self):
         _, grid, buses, engine = build(lanes=3)
         add_bus(grid, buses, 0, source=0, destination=2, lanes=[2, 2])
@@ -201,6 +211,26 @@ class TestQuiesceHelper:
         cycles = engine.quiesce()
         assert cycles >= 4
         assert engine.fully_packed()
+
+    @pytest.mark.parametrize("max_cycles", [1, 4, 7])
+    def test_quiesce_runs_max_cycles_passes_then_raises(self, max_cycles):
+        _, grid, buses, engine = build(lanes=4)
+        add_bus(grid, buses, 0, source=0, destination=5, lanes=[3] * 5)
+        with pytest.raises(ProtocolError, match="failed to quiesce"):
+            engine.quiesce(max_cycles=max_cycles)
+        assert engine.stats.cycles_run == max_cycles
+
+    def test_quiesce_may_use_all_of_max_cycles(self):
+        # The straight 5-hop bus settles in 8 passes, the last two idle,
+        # under the default limit and under a limit of exactly 8.
+        for limit in (None, 8):
+            _, grid, buses, engine = build(lanes=4)
+            bus = add_bus(grid, buses, 0, source=0, destination=5,
+                          lanes=[3] * 5)
+            cycles = engine.quiesce() if limit is None else \
+                engine.quiesce(max_cycles=limit)
+            assert cycles == 8
+            assert bus.hops == [0] * 5
 
     def test_fully_packed_false_when_moves_remain(self):
         _, grid, buses, engine = build(lanes=3)

@@ -1,7 +1,10 @@
 """Unit tests for Table 1 status codes and Figure 7 move sequences (E1/E5)."""
 
+import itertools
+
 import pytest
 
+from repro.core import status
 from repro.core.status import (
     ALL_CONDITIONS,
     CODE_MEANINGS,
@@ -14,6 +17,7 @@ from repro.core.status import (
     code_for,
     is_legal,
     is_steady,
+    move_condition,
     move_sequences,
     sources,
 )
@@ -77,6 +81,8 @@ def test_move_sequences_all_steps_legal(upstream, downstream):
             f"illegal step in {sequence} for upstream={upstream}, "
             f"downstream={downstream}"
         )
+    assert move_condition(upstream, 2, downstream) == \
+        classify_condition(upstream, 2, downstream)
 
 
 def test_move_sequences_match_figure7_codes():
@@ -115,6 +121,33 @@ def test_move_sequences_rejects_figure7_violations():
         move_sequences(2, 2, 3)   # bus leaves at lane 3: illegal
     with pytest.raises(ProtocolError):
         move_sequences(2, 0, 2)   # cannot move below lane 0
+
+
+def test_move_condition_agrees_with_a_fresh_walk():
+    # Every entry and exit lane from two below to one above, on lane 0
+    # and on every lane that can move with up to six lanes: the cached
+    # answer is the walk's, and it raises where the walk raises.
+    status._relative_move_condition.cache_clear()
+    for lane in range(6):
+        for up, down in itertools.product((None, -2, -1, 0, 1), repeat=2):
+            upstream = None if up is None else lane + up
+            downstream = None if down is None else lane + down
+            try:
+                sequences = move_sequences(upstream, lane, downstream)
+            except ProtocolError:
+                with pytest.raises(ProtocolError):
+                    move_condition(upstream, lane, downstream)
+                continue
+            assert all(sequence.validates() for sequence in sequences)
+            assert move_condition(upstream, lane, downstream) == \
+                classify_condition(upstream, lane, downstream)
+    # One walk per relative class, and no failure is cached.
+    assert status._relative_move_condition.cache_info().currsize == 9
+
+
+def test_move_condition_names_the_real_lanes():
+    with pytest.raises(ProtocolError, match="enters upstream INC at lane 7"):
+        move_condition(7, 5, 5)
 
 
 def test_classify_condition_names_exactly_four():

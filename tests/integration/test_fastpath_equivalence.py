@@ -19,6 +19,10 @@ the per-pass bus maps and the ready nodes (DESIGN.md P5) from a scan of
 the buses, queues and transmit ports.  A stall oracle kept entirely in
 the test pins the deferred stall accounting: every header that neither
 advances nor is fault-Nacked during a header pass stalls exactly once.
+
+Synchronous compaction commits each candidate that survives D3 without
+re-checking D1 (DESIGN.md P6); a soundness test below re-checks it
+before every such commit anyway and requires it to hold.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.compaction import CompactionEngine
 from repro.core.config import RetryPolicy
 from repro.core.routing import RoutingEngine
 from repro.core.status import PortHealth
@@ -398,3 +403,66 @@ def test_fabric_readers_settle_parked_stall_ticks():
             for name, ring in fabric.rings.items()} == \
         {name: ring.routing.records
          for name, ring in reference.rings.items()}
+
+
+#: Figure 7's move classes: where the bus enters and leaves relative to
+#: the moving lane, ``None`` at the source or the head.
+MOVE_CLASSES = {(up, down) for up in (None, -1, 0) for down in (None, -1, 0)}
+
+
+@contextmanager
+def checking_compaction_commits() -> Iterator[Counter]:
+    """Before every commit of ``global_pass``'s D3 loop, require that D1
+    (``move_legal``) holds on the partly committed state and that the
+    move's class is one of Figure 7's nine.  Evacuation commits run
+    before the candidate build and are counted under ``"evacuation"``
+    unchecked.  Yields the commits counted per class."""
+    commits: Counter = Counter()
+    evacuating = [False]
+    evacuate = CompactionEngine._evacuate_all
+    commit = CompactionEngine._commit
+
+    def evacuating_all(engine: CompactionEngine, cycle: int) -> int:
+        evacuating[0] = True
+        try:
+            return evacuate(engine, cycle)
+        finally:
+            evacuating[0] = False
+
+    def checked(engine: CompactionEngine, bus, hop: int, segment: int,
+                lane: int, cycle: int) -> None:
+        if evacuating[0]:
+            commits["evacuation"] += 1
+        else:
+            assert engine.move_legal(segment, lane), bus.describe()
+            hops = bus.hops
+            up = hops[hop - 1] - lane if hop else None
+            down = hops[hop + 1] - lane if hop < len(hops) - 1 else None
+            assert (up, down) in MOVE_CLASSES, bus.describe()
+            commits[(up, down)] += 1
+        commit(engine, bus, hop, segment, lane, cycle)
+
+    with mock.patch.object(CompactionEngine, "_evacuate_all",
+                           evacuating_all), \
+            mock.patch.object(CompactionEngine, "_commit", checked):
+        yield commits
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       plan=fault_plans(),
+       incremental=st.booleans(),
+       compact_head=st.booleans())
+def test_synchronous_commits_need_no_d1_recheck(seed, plan, incremental,
+                                                compact_head):
+    """Every candidate that survives D3 is still legal when committed."""
+    with checking_compaction_commits() as commits:
+        ring = build_ring(seed, plan, incremental=incremental,
+                          check_level="off", messages=32,
+                          compact_head_while_extending=compact_head)
+        ring.sim.run(until=HORIZON)
+        ring.drain()
+    checked = sum(count for move_class, count in commits.items()
+                  if move_class != "evacuation")
+    assert checked > 0
+    assert checked + commits["evacuation"] == ring.compaction.stats.moves
