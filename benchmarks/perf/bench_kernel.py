@@ -1,12 +1,11 @@
 """Kernel microbenchmarks: raw event throughput of the simulation core.
 
-Four scenarios isolate the costs every simulated tick pays:
+Three scenarios isolate the costs every simulated tick pays:
 
 * ``queue_push_pop`` — the event heap alone (ordering comparisons);
 * ``schedule_run`` — one-shot callbacks through ``Simulator.run``;
 * ``periodic_ticks`` — self-rescheduling ``Periodic`` machinery (the
-  flit/cycle tick engines are exactly this);
-* ``process_switch`` — generator-coroutine context switches.
+  flit/cycle tick engines are exactly this).
 
 Emits ``BENCH_kernel.json``.  Run directly::
 
@@ -28,8 +27,6 @@ QUEUE_OPS = 120_000
 ONE_SHOTS = 100_000
 PERIODICS = 64
 PERIODIC_HORIZON = 1_500.0
-PROCESSES = 50
-PROCESS_YIELDS = 600
 
 
 def _noop() -> None:
@@ -69,27 +66,11 @@ def periodic_ticks() -> int:
     return fired[0]
 
 
-def process_switch() -> int:
-    sim = Simulator()
-    switches = [0]
-
-    def worker():
-        for _ in range(PROCESS_YIELDS):
-            switches[0] += 1
-            yield 1.0
-
-    for _ in range(PROCESSES):
-        sim.spawn(worker())
-    sim.run()
-    return switches[0]
-
-
 def main() -> None:
     results = {
         "queue_push_pop": time_scenario(queue_push_pop),
         "schedule_run": time_scenario(schedule_run),
         "periodic_ticks": time_scenario(periodic_ticks),
-        "process_switch": time_scenario(process_switch),
     }
     emit("kernel", results)
 

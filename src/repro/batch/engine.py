@@ -280,7 +280,14 @@ class BatchRing:
         the run starts, so these are per-run constants)."""
         st = self._st
         self._health_ok = st.health == H_OK          # (nodes, lanes) bool
-        self._col_ok = self._health_ok.any(axis=1)   # (nodes,) bool
+        reach = self.config.header_reach
+        #: Per column and entry lane: can a header on that lane still
+        #: reach a healthy lane of the column (F3)?
+        self._reach_ok = [
+            [any(column[lane] for lane in reach(entry))
+             for entry in range(st.lanes)]
+            for column in self._health_ok.tolist()
+        ]
         top = self.config.top_lane
         insert = []
         for node in range(st.nodes):
@@ -292,7 +299,7 @@ class BatchRing:
             insert.append(lane)
         #: Highest OK lane per insertion column (-1 = column dead).
         self._insert_lane = insert
-        self._any_dead_column = not bool(self._col_ok.all())
+        self._any_dead_reach = not all(map(all, self._reach_ok))
         self._any_fault = st.faulty_count > 0
 
     # ------------------------------------------------------------------
@@ -1045,15 +1052,18 @@ class BatchRing:
         if len(attempts) > 1:
             attempts.sort(key=lambda r: bus.item(r))
         still: List[int] = []
-        any_dead = self._any_dead_column
+        any_dead = self._any_dead_reach
+        reach_ok = self._reach_ok
         recs = self._records_by_row
         nodes = self._nodes
         for row in attempts:
             hops_len = st.hops_len.item(row)
-            if any_dead and not self._col_ok[
-                    (st.src.item(row) + hops_len) % nodes]:
-                # F3: no lane in the next column can ever carry the bus
-                # (static health, so this fires before a row can stall).
+            if any_dead and not reach_ok[
+                    (st.src.item(row) + hops_len) % nodes][
+                    st.hops.item(row, hops_len - 1)]:
+                # F3: no lane of the next column the header can reach
+                # will ever carry the bus (static health, so this fires
+                # before a row can stall).
                 record = recs[row]
                 assert record is not None
                 self._fire(row, E_FAULT_NACK)

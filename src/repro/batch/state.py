@@ -17,7 +17,7 @@ objects — they are written a handful of times per message and feed
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -241,16 +241,6 @@ class BatchState:
             self.total_repairs,
         )
 
-    def held_end(self, row: int) -> int:
-        """Number of leading hops still held (mirrors ``Bus.held_hops``)."""
-        released = int(self.released_from[row])
-        return int(self.hops_len[row]) if released == FREE else released
-
-    def hop_lanes(self, row: int) -> List[int]:
-        """The hop lane list for one row (for record/trace interop)."""
-        return [int(lane) for lane in
-                self.hops[row, : int(self.hops_len[row])]]
-
     def utilization(self) -> float:
         return self.occupied_count / float(self.nodes * self.lanes)
 
@@ -258,12 +248,3 @@ class BatchState:
         """Occupied ``(segment, lane)`` cells, ascending — the same order
         as ``SegmentGrid.iter_occupied``'s sorted walk."""
         return np.argwhere(self.occ_bus != FREE)
-
-    def column_has_ok(self, segment: int) -> bool:
-        return bool((self.health[segment] == H_OK).any())
-
-    def lifecycle_counts(self) -> Dict[int, int]:
-        """Live state-code counts over all loaded rows."""
-        rows = len(self.messages)
-        codes, counts = np.unique(self.state[:rows], return_counts=True)
-        return {int(code): int(count) for code, count in zip(codes, counts)}

@@ -313,13 +313,13 @@ class _Abort(Exception):
 def command_run(args: argparse.Namespace) -> int:
     """``run``: one Bernoulli workload on a flat ring or a hier fabric.
 
-    The schedule is generated, replayed, run and drained the same way on
-    every engine; only the title and the report differ.  A fabric's
-    headline table is *journey-level* (end to end across bridge hops,
-    what a PE actually experiences), followed by a per-ring breakdown.
-    Features the batch backend or a fabric does not model are refused up
-    front by flag name (:data:`~repro.traffic.saturation.BATCH_REFUSES`,
-    :data:`~repro.traffic.saturation.HIER_REFUSES`).  ``--check-level``
+    The network comes from :func:`~repro.traffic.saturation.build_rmb`,
+    which refuses what the batch backend or a fabric does not model by
+    field and flag, in the words ``saturate`` uses.  The schedule is
+    generated, replayed, run and drained the same way on every engine;
+    only the title and the report differ.  A fabric's headline table is
+    *journey-level* (end to end across bridge hops, what a PE actually
+    experiences), followed by a per-ring breakdown.  ``--check-level``
     is accepted but moot on batch: it has no runtime invariant monitor —
     its conformance guarantee is the differential suite in
     ``tests/batch``.
@@ -330,7 +330,7 @@ def command_run(args: argparse.Namespace) -> int:
         raise _Abort("--rate must be positive")
     from repro.core.config import RetryPolicy
     from repro.errors import ConfigurationError, ProtocolError
-    from repro.traffic.saturation import BATCH_REFUSES, HIER_REFUSES, refused
+    from repro.traffic.saturation import build_rmb
     fault_plan = _fault_plan(args)
     max_retries = args.max_retries
     if max_retries is None and fault_plan is not None:
@@ -349,43 +349,33 @@ def command_run(args: argparse.Namespace) -> int:
         raise _Abort(f"bad retry policy: {exc}") from None
     batch = args.backend == "batch"
     hier = args.topology != "ring"
-    obs = _build_obs(args)
-    used = {
-        "asynchronous": args.asynchronous,
-        "fault_plan": fault_plan is not None,
-        "recovery": args.recovery,
-        "watchdog": args.watchdog,
-        "admission_limit": args.admission_limit is not None,
-        "checkpoint_every": args.checkpoint_every is not None,
-        "obs": obs is not None,
-        "topology": hier,
-    }
-    engine = "--backend batch" if batch else f"--topology {args.topology}"
-    for active, refuses, advice in (
-            (batch, BATCH_REFUSES, "use the default event backend"),
-            (hier, HIER_REFUSES, "use --topology ring")):
-        flagged = refused(refuses, used) if active else []
-        if flagged:
-            raise _Abort(f"{engine} does not support "
-                         f"{', '.join(refuses[name] for name in flagged)}; "
-                         f"{advice}")
-    nodes = args.nodes
     if hier:
         from repro.networks.registry import hier_shape
         try:
             locals_count, nodes = hier_shape(args.topology, args.nodes)
         except ConfigurationError as exc:
             raise _Abort(f"bad --topology: {exc}") from None
-    config = RMBConfig(nodes=nodes, lanes=args.lanes, cycle_period=2.0,
+    config = RMBConfig(nodes=args.nodes, lanes=args.lanes, cycle_period=2.0,
                        retry=retry,
                        admission_limit=args.admission_limit,
                        admission_policy=args.admission_policy,
                        check_level=args.check_level,
                        synchronous=not args.asynchronous)
+    watchdog = None
+    if args.watchdog:
+        from repro.supervision import WatchdogConfig
+        # The watchdog's storm knobs come from the unified retry policy
+        # (the policy defaults mirror the historical WatchdogConfig ones).
+        watchdog = WatchdogConfig(retry_threshold=retry.storm_threshold,
+                                  retry_storm_action=retry.storm_action)
+    obs = _build_obs(args)
     try:
-        network = _build_run_network(args, config, fault_plan, obs)
+        network = build_rmb(config, args.backend, args.topology, args.seed,
+                            fault_plan=fault_plan, watchdog=watchdog,
+                            recovery=_recovery(args), obs=obs,
+                            checkpoint_every=args.checkpoint_every)
     except ProtocolError as exc:
-        raise _Abort(f"{engine}: {exc}") from None
+        raise _Abort(str(exc)) from None
     rng = RandomStream(args.seed, name="cli")
     duration = max(1, int(args.messages / (args.rate * args.nodes)))
     schedule = bernoulli_schedule(
@@ -425,33 +415,12 @@ def command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_run_network(args: argparse.Namespace, config: RMBConfig,
-                       fault_plan, obs):
-    """The ring, batch ring or hier fabric ``run`` drives."""
-    if args.backend == "batch":
-        from repro.batch import BatchRing
-        return BatchRing(config, seed=args.seed, probe_period=8.0)
-    if args.topology != "ring":
-        from repro.hier import HierRMB
-        return HierRMB(locals=args.nodes // config.nodes,
-                       nodes_per_local=config.nodes, lanes=args.lanes,
-                       seed=args.seed, config=config, probe_period=8.0,
-                       obs=obs)
-    watchdog = None
-    if args.watchdog:
-        from repro.supervision import WatchdogConfig
-        # The watchdog's storm knobs come from the unified retry policy
-        # (the policy defaults mirror the historical WatchdogConfig ones).
-        watchdog = WatchdogConfig(
-            retry_threshold=config.retry.storm_threshold,
-            retry_storm_action=config.retry.storm_action)
-    recovery = None
-    if args.recovery:
-        from repro.resilience import RecoveryConfig
-        recovery = RecoveryConfig()
-    return RMBRing(config, seed=args.seed, probe_period=8.0,
-                   fault_plan=fault_plan, watchdog=watchdog,
-                   recovery=recovery, obs=obs)
+def _recovery(args: argparse.Namespace):
+    """The ``--recovery`` manager's config, or ``None`` when not armed."""
+    if not args.recovery:
+        return None
+    from repro.resilience import RecoveryConfig
+    return RecoveryConfig()
 
 
 def _fault_plan(args: argparse.Namespace):
@@ -668,10 +637,6 @@ def command_saturate(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.traffic import SaturationConfig, make_pattern, \
         saturation_search
-    recovery = None
-    if args.recovery:
-        from repro.resilience import RecoveryConfig
-        recovery = RecoveryConfig()
     cfg = SaturationConfig(
         nodes=args.nodes, lanes=args.lanes, data_flits=args.flits,
         seed=args.seed, duration=args.duration, backend=args.backend,
@@ -679,13 +644,13 @@ def command_saturate(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         rate_floor=args.rate_floor, rate_ceiling=args.rate_ceiling,
         fault_plan=_fault_plan(args), admission_limit=args.admission_limit,
-        admission_policy=args.admission_policy, recovery=recovery)
+        admission_policy=args.admission_policy, recovery=_recovery(args))
     try:
         pattern = make_pattern(args.pattern, args.nodes, k=args.lanes,
                                seed=args.seed)
         curve = saturation_search(cfg, pattern)
     except ReproError as exc:
-        raise _Abort(f"saturation sweep failed: {exc}") from None
+        raise _Abort(str(exc)) from None
     rows = [dict(row, rate=f"{row['rate']:.5f}") for row in curve.rows()]
     print(render_table(
         rows,
@@ -923,12 +888,19 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A user error (an :class:`_Abort`, or geometry the library rejects
+    with :class:`~repro.errors.ConfigurationError` or
+    :class:`~repro.errors.TopologyError`) prints one line and exits 1.
+    Protocol failures keep their traceback.
+    """
+    from repro.errors import ConfigurationError, TopologyError
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except _Abort as exc:
+    except (_Abort, ConfigurationError, TopologyError) as exc:
         print(exc)
         return 1
 

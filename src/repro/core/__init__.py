@@ -16,7 +16,6 @@ from repro.core.cycles import (
     wire_ring,
 )
 from repro.core.flits import (
-    AckKind,
     Flit,
     FlitKind,
     Message,
@@ -51,7 +50,6 @@ from repro.core.virtual_bus import BusPhase, VirtualBus
 
 __all__ = [
     "ALL_CONDITIONS",
-    "AckKind",
     "BusPhase",
     "CODE_MEANINGS",
     "CompactionEngine",

@@ -221,6 +221,19 @@ class RMBConfig:
         """Index of the insertion lane, ``k - 1``."""
         return self.lanes - 1
 
+    def header_reach(self, entry_lane: int) -> range:
+        """Lanes of the next column a travelling header on ``entry_lane``
+        could ever extend onto without a repair: straight, one down and
+        (``extend_up``) one up — widened to every lower lane when
+        compaction may drag the head hop down (D9 waived)."""
+        low = max(entry_lane - 1, 0)
+        if self.compact_head_while_extending:
+            low = 0
+        high = entry_lane
+        if self.extend_up:
+            high = min(entry_lane + 1, self.top_lane)
+        return range(low, high + 1)
+
     def with_overrides(self, **changes: Any) -> "RMBConfig":
         """A copy with some fields replaced (validated again)."""
         return replace(self, **changes)

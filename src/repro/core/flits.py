@@ -34,15 +34,6 @@ class FlitKind(enum.Enum):
     FINAL = "FF"
 
 
-class AckKind(enum.Enum):
-    """Reverse-travelling acknowledgement signals (counter-clockwise)."""
-
-    HACK = "Hack"
-    DACK = "Dack"
-    FACK = "Fack"
-    NACK = "Nack"
-
-
 @dataclass(frozen=True, **_SLOTS)
 class Flit:
     """One flit of a message.

@@ -326,10 +326,6 @@ class RoutingEngine:
             return self._streaming
         return None
 
-    def lifecycle_of(self, message_id: int) -> LifecycleState:
-        """Current lifecycle state of a submitted message."""
-        return self._lifecycle[message_id]
-
     def lifecycle_census(self) -> Dict[str, int]:
         """Pending messages per lifecycle state, in state-declaration order.
 
@@ -663,21 +659,23 @@ class RoutingEngine:
             if bus.complete:
                 continue
             next_segment = bus.segment_index(len(bus.hops))
-            if not any(self.grid.health(next_segment, lane) is PortHealth.OK
-                       for lane in range(self.config.lanes)):
-                # The whole column ahead is dead: no amount of waiting or
-                # compaction frees a path until a repair.  Nack back to
-                # the source instead of stalling into the timeout.
-                self._record("fault_nack", bus.message, bus=bus.bus_id,
-                             dead_column=next_segment)
-                if self._obs_on:
-                    self._spans.event(bus.message.message_id, self._now(),
-                                      "fault_nack", reason="dead_column",
-                                      segment=next_segment)
-                self._fire(bus.message, LifecycleEvent.FAULT_NACK, bus=bus)
-                continue
-            lane = self._pick_extension_lane(next_segment, bus.head_lane())
+            entry = bus.head_lane()
+            lane = self._pick_extension_lane(next_segment, entry)
             if lane is None:
+                reason = self._dead_ahead(next_segment, entry)
+                if reason is not None:
+                    # No amount of waiting or compaction frees a path
+                    # until a repair.  Nack back to the source instead
+                    # of stalling into the timeout (F3).
+                    self._record("fault_nack", bus.message, bus=bus.bus_id,
+                                 **{reason: next_segment})
+                    if self._obs_on:
+                        self._spans.event(bus.message.message_id,
+                                          self._now(), "fault_nack",
+                                          reason=reason, segment=next_segment)
+                    self._fire(bus.message, LifecycleEvent.FAULT_NACK,
+                               bus=bus)
+                    continue
                 head_segment = bus.segment_index(len(bus.hops) - 1)
                 stalls = self._stall_ticks[bus_id] + 1
                 parked[bus_id] = (
@@ -710,6 +708,25 @@ class RoutingEngine:
                     self.grid.is_usable(segment, lane):
                 return lane
         return None
+
+    def _dead_ahead(self, segment: int, entry_lane: int) -> Optional[str]:
+        """Why a header on ``entry_lane`` cannot extend into ``segment``
+        before a repair, or ``None`` while it still may (F3).
+
+        ``"dead_column"``: no lane of the column is healthy.
+        ``"dead_reach"``: healthy lanes remain, but none the header can
+        reach (:meth:`RMBConfig.header_reach`).
+        """
+        grid = self.grid
+        if not grid.faulty_count():
+            return None
+        if any(grid.health(segment, lane) is PortHealth.OK
+               for lane in self.config.header_reach(entry_lane)):
+            return None
+        if any(grid.health(segment, lane) is PortHealth.OK
+               for lane in range(self.config.lanes)):
+            return "dead_reach"
+        return "dead_column"
 
     def _stall(self, bus: VirtualBus) -> None:
         bus.record.head_stall_ticks += 1

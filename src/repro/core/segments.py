@@ -109,12 +109,6 @@ class SegmentGrid:
         column = self._occupant[segment % self.nodes]
         return [lane for lane in range(self.lanes) if column[lane] is None]
 
-    def usable_lanes(self, segment: int) -> list[int]:
-        """Healthy free lane indices at one segment column, ascending."""
-        segment %= self.nodes
-        return [lane for lane in range(self.lanes)
-                if self.is_usable(segment, lane)]
-
     def used_lanes(self, segment: int) -> list[int]:
         """Occupied lane indices at one segment column, ascending."""
         column = self._occupant[segment % self.nodes]

@@ -85,11 +85,6 @@ class VirtualBus:
         return self.message.span(self.ring_size)
 
     @property
-    def head_length(self) -> int:
-        """Hops currently drawn (the header sits at INC ``source + len``)."""
-        return len(self.hops)
-
-    @property
     def complete(self) -> bool:
         """True once the header has reached the destination INC."""
         return len(self.hops) == self.span

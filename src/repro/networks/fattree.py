@@ -119,10 +119,6 @@ class FatTreeNetwork(WormholeEngine):
     # ------------------------------------------------------------------
     # Structural accounting (cross-checked against analysis.cost)
     # ------------------------------------------------------------------
-    def total_links(self) -> int:
-        """Sum of channel multiplicities in one direction."""
-        return sum(channel.multiplicity for channel in self.channels) // 2
-
     def links_per_level(self) -> dict[int, int]:
         """One-directional wire count per child level (Figure 11 check)."""
         per_level: dict[int, int] = {}

@@ -118,17 +118,28 @@ def _square_torus(nodes: int) -> KAryNCubeNetwork:
 
 def build_network(name: str, nodes: int, k: int,
                   seed: int = 0) -> ComparisonNetwork:
-    """Build a named network sized for N nodes and k-permutation support."""
-    if name == "hier" or name.startswith("hier:"):
+    """Build a named network sized for N nodes and k-permutation support.
+
+    The two RMB fabrics split their k lanes between two rings or tiers,
+    so they refuse k < 2 rather than race on a wider wire budget than
+    the flat ring's.
+    """
+    hier = name == "hier" or name.startswith("hier:")
+    if (hier or name == "rmb-2ring") and k < 2:
+        raise ConfigurationError(
+            f"network {name!r} needs at least 2 lanes to split between "
+            f"its rings, got k={k}"
+        )
+    if hier:
         locals_count, nodes_per_local = hier_shape(name, nodes)
         return HierRMBAdapter(
-            locals_count, nodes_per_local, k=max(2, k), seed=seed, name=name)
+            locals_count, nodes_per_local, k=k, seed=seed, name=name)
     builders: dict[str, Callable[[], ComparisonNetwork]] = {
         "rmb": lambda: RMBNetworkAdapter(
             RMBConfig(nodes=nodes, lanes=k), seed=seed
         ),
         "rmb-2ring": lambda: TwoRingRMBAdapter(
-            RMBConfig(nodes=nodes, lanes=max(2, k)), seed=seed
+            RMBConfig(nodes=nodes, lanes=k), seed=seed
         ),
         "hypercube": lambda: HypercubeNetwork(nodes),
         "ehc": lambda: EnhancedHypercubeNetwork(nodes),

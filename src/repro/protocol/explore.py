@@ -1169,7 +1169,7 @@ def explore_lifecycle(
 
     def record_trace(kind: str, description: str, state: int,
                      extra: Optional[Tuple[int, Action, int]] = None) -> None:
-        """Store a replayable path to ``state``.
+        """Record a replayable path to ``state``.
 
         ``extra`` is the (parent, action, rotation) edge that produced
         the state when the violation fired on the edge itself; deadlock

@@ -1,8 +1,8 @@
 """Discrete-event simulation substrate.
 
-A self-contained kernel (events, processes, resources), clock domains with
+A self-contained callback-style event kernel, clock domains with
 skew/jitter for modelling asynchronous hardware, deterministic named random
-streams, tracing, and measurement probes.
+streams, tracing, and measurement accumulators.
 """
 
 from repro.sim.clock import ClockDomain, homogeneous_domains, skewed_domains
@@ -14,34 +14,24 @@ from repro.sim.events import (
     PRIORITY_NORMAL,
 )
 from repro.sim.kernel import Simulator, every
-from repro.sim.monitor import Counter, PeriodicProbe, Tally, TimeSeries, percentile
-from repro.sim.process import Process, Waitable, all_of, any_of
-from repro.sim.resources import Resource, Store
+from repro.sim.monitor import Tally, TimeSeries, percentile
 from repro.sim.rng import RandomStream, SeedSequence
 from repro.sim.trace import TraceEntry, TraceRecorder
 
 __all__ = [
     "ClockDomain",
-    "Counter",
     "Event",
     "EventQueue",
     "PRIORITY_EARLY",
     "PRIORITY_LATE",
     "PRIORITY_NORMAL",
-    "PeriodicProbe",
-    "Process",
     "RandomStream",
-    "Resource",
     "SeedSequence",
     "Simulator",
-    "Store",
     "Tally",
     "TimeSeries",
     "TraceEntry",
     "TraceRecorder",
-    "Waitable",
-    "all_of",
-    "any_of",
     "every",
     "homogeneous_domains",
     "percentile",

@@ -1,15 +1,11 @@
 """The discrete-event simulation kernel.
 
-:class:`Simulator` owns the clock and the event queue.  It supports two
-styles of use, both employed in this repository:
-
-* **Callback style** — components schedule plain callbacks with
-  :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.  The RMB core
-  uses this style for its tick engines.
-* **Process style** — generator coroutines that ``yield`` delays or
-  :class:`repro.sim.process.Waitable` objects, started with
-  :meth:`Simulator.spawn`.  No component under ``src/`` uses this
-  style; the kernel's tests and micro-benchmark do.
+:class:`Simulator` owns the clock and the event queue.  Components
+schedule plain callbacks with :meth:`Simulator.schedule` /
+:meth:`Simulator.schedule_at`, and periodic machinery (the RMB tick
+engines, probes, watchdog sweeps) goes through :func:`every`.  The RMB
+protocol is synchronous and tick-driven, so callbacks are the only style
+the kernel offers.
 
 Time is a float but every built-in component uses integral ticks; the
 kernel itself is unit-agnostic.
@@ -25,13 +21,11 @@ built and cannot go stale).
 
 from __future__ import annotations
 
-import functools
 import heapq
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import Event, EventQueue, PRIORITY_NORMAL
-from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
 
 
@@ -61,7 +55,6 @@ class Simulator:
         # scheduled event when tracing is off or filtered to nothing.
         self._tracing = trace is not None and trace.enabled
         self.events_executed = 0
-        self._processes: list[Process] = []
         # Model-level diagnostics providers (picklable callables returning
         # a one-line description) appended to livelock error messages so
         # the report names protocol states, not just event labels.
@@ -72,18 +65,10 @@ class Simulator:
 
         A snapshot is taken from *inside* a running event (the checkpoint
         callback), so ``_running`` is True at dump time; the restored
-        simulator must accept a fresh :meth:`run` call.  Live generator
-        processes cannot be pickled — checkpointing is defined for the
-        callback-style RMB machinery only.
+        simulator must accept a fresh :meth:`run` call.
         """
-        if any(not p.finished for p in self._processes):
-            raise SimulationError(
-                "cannot checkpoint a simulator with live generator "
-                "processes; only callback-style simulations snapshot"
-            )
         state = dict(self.__dict__)
         state["_running"] = False
-        state["_processes"] = []
         return state
 
     # ------------------------------------------------------------------
@@ -147,7 +132,7 @@ class Simulator:
         priority: int,
         label: str,
     ) -> Event:
-        """Fast lane for built-in components (periodics, processes).
+        """Fast lane for built-in periodic machinery.
 
         Identical semantics to :meth:`schedule` for non-negative delays,
         minus the re-validation: callers on this path are kernel-owned
@@ -165,27 +150,6 @@ class Simulator:
         if not event.cancelled:
             event.cancel()
             self._queue.note_cancelled()
-
-    # ------------------------------------------------------------------
-    # Processes
-    # ------------------------------------------------------------------
-    def spawn(self, generator: Any, name: str = "") -> Process:
-        """Start a generator coroutine as a simulation process.
-
-        The generator may ``yield``:
-
-        * a number — sleep that many time units;
-        * a :class:`repro.sim.process.Waitable` — resume when it fires;
-        * another :class:`Process` — resume when that process completes.
-        """
-        process = Process(self, generator, name=name)
-        self._processes.append(process)
-        process.start()
-        return process
-
-    def alive_processes(self) -> list[Process]:
-        """Return processes that have not yet completed."""
-        return [p for p in self._processes if not p.finished]
 
     # ------------------------------------------------------------------
     # Execution
@@ -394,30 +358,3 @@ def every(
     its :meth:`Periodic.stop`).
     """
     return Periodic(sim, period, callback, start, priority, label)
-
-
-def at_times(
-    sim: Simulator,
-    times: Iterable[float],
-    callback: Callable[[float], Any],
-    label: str = "",
-) -> list[Event]:
-    """Schedule ``callback(time)`` at each absolute time; return the events.
-
-    Used by the fault-injection layer to arm a :class:`FaultPlan`'s event
-    schedule in one call.  Times at or before the current clock fire at
-    the current time (a plan may legitimately start at t=0).  The returned
-    events can be cancelled individually via :meth:`Simulator.cancel`.
-    """
-    events = []
-    for time in sorted(times):
-        fire_at = max(time, sim.now)
-        events.append(sim.schedule_at(fire_at, functools.partial(callback, time),
-                                      label=label))
-    return events
-
-
-def run_all(simulators: Iterable[Simulator], until: float) -> None:
-    """Run several independent simulators to the same horizon (test helper)."""
-    for simulator in simulators:
-        simulator.run(until=until)

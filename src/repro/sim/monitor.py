@@ -1,4 +1,4 @@
-"""Measurement probes: time series, counters, and summary statistics.
+"""Measurement: time series, rate meters, and summary statistics.
 
 These are deliberately simple, dependency-free accumulators; every
 benchmark builds its reported rows from them.
@@ -10,17 +10,6 @@ import math
 from typing import Callable, Optional
 
 from repro.sim.kernel import Simulator, every
-
-
-class Counter:
-    """A named monotone counter."""
-
-    def __init__(self, name: str = "counter") -> None:
-        self.name = name
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        self.value += amount
 
 
 class Tally:
@@ -157,28 +146,6 @@ class RateMeter:
     def minimum(self) -> float:
         """Lowest rate observed (0 when nothing was sampled)."""
         return min(self.series.values) if self.series.values else 0.0
-
-
-class PeriodicProbe:
-    """Samples ``observe()`` into a :class:`TimeSeries` every ``period``.
-
-    Used to track, e.g., lane occupancy and live virtual-bus counts during
-    the RMB experiments.
-    """
-
-    def __init__(self, sim: Simulator, period: float,
-                 observe: Callable[[], float], name: str = "probe") -> None:
-        self.series = TimeSeries(name=name)
-        self._observe = observe
-        self._sim = sim
-        self._stop = every(sim, period, self._sample,
-                           label=f"{name}.sample")
-
-    def _sample(self) -> None:
-        self.series.record(self._sim.now, self._observe())
-
-    def stop(self) -> None:
-        self._stop()
 
 
 def percentile(sorted_values: list[float], fraction: float) -> float:

@@ -12,9 +12,7 @@ same final statistics (property-tested in
 
 This works because PR 2 removed every closure from the run's object
 graph (bound methods and :func:`functools.partial` pickle; closures do
-not) and made the kernel's event-sequence counter plain state.  The
-simulator refuses to snapshot live generator processes — checkpointing
-is defined for the callback-style RMB machinery.
+not) and made the kernel's event-sequence counter plain state.
 
 File format: one JSON manifest line (format tag, :data:`SNAPSHOT_VERSION`,
 sim time, caller metadata, and — for ring fabrics — the member ring
@@ -55,7 +53,7 @@ def save_snapshot_bytes(ring: "RMBRing",
     """Serialise ``ring`` (manifest line + pickle payload).
 
     Args:
-        ring: the run to capture; must not have live generator processes.
+        ring: the run to capture.
         meta: JSON-safe caller metadata stored in the manifest (the CLI
             records the run's absolute horizon here as ``run_until``).
 

@@ -194,15 +194,6 @@ def make_pattern(spec: str, nodes: int, k: int = 4,
     )
 
 
-def pattern_names(include_random: bool = True) -> list[str]:
-    """Every parameterless spec :func:`make_pattern` accepts (CLI help)."""
-    names = sorted(FAMILIES) + ["kperm"] + list(STOCHASTIC_MODELS)
-    if not include_random:
-        names = [name for name in names
-                 if name not in ("random", "derangement")]
-    return names
-
-
 def pattern_schedule(
     pattern: TrafficPattern,
     duration: float,

@@ -15,16 +15,18 @@ simulation, so curves are deterministic and bit-comparable across the
 event and batch backends (the differential suite in ``tests/batch``
 guarantees the two backends agree point by point).
 
-The engine composes with the resilience stack: fault plans, admission
-control, recovery and the watchdog all thread through to the event
-backend; asking the batch backend for a feature it does not model raises
-:class:`~repro.batch.engine.BatchUnsupported` naming the feature.
+Each point's network comes from :func:`build_rmb`, the builder
+``repro run`` uses too.  On the flat event ring the engine composes with
+the resilience stack (fault plans, admission control, recovery, the
+watchdog); a feature the batch backend or a hier fabric does not model
+is refused there, once, by field name and ``repro`` flag
+(:data:`BATCH_REFUSES`, :data:`HIER_REFUSES`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.core.config import RMBConfig, RetryPolicy
 from repro.core.network import RMBRing
@@ -36,6 +38,7 @@ from repro.traffic.patterns import TrafficPattern, pattern_schedule
 from repro.traffic.workload import replay_on_ring
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+    from repro.batch import BatchRing
     from repro.faults.plan import FaultPlan
     from repro.obs import Observability
     from repro.resilience import RecoveryConfig
@@ -47,8 +50,8 @@ BOUNDED_RETRY = RetryPolicy(delay=8.0, backoff=1.4, jitter=0.5,
                             max_retries=8)
 
 #: What the batch backend does not model: each run feature it refuses,
-#: by field name, with the ``repro`` flag that switches it on.  Both
-#: ``repro run`` and :func:`run_point` refuse from this one table.
+#: by field name, with the ``repro`` flag that switches it on.
+#: :func:`build_rmb` is the one reader of this table and the next.
 BATCH_REFUSES: dict[str, str] = {
     "asynchronous": "--asynchronous",
     "fault_plan": "--fault-plan",
@@ -69,10 +72,70 @@ HIER_REFUSES: dict[str, str] = {
 }
 
 
-def refused(refuses: Mapping[str, str],
-            used: Mapping[str, bool]) -> list[str]:
-    """The fields of a refusal table that ``used`` switches on."""
-    return [name for name in refuses if used.get(name)]
+def build_rmb(config: RMBConfig, backend: str = "event",
+              topology: str = "ring", seed: int = 0,
+              probe_period: Optional[float] = 8.0, *,
+              fault_plan: Optional["FaultPlan"] = None,
+              watchdog: Optional["WatchdogConfig"] = None,
+              recovery: Optional["RecoveryConfig"] = None,
+              obs: Optional["Observability"] = None,
+              trace_kinds: Optional[set[str]] = None,
+              checkpoint_every: Optional[float] = None,
+              ) -> Union[RMBRing, "BatchRing", HierRMB]:
+    """The network ``repro run`` and :func:`run_point` drive.
+
+    Returns an event :class:`RMBRing` (``topology='ring'``), a
+    :class:`~repro.batch.BatchRing` (``backend='batch'``) or a
+    :class:`HierRMB` (a ``hier`` / ``hier:MxN`` spec, split over
+    ``config.nodes`` with ``config`` as the member-ring template).  A
+    feature the backend or topology does not model is refused here, by
+    field and flag: :class:`~repro.batch.engine.BatchUnsupported` on the
+    batch backend, :class:`ProtocolError` on a fabric.  ``checkpoint_every``
+    is only checked against the tables; the caller arms the checkpointer.
+    """
+    if backend not in ("event", "batch"):
+        raise ProtocolError(
+            f"unknown backend {backend!r}; choose 'event' or 'batch'")
+    batch = backend == "batch"
+    hier = topology == "hier" or topology.startswith("hier:")
+    used = {
+        "asynchronous": not config.synchronous,
+        "fault_plan": fault_plan is not None,
+        "recovery": recovery is not None,
+        "watchdog": watchdog is not None,
+        "admission_limit": config.admission_limit is not None,
+        "checkpoint_every": checkpoint_every is not None,
+        "obs": obs is not None,
+        "topology": topology != "ring",
+    }
+    refuses = BATCH_REFUSES if batch else HIER_REFUSES if hier else {}
+    flagged = [f"{name} ({flag})" for name, flag in refuses.items()
+               if used[name]]
+    if flagged:
+        engine, advice = (("the batch backend", "--backend event") if batch
+                          else (f"topology {topology}", "--topology ring"))
+        message = (f"{engine} does not support {', '.join(flagged)}; "
+                   f"use {advice}")
+        if batch:
+            from repro.batch.engine import BatchUnsupported
+            raise BatchUnsupported(message)
+        raise ProtocolError(message)
+    if batch:
+        from repro.batch import BatchRing
+        return BatchRing(config, seed=seed, probe_period=probe_period)
+    if topology == "ring":
+        return RMBRing(config, seed=seed, probe_period=probe_period,
+                       fault_plan=fault_plan, watchdog=watchdog,
+                       recovery=recovery, obs=obs, trace_kinds=trace_kinds)
+    if not hier:
+        raise ProtocolError(
+            f"unknown topology {topology!r}; choose 'ring', 'hier' or "
+            f"'hier:MxN'")
+    from repro.networks.registry import hier_shape
+    locals_count, nodes_per_local = hier_shape(topology, config.nodes)
+    return HierRMB(locals=locals_count, nodes_per_local=nodes_per_local,
+                   lanes=config.lanes, seed=seed, config=config,
+                   probe_period=probe_period, obs=obs)
 
 
 @dataclass
@@ -203,70 +266,6 @@ class SaturationCurve:
         }
 
 
-def _build_event_ring(cfg: SaturationConfig) -> RMBRing:
-    config = RMBConfig(
-        nodes=cfg.nodes, lanes=cfg.lanes, cycle_period=cfg.cycle_period,
-        retry=cfg.retry, admission_limit=cfg.admission_limit,
-        admission_policy=cfg.admission_policy,
-        check_level="sampled",
-    )
-    return RMBRing(config, seed=cfg.seed, probe_period=cfg.probe_period,
-                   fault_plan=cfg.fault_plan, watchdog=cfg.watchdog,
-                   recovery=cfg.recovery, obs=cfg.obs,
-                   trace_kinds=set())
-
-
-def _in_use(cfg: SaturationConfig) -> dict[str, bool]:
-    """Which refusable features ``cfg`` switches on."""
-    return {
-        "fault_plan": cfg.fault_plan is not None,
-        "recovery": cfg.recovery is not None,
-        "watchdog": cfg.watchdog is not None,
-        "admission_limit": cfg.admission_limit is not None,
-        "obs": cfg.obs is not None,
-        "topology": cfg.topology != "ring",
-    }
-
-
-def _build_event_hier(cfg: SaturationConfig) -> HierRMB:
-    from repro.networks.registry import hier_shape
-
-    flagged = refused(HIER_REFUSES, _in_use(cfg))
-    if flagged:
-        raise ProtocolError(
-            f"saturation on a hier topology does not yet compose with "
-            f"{', '.join(flagged)}; use topology='ring'"
-        )
-    locals_count, nodes_per_local = hier_shape(cfg.topology, cfg.nodes)
-    template = RMBConfig(
-        nodes=nodes_per_local, lanes=cfg.lanes,
-        cycle_period=cfg.cycle_period, retry=cfg.retry,
-        admission_limit=cfg.admission_limit,
-        admission_policy=cfg.admission_policy,
-        check_level="sampled",
-    )
-    return HierRMB(
-        locals=locals_count, nodes_per_local=nodes_per_local,
-        lanes=cfg.lanes, seed=cfg.seed, config=template,
-        probe_period=cfg.probe_period, obs=cfg.obs,
-    )
-
-
-def _build_batch_ring(cfg: SaturationConfig) -> Any:
-    from repro.batch import BatchRing
-    from repro.batch.engine import BatchUnsupported
-
-    flagged = refused(BATCH_REFUSES, _in_use(cfg))
-    if flagged:
-        raise BatchUnsupported(
-            f"saturation on the batch backend does not support "
-            f"{', '.join(flagged)}; use backend='event'"
-        )
-    config = RMBConfig(nodes=cfg.nodes, lanes=cfg.lanes,
-                       cycle_period=cfg.cycle_period, retry=cfg.retry)
-    return BatchRing(config, seed=cfg.seed, probe_period=cfg.probe_period)
-
-
 def run_point(cfg: SaturationConfig, pattern: TrafficPattern,
               rate: float) -> LoadPoint:
     """Simulate one offered-load point and classify its stability."""
@@ -278,25 +277,19 @@ def run_point(cfg: SaturationConfig, pattern: TrafficPattern,
                          completion_rate=1.0, mean_latency=0.0,
                          p95_latency=0.0, throughput=0.0, duration=0.0,
                          stable=True, reason="ok")
+    config = RMBConfig(
+        nodes=cfg.nodes, lanes=cfg.lanes, cycle_period=cfg.cycle_period,
+        retry=cfg.retry, admission_limit=cfg.admission_limit,
+        admission_policy=cfg.admission_policy, check_level="sampled")
+    ring = build_rmb(config, cfg.backend, cfg.topology, cfg.seed,
+                     cfg.probe_period, fault_plan=cfg.fault_plan,
+                     watchdog=cfg.watchdog, recovery=cfg.recovery,
+                     obs=cfg.obs, trace_kinds=set())
     if cfg.backend == "batch":
-        ring = _build_batch_ring(cfg)
         from repro.batch import replay_on_batch
         replay_on_batch(ring, schedule)
-    elif cfg.backend == "event":
-        if cfg.topology == "ring":
-            ring = _build_event_ring(cfg)
-        elif cfg.topology == "hier" or cfg.topology.startswith("hier:"):
-            ring = _build_event_hier(cfg)
-        else:
-            raise ProtocolError(
-                f"unknown topology {cfg.topology!r}; choose 'ring', "
-                f"'hier' or 'hier:MxN'"
-            )
-        replay_on_ring(ring, schedule)
     else:
-        raise ProtocolError(
-            f"unknown backend {cfg.backend!r}; choose 'event' or 'batch'"
-        )
+        replay_on_ring(ring, schedule)
     drain_cap = max(4000.0, cfg.drain_cap_factor * cfg.duration)
     drained = True
     ring.run(schedule.horizon() + 1.0)

@@ -7,12 +7,9 @@ replayed by scheduling ``submit`` calls at each arrival instant.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence, Union
+from typing import Protocol, Sequence
 
 from repro.core.flits import Message
-from repro.core.network import RMBRing
-from repro.core.stats import RunStats
-from repro.hier.fabric import RingFabric
 from repro.sim import Simulator
 from repro.traffic.arrivals import ArrivalSchedule
 from repro.traffic.permutations import is_permutation
@@ -64,30 +61,6 @@ class _Submitter:
 
     def __call__(self) -> None:
         self._target.submit(self._message)
-
-
-def run_load_point(
-    config_builder: Callable[[], Union[RMBRing, RingFabric]],
-    schedule: ArrivalSchedule,
-    settle_ticks: float = 0.0,
-    max_ticks: float = 2_000_000.0,
-) -> RunStats:
-    """Build a fresh ring, replay a schedule, drain, return stats.
-
-    Args:
-        config_builder: zero-argument callable returning a new
-            :class:`RMBRing` (or any :class:`RingFabric`, e.g.
-            :class:`~repro.hier.TwoRingRMB`).
-        schedule: the pre-generated workload.
-        settle_ticks: extra simulated time after the last arrival before
-            draining begins (lets queued work phase in naturally).
-    """
-    network = config_builder()
-    replay_on_ring(network, schedule)
-    horizon = schedule.horizon() + settle_ticks
-    network.run(horizon)
-    network.drain(max_ticks=max_ticks)
-    return network.stats()
 
 
 def permutation_messages(perm: Sequence[int], data_flits: int,

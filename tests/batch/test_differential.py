@@ -110,6 +110,17 @@ def test_dead_column_backends_agree():
     assert_identical(event, batch)
 
 
+def test_dead_reach_backends_agree():
+    """Lane 0 of the column survives, but a header on the top lane can
+    reach only lanes 1 and 2 there: the F3 fault-NACK path on both sides."""
+    faults = [(4, lane, PortHealth.DEAD) for lane in (1, 2)]
+    config = RMBConfig(nodes=10, lanes=3, cycle_period=2.0, retry=BOUNDED)
+    event, batch = run_both(config, 17, rate=0.08, duration=120,
+                            probe_period=8, faults=faults)
+    assert event.stats().fault_nacks > 0
+    assert_identical(event, batch)
+
+
 def test_no_compaction_backends_agree():
     config = RMBConfig(nodes=10, lanes=3, cycle_period=1.0, retry=BOUNDED,
                        compaction_enabled=False)

@@ -72,3 +72,16 @@ def test_config_is_frozen():
     with pytest.raises(Exception):
         config.lanes = 9  # type: ignore[misc]
 
+
+
+@pytest.mark.parametrize("overrides,entry,expected", [
+    ({}, 2, [1, 2]),             # the top lane: straight or one down
+    ({}, 1, [0, 1, 2]),
+    ({}, 0, [0, 1]),
+    ({"extend_up": False}, 1, [0, 1]),
+    ({"compact_head_while_extending": True}, 2, [0, 1, 2]),
+    ({"extend_up": False, "compact_head_while_extending": True}, 1, [0, 1]),
+])
+def test_header_reach(overrides, entry, expected):
+    config = RMBConfig(nodes=8, lanes=3, **overrides)
+    assert list(config.header_reach(entry)) == expected

@@ -124,6 +124,25 @@ def test_no_silent_message_drops(plan, messages):
             assert record.nacks + record.fault_nacks + record.fault_kills > 0
 
 
+def test_header_with_no_healthy_lane_in_reach_is_fault_nacked():
+    # Lanes 1 and 2 of segment 0 die at once and lane 0 stays healthy.  A
+    # header on the top lane can reach only lanes 1 and 2 there (D9 keeps
+    # its head hop high), so no wait lets it pass before a repair: each
+    # attempt is refused with a fault Nack instead of stalling into the
+    # header timeout, and the abandonment is booked to the fault.
+    plan = FaultPlan(tuple(
+        FaultEvent(time=0.0, kind=FaultKind.SEGMENT, segment=0, lane=lane,
+                   grace=0.0)
+        for lane in (1, 2)
+    ))
+    ring = build_ring(plan)
+    (record,) = ring.submit_all([Message(0, 2, 1, data_flits=0)])
+    ring.drain(max_ticks=500_000)
+    assert record.abandoned
+    assert record.fault_nacks == record.retries + 1
+    assert record.head_stall_ticks == 0
+
+
 # ---------------------------------------------------------------------------
 # Lemma 1 across INC dropouts
 # ---------------------------------------------------------------------------

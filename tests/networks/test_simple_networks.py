@@ -104,6 +104,14 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             build_network("token-ring", nodes=16, k=4)
 
+    @pytest.mark.parametrize("name", ["hier", "rmb-2ring"])
+    def test_lane_splitting_fabrics_refuse_one_lane(self, name):
+        # Widening k=1 to 2 lanes would race on twice the flat ring's
+        # wire budget; the fabric is refused by name instead.
+        with pytest.raises(ConfigurationError,
+                           match=f"{name!r} needs at least 2 lanes"):
+            build_network(name, nodes=16, k=1)
+
     def test_make_batch_skips_fixed_points(self):
         batch = make_batch([(0, 0), (1, 2)], data_flits=1)
         assert len(batch) == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Simulator, every
+from repro.sim import every
 
 
 def test_clock_starts_at_zero(sim):
@@ -120,18 +120,6 @@ def test_step_executes_single_event(sim):
     assert sim.now == 1.0
 
 
-def test_run_all_advances_independent_simulators():
-    from repro.sim.kernel import run_all
-
-    sims = [Simulator() for _ in range(3)]
-    hits = []
-    for index, simulator in enumerate(sims):
-        simulator.schedule(5 + index, (lambda i: (lambda: hits.append(i)))(index))
-    run_all(sims, until=20)
-    assert sorted(hits) == [0, 1, 2]
-    assert all(simulator.now == 20.0 for simulator in sims)
-
-
 def test_pending_events_counter(sim):
     assert sim.pending_events == 0
     sim.schedule(1, lambda: None)
@@ -217,17 +205,6 @@ def test_simulator_pickles_with_pending_events(sim):
     sim.run(until=22)
     assert sim.now == clone.now == 22.0
     assert sim.pending_events == clone.pending_events
-
-
-def test_simulator_refuses_to_pickle_live_processes(sim):
-    import pickle
-
-    def proc():
-        yield 100.0
-
-    sim.spawn(proc(), name="sleeper")
-    with pytest.raises(Exception):
-        pickle.dumps(sim)
 
 
 def test_periodic_reschedule_first_keeps_next_occurrence_queued(sim):

@@ -1,24 +1,14 @@
-"""Unit tests for measurement probes."""
+"""Unit tests for the measurement accumulators."""
 
 import math
 
 import pytest
 
 from repro.sim import (
-    Counter,
-    PeriodicProbe,
-    Simulator,
     Tally,
     TimeSeries,
     percentile,
 )
-
-
-def test_counter_increments():
-    counter = Counter()
-    counter.increment()
-    counter.increment(4)
-    assert counter.value == 5
 
 
 def test_tally_mean_and_extremes():
@@ -99,19 +89,6 @@ def test_time_series_peak_and_last():
     series.record(2.0, 4.0)
     assert series.peak() == 9.0
     assert series.last() == 4.0
-
-
-def test_periodic_probe_samples(sim):
-    state = {"value": 0.0}
-    probe = PeriodicProbe(sim, period=5,
-                          observe=lambda: state["value"], name="x")
-    sim.schedule(7, lambda: state.update(value=3.0))
-    sim.run(until=21)
-    assert probe.series.times == [5.0, 10.0, 15.0, 20.0]
-    assert probe.series.values == [0.0, 3.0, 3.0, 3.0]
-    probe.stop()
-    sim.run(until=50)
-    assert len(probe.series) == 4
 
 
 def test_percentile_interpolation():

@@ -79,16 +79,6 @@ class TestFormat:
         with pytest.raises(SnapshotError, match="JSON"):
             save_snapshot_bytes(ring, meta={"bad": object()})
 
-    def test_live_generator_process_is_refused(self):
-        ring = build_ring()
-
-        def proc():
-            yield 1_000.0
-
-        ring.sim.spawn(proc(), name="blocker")
-        with pytest.raises(SnapshotError, match="serialisable"):
-            save_snapshot_bytes(ring)
-
     def test_missing_file_surfaces_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_snapshot(str(tmp_path / "absent.rmbsnap"))

@@ -375,3 +375,64 @@ class TestHierTopologyCLI:
         out = capsys.readouterr().out
         assert "2 lanes" in out
         assert len(out.strip().splitlines()) == 1
+
+
+class TestRefusalSentence:
+    """A feature a backend or topology does not model is refused in one
+    line naming the field and its flag, and ``run`` and ``saturate``
+    word it the same."""
+
+    @pytest.mark.parametrize("engine, flag, named", [
+        (["--backend", "batch"], ["--fault-plan", "seg:1,0@10"],
+         "fault_plan (--fault-plan)"),
+        (["--backend", "batch"], ["--recovery"], "recovery (--recovery)"),
+        (["--backend", "batch"], ["--admission-limit", "2"],
+         "admission_limit (--admission-limit)"),
+        (["--backend", "batch"], ["--topology", "hier:4x4"],
+         "topology (--topology)"),
+        (["--topology", "hier:4x4"], ["--fault-plan", "seg:1,0@10"],
+         "fault_plan (--fault-plan)"),
+        (["--topology", "hier:4x4"], ["--recovery"], "recovery (--recovery)"),
+    ], ids=["batch-fault-plan", "batch-recovery", "batch-admission-limit",
+            "batch-topology", "hier-fault-plan", "hier-recovery"])
+    def test_run_and_saturate_print_the_same_refusal(self, engine, flag,
+                                                    named, capsys):
+        shared = ["-n", "16", "-k", "4"] + engine + flag
+        outputs = []
+        for command in (["run", "-m", "8"],
+                        ["saturate", "--duration", "40", "--iterations", "1"]):
+            assert main(command + shared) == 1
+            outputs.append(capsys.readouterr().out)
+        run_out, saturate_out = outputs
+        assert run_out == saturate_out
+        assert len(run_out.strip().splitlines()) == 1
+        assert f"does not support {named}" in run_out
+
+    @pytest.mark.parametrize("flag, named", [
+        (["--asynchronous"], "asynchronous (--asynchronous)"),
+        (["--watchdog"], "watchdog (--watchdog)"),
+        (["--checkpoint-every", "50"],
+         "checkpoint_every (--checkpoint-every)"),
+        (["--obs-level", "full"],
+         "obs (--obs-level/--metrics-out/--spans-out)"),
+    ], ids=["asynchronous", "watchdog", "checkpoint-every", "obs-level"])
+    def test_run_only_flags_are_refused_on_batch(self, flag, named, capsys):
+        assert main(["run", "-m", "8", "--backend", "batch"] + flag) == 1
+        assert capsys.readouterr().out == (
+            f"the batch backend does not support {named}; "
+            f"use --backend event\n")
+
+
+class TestUserErrors:
+    @pytest.mark.parametrize("argv", [
+        ["run", "-n", "7"],
+        ["run", "-k", "0"],
+        ["chaos", "-n", "7"],
+        ["race", "-n", "12"],
+        ["race", "-k", "0"],
+        ["trace", "-k", "0"],
+    ], ids=" ".join)
+    def test_bad_geometry_prints_one_line(self, argv, capsys):
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert len(out.strip().splitlines()) == 1

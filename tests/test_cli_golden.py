@@ -2,12 +2,15 @@
 
 Reruns every command line of ``tests/fixtures/regen_cli_golden.py`` and
 compares its stdout and written files with ``tests/fixtures/cli_golden/``,
-then checks two cross-case properties the goldens imply: a run resumed
+then checks three cross-case properties the goldens imply: a run resumed
 from its first checkpoint reproduces the full run, and the batch backend
-reproduces the event backend's stats on the shared workload.
+reproduces the event backend's run stats and saturation curve on the
+shared workloads.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -52,3 +55,14 @@ def test_resumed_run_reproduces_the_full_run(outputs):
 def test_batch_stats_equal_event_stats(outputs):
     assert outputs["run_batch"]["stats.json"] == \
         outputs["run_sync"]["stats.json"]
+
+
+def test_batch_saturation_curve_equals_event(outputs):
+    event, batch = outputs["saturate_event"], outputs["saturate_batch"]
+    event_curve = json.loads(event["curve.json"])
+    batch_curve = json.loads(batch["curve.json"])
+    assert (event_curve.pop("backend"), batch_curve.pop("backend")) == \
+        ("event", "batch")
+    assert batch_curve == event_curve
+    assert batch["stdout.txt"].replace(b"backend=batch", b"backend=event") \
+        == event["stdout.txt"]

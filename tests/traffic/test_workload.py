@@ -4,13 +4,11 @@ import pytest
 
 from repro.core import RMBConfig, RMBRing
 from repro.errors import WorkloadError
-from repro.hier import TwoRingRMB
 from repro.sim import RandomStream
 from repro.traffic import (
     bernoulli_schedule,
     permutation_messages,
     replay_on_ring,
-    run_load_point,
 )
 
 
@@ -44,24 +42,3 @@ def test_replay_rejects_past_entries():
                                   rng=RandomStream(1))
     with pytest.raises(WorkloadError):
         replay_on_ring(ring, schedule)
-
-
-def test_run_load_point_single_ring():
-    schedule = bernoulli_schedule(8, 60, 0.04, data_flits=4,
-                                  rng=RandomStream(2))
-    stats = run_load_point(
-        lambda: RMBRing(RMBConfig(nodes=8, lanes=3), seed=0),
-        schedule,
-    )
-    assert stats.completed == len(schedule)
-    assert stats.latency.mean > 0
-
-
-def test_run_load_point_two_ring():
-    schedule = bernoulli_schedule(8, 60, 0.04, data_flits=4,
-                                  rng=RandomStream(3))
-    stats = run_load_point(
-        lambda: TwoRingRMB(RMBConfig(nodes=8, lanes=4)),
-        schedule,
-    )
-    assert stats.completed == len(schedule)
