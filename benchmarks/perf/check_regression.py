@@ -87,6 +87,12 @@ def main() -> int:
         return 2
 
 
+def fmt(value: float) -> str:
+    """Six significant digits and no exponent: ``24,704``, ``0.033125``
+    (a saturation rate), ``850,000``."""
+    return f"{value:,.0f}" if abs(value) >= 1e5 else f"{value:,.6g}"
+
+
 def check(baseline: dict, factor: float, out_dir: pathlib.Path) -> int:
     failures = []
     for layer, metrics in baseline["gates"].items():
@@ -102,14 +108,14 @@ def check(baseline: dict, factor: float, out_dir: pathlib.Path) -> int:
             measured = float(row["ops_per_sec"])
             minimum = float(floor) / factor
             verdict = "OK" if measured >= minimum else "REGRESSED"
-            print(f"[gate] {layer}/{name}: {measured:,.0f} ops/sec "
-                  f"(baseline {float(floor):,.0f}, floor {minimum:,.0f}) "
+            print(f"[gate] {layer}/{name}: {fmt(measured)} ops/sec "
+                  f"(baseline {fmt(float(floor))}, floor {fmt(minimum)}) "
                   f"{verdict}")
             if measured < minimum:
                 failures.append(
-                    f"{layer}/{name}: {measured:,.0f} ops/sec is more than "
+                    f"{layer}/{name}: {fmt(measured)} ops/sec is more than "
                     f"{factor:g}x below the committed baseline "
-                    f"{float(floor):,.0f}")
+                    f"{fmt(float(floor))}")
 
     for layer, metrics in baseline.get("informational", {}).items():
         bench = load_bench(layer, out_dir)
@@ -119,8 +125,8 @@ def check(baseline: dict, factor: float, out_dir: pathlib.Path) -> int:
             row = bench["results"].get(name)
             if row is None:
                 continue
-            print(f"[info] {layer}/{name}: {float(row['ops_per_sec']):,.0f} "
-                  f"ops/sec (reference {float(reference):,.0f})")
+            print(f"[info] {layer}/{name}: {fmt(float(row['ops_per_sec']))} "
+                  f"ops/sec (reference {fmt(float(reference))})")
 
     if failures:
         print("\nperf regression gate FAILED:")

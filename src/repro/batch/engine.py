@@ -160,6 +160,12 @@ class BatchRing:
             raise BatchUnsupported(
                 "admission control (admission_limit) needs the event backend"
             )
+        if config.compact_head_while_extending:
+            raise BatchUnsupported(
+                "compacting a travelling header's head hop "
+                "(compact_head_while_extending=True, D9 waived) needs the "
+                "event backend"
+            )
         if probe_period is not None:
             period = float(probe_period)
             if period < 1.0 or period != int(period):
@@ -178,7 +184,6 @@ class BatchRing:
         self._nodes = config.nodes
         self._lanes = config.lanes
         self._timeout = config.retry.header_timeout
-        self._compact_head = config.compact_head_while_extending
         self.records: Dict[int, MessageRecord] = {}
         self._records_by_row: List[Optional[MessageRecord]] = []
         self._row_of: Dict[int, int] = {}
@@ -1397,8 +1402,7 @@ class BatchRing:
         released = st.released_from.item(row)
         if hop >= (hops_len if released == FREE else released):
             return False  # walk already released this hop
-        if (not self._compact_head
-                and st.state.item(row) == S_EXTENDING
+        if (st.state.item(row) == S_EXTENDING
                 and hop == hops_len - 1
                 and hops_len < st.span.item(row)):
             return False  # D9: keep a travelling header high

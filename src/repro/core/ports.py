@@ -109,10 +109,11 @@ def validate_ports(grid: SegmentGrid, buses: dict[int, VirtualBus]) -> None:
     superposition is never observable at this level; observing one would
     indicate an engine bug.
 
-    This runs every monitor cycle, so it walks only the *occupied* ports
-    (a free port reads ``000``, which is legal and drives nothing) and
-    checks codes directly instead of materialising a :class:`PortView`
-    per port.  Semantically identical to validating ``all_ports``:
+    The model checker runs this on every state it explores (the runtime
+    monitor gets Table 1 from its own walk, DESIGN.md §9 P7), so it
+    walks only the *occupied* ports (a free port reads ``000``, which is
+    legal and drives nothing) and checks codes directly instead of
+    materialising a :class:`PortView` per port.  Semantically identical to validating ``all_ports``:
     single-source codes from :func:`~repro.core.status.code_for` are
     always Table 1 legal, so the only detectable violations are
     grid/bus disagreement, over-distance connections, and multi-driven

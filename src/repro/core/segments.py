@@ -22,7 +22,7 @@ structures that keep the per-cycle engines off full ``N x k`` scans:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from repro.core.status import PortHealth
 from repro.errors import CapacityError, ConfigurationError, FaultError
@@ -136,6 +136,14 @@ class SegmentGrid:
         for (_, lane) in self._occupied_index:
             counts[lane] += 1
         return counts
+
+    def owners(self) -> Mapping[tuple[int, int], int]:
+        """The occupancy index itself, ``(segment, lane) -> bus_id``.
+
+        A read-only view for per-cell lookups (the invariant monitor's
+        walk): no copy and no sort.  Callers must not mutate it.
+        """
+        return self._occupied_index
 
     def iter_occupied(self) -> Iterator[tuple[int, int, int]]:
         """Yield ``(segment, lane, bus_id)`` for every occupied segment.

@@ -43,7 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
 #: extending and parked headers.  Version 4: every routing engine
 #: carries its signalling and streaming buses, its ready nodes, its
 #: header-pass count, and each parked header's settled and due passes.
-SNAPSHOT_VERSION = 4
+#: Version 5: every invariant monitor's monotonicity tracker keeps one
+#: list of held-hop lanes per bus id, and the monitor no longer carries
+#: ``check_ports``.
+SNAPSHOT_VERSION = 5
 
 _FORMAT = "rmb-snapshot"
 

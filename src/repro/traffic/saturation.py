@@ -19,8 +19,9 @@ Each point's network comes from :func:`build_rmb`, the builder
 ``repro run`` uses too.  On the flat event ring the engine composes with
 the resilience stack (fault plans, admission control, recovery, the
 watchdog); a feature the batch backend or a hier fabric does not model
-is refused there, once, by field name and ``repro`` flag
-(:data:`BATCH_REFUSES`, :data:`HIER_REFUSES`).
+is refused by :func:`refuse_unsupported`, by field name and ``repro``
+flag (:data:`BATCH_REFUSES`, :data:`HIER_REFUSES`), before any point
+runs or is skipped as empty.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ BOUNDED_RETRY = RetryPolicy(delay=8.0, backoff=1.4, jitter=0.5,
 
 #: What the batch backend does not model: each run feature it refuses,
 #: by field name, with the ``repro`` flag that switches it on.
-#: :func:`build_rmb` is the one reader of this table and the next.
+#: :func:`refuse_unsupported` is the one reader of this table and the next.
 BATCH_REFUSES: dict[str, str] = {
     "asynchronous": "--asynchronous",
     "fault_plan": "--fault-plan",
@@ -72,26 +73,21 @@ HIER_REFUSES: dict[str, str] = {
 }
 
 
-def build_rmb(config: RMBConfig, backend: str = "event",
-              topology: str = "ring", seed: int = 0,
-              probe_period: Optional[float] = 8.0, *,
-              fault_plan: Optional["FaultPlan"] = None,
-              watchdog: Optional["WatchdogConfig"] = None,
-              recovery: Optional["RecoveryConfig"] = None,
-              obs: Optional["Observability"] = None,
-              trace_kinds: Optional[set[str]] = None,
-              checkpoint_every: Optional[float] = None,
-              ) -> Union[RMBRing, "BatchRing", HierRMB]:
-    """The network ``repro run`` and :func:`run_point` drive.
+def refuse_unsupported(config: RMBConfig, backend: str = "event",
+                       topology: str = "ring", *,
+                       fault_plan: Optional["FaultPlan"] = None,
+                       watchdog: Optional["WatchdogConfig"] = None,
+                       recovery: Optional["RecoveryConfig"] = None,
+                       obs: Optional["Observability"] = None,
+                       checkpoint_every: Optional[float] = None) -> None:
+    """Refuse what ``backend`` and ``topology`` do not model; build nothing.
 
-    Returns an event :class:`RMBRing` (``topology='ring'``), a
-    :class:`~repro.batch.BatchRing` (``backend='batch'``) or a
-    :class:`HierRMB` (a ``hier`` / ``hier:MxN`` spec, split over
-    ``config.nodes`` with ``config`` as the member-ring template).  A
-    feature the backend or topology does not model is refused here, by
-    field and flag: :class:`~repro.batch.engine.BatchUnsupported` on the
-    batch backend, :class:`ProtocolError` on a fabric.  ``checkpoint_every``
-    is only checked against the tables; the caller arms the checkpointer.
+    A feature the backend or topology does not model is refused by field
+    and flag: :class:`~repro.batch.engine.BatchUnsupported` on the batch
+    backend, :class:`ProtocolError` on a fabric, and :class:`ProtocolError`
+    for an unknown backend or topology.  :func:`build_rmb` calls this
+    first, and :func:`run_point` calls it before its empty-schedule
+    shortcut, so a sweep whose every point is empty still refuses.
     """
     if backend not in ("event", "batch"):
         raise ProtocolError(
@@ -120,17 +116,42 @@ def build_rmb(config: RMBConfig, backend: str = "event",
             from repro.batch.engine import BatchUnsupported
             raise BatchUnsupported(message)
         raise ProtocolError(message)
-    if batch:
+    if topology != "ring" and not hier:
+        raise ProtocolError(
+            f"unknown topology {topology!r}; choose 'ring', 'hier' or "
+            f"'hier:MxN'")
+
+
+def build_rmb(config: RMBConfig, backend: str = "event",
+              topology: str = "ring", seed: int = 0,
+              probe_period: Optional[float] = 8.0, *,
+              fault_plan: Optional["FaultPlan"] = None,
+              watchdog: Optional["WatchdogConfig"] = None,
+              recovery: Optional["RecoveryConfig"] = None,
+              obs: Optional["Observability"] = None,
+              trace_kinds: Optional[set[str]] = None,
+              checkpoint_every: Optional[float] = None,
+              ) -> Union[RMBRing, "BatchRing", HierRMB]:
+    """The network ``repro run`` and :func:`run_point` drive.
+
+    Returns an event :class:`RMBRing` (``topology='ring'``), a
+    :class:`~repro.batch.BatchRing` (``backend='batch'``) or a
+    :class:`HierRMB` (a ``hier`` / ``hier:MxN`` spec, split over
+    ``config.nodes`` with ``config`` as the member-ring template).  What
+    the backend or topology does not model is refused first, by
+    :func:`refuse_unsupported`.  ``checkpoint_every`` is only checked
+    against the tables; the caller arms the checkpointer.
+    """
+    refuse_unsupported(config, backend, topology, fault_plan=fault_plan,
+                       watchdog=watchdog, recovery=recovery, obs=obs,
+                       checkpoint_every=checkpoint_every)
+    if backend == "batch":
         from repro.batch import BatchRing
         return BatchRing(config, seed=seed, probe_period=probe_period)
     if topology == "ring":
         return RMBRing(config, seed=seed, probe_period=probe_period,
                        fault_plan=fault_plan, watchdog=watchdog,
                        recovery=recovery, obs=obs, trace_kinds=trace_kinds)
-    if not hier:
-        raise ProtocolError(
-            f"unknown topology {topology!r}; choose 'ring', 'hier' or "
-            f"'hier:MxN'")
     from repro.networks.registry import hier_shape
     locals_count, nodes_per_local = hier_shape(topology, config.nodes)
     return HierRMB(locals=locals_count, nodes_per_local=nodes_per_local,
@@ -269,6 +290,14 @@ class SaturationCurve:
 def run_point(cfg: SaturationConfig, pattern: TrafficPattern,
               rate: float) -> LoadPoint:
     """Simulate one offered-load point and classify its stability."""
+    config = RMBConfig(
+        nodes=cfg.nodes, lanes=cfg.lanes, cycle_period=cfg.cycle_period,
+        retry=cfg.retry, admission_limit=cfg.admission_limit,
+        admission_policy=cfg.admission_policy, check_level="sampled")
+    # Refused before the empty shortcut, which builds no network.
+    refuse_unsupported(config, cfg.backend, cfg.topology,
+                       fault_plan=cfg.fault_plan, watchdog=cfg.watchdog,
+                       recovery=cfg.recovery, obs=cfg.obs)
     schedule = pattern_schedule(
         pattern, duration=cfg.duration, rate=rate,
         data_flits=cfg.data_flits, seed=cfg.seed, arrival=cfg.arrival)
@@ -277,10 +306,6 @@ def run_point(cfg: SaturationConfig, pattern: TrafficPattern,
                          completion_rate=1.0, mean_latency=0.0,
                          p95_latency=0.0, throughput=0.0, duration=0.0,
                          stable=True, reason="ok")
-    config = RMBConfig(
-        nodes=cfg.nodes, lanes=cfg.lanes, cycle_period=cfg.cycle_period,
-        retry=cfg.retry, admission_limit=cfg.admission_limit,
-        admission_policy=cfg.admission_policy, check_level="sampled")
     ring = build_rmb(config, cfg.backend, cfg.topology, cfg.seed,
                      cfg.probe_period, fault_plan=cfg.fault_plan,
                      watchdog=cfg.watchdog, recovery=cfg.recovery,

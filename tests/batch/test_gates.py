@@ -44,6 +44,15 @@ def test_rejects_admission_control():
         BatchRing(config)
 
 
+def test_rejects_compacting_a_travelling_header():
+    # With D9 waived the batch engine drifted from the event ring even
+    # without faults (N=10, k=3, rate 0.05: 2 of seeds 0-3 differed).
+    config = RMBConfig(nodes=8, lanes=2, compact_head_while_extending=True)
+    with pytest.raises(BatchUnsupported,
+                       match="compact_head_while_extending"):
+        BatchRing(config)
+
+
 def test_rejects_fractional_probe_period():
     config = RMBConfig(nodes=8, lanes=2, cycle_period=2.0)
     with pytest.raises(BatchUnsupported, match="probe_period"):

@@ -53,6 +53,20 @@ class TestHealthyInputs:
         assert "gate passed" in out
         assert "[info] end2end/other" in out
 
+    def test_small_gate_values_keep_their_digits(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # Saturation rates are fractions of a message per node per tick;
+        # whole-number formatting printed every traffic gate as 0.
+        baseline = {"max_regression_factor": 2.0,
+                    "gates": {"traffic": {"sat_uniform_event": 0.033125}}}
+        write_inputs(tmp_path, monkeypatch, baseline=baseline, bench=None)
+        (tmp_path / "BENCH_traffic.json").write_text(json.dumps(
+            {"results": {"sat_uniform_event": {"ops_per_sec": 0.033125}}}))
+        assert check_regression.main() == 0
+        assert ("[gate] traffic/sat_uniform_event: 0.033125 ops/sec "
+                "(baseline 0.033125, floor 0.0165625) OK"
+                ) in capsys.readouterr().out
+
     def test_regression_fails_with_named_metric(self, tmp_path, monkeypatch,
                                                 capsys):
         write_inputs(tmp_path, monkeypatch,

@@ -408,6 +408,28 @@ class TestRefusalSentence:
         assert len(run_out.strip().splitlines()) == 1
         assert f"does not support {named}" in run_out
 
+    @pytest.mark.parametrize("engine, flag, named", [
+        (["-n", "8", "-k", "3", "--backend", "batch"],
+         ["--admission-limit", "2"], "admission_limit (--admission-limit)"),
+        (["-n", "16", "-k", "3", "--topology", "hier:4x4"], ["--recovery"],
+         "recovery (--recovery)"),
+    ], ids=["batch-admission-limit", "hier-recovery"])
+    def test_saturate_refuses_when_every_point_is_empty(self, engine, flag,
+                                                       named, capsys):
+        # At these rates no load point offers a message, so no network
+        # is ever built; the refusal must not depend on one.
+        empty = ["--rate-floor", "0.0001", "--rate-ceiling", "0.0002",
+                 "--duration", "10"]
+        busy = ["--duration", "40", "--iterations", "1"]
+        outputs = []
+        for bracket in (empty, busy):
+            assert main(["saturate"] + engine + flag + bracket) == 1
+            outputs.append(capsys.readouterr().out)
+        empty_out, busy_out = outputs
+        assert empty_out == busy_out
+        assert len(empty_out.strip().splitlines()) == 1
+        assert f"does not support {named}" in empty_out
+
     @pytest.mark.parametrize("flag, named", [
         (["--asynchronous"], "asynchronous (--asynchronous)"),
         (["--watchdog"], "watchdog (--watchdog)"),
