@@ -78,6 +78,11 @@ CASES: dict[str, list[str]] = {
     "chaos": ["chaos", "-n", "12", "-k", "3", "--seed", "7",
               "--ticks", "600", "--spec", "storm:0.3@100+300",
               "--json", "soak.json"],
+    # The model-checking command lines CI runs: state and edge counts
+    # are exact, so a change to what the explorer reaches shows here.
+    "explore_smoke": ["explore", "--smoke", "--include-wedge"],
+    "explore_faults": ["explore", "--smoke", "--faults", "1"],
+    "explore_consistency": ["explore", "--consistency"],
 }
 
 #: The resume case runs in the checkpoint case's directory, on its
