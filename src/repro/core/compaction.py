@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import RMBConfig
+from repro.core.derived import DerivedState
 from repro.core.segments import SegmentGrid
 from repro.core.status import PortHealth, move_condition, move_sequences_up
 from repro.core.virtual_bus import BusPhase, VirtualBus
@@ -103,8 +104,10 @@ class CompactionStats:
         )
 
 
-class CompactionEngine:
+class CompactionEngine(DerivedState):
     """Executes compaction moves against a grid and its virtual buses."""
+
+    _DERIVED = ("_hot",)
 
     def __init__(
         self,
@@ -136,8 +139,11 @@ class CompactionEngine:
         #: used by the determinism property tests and as documentation
         #: of the semantics the incremental path must reproduce).
         self.incremental = True
-        #: Hot map: segment -> 2-bit mask of cycle parities still to
-        #: examine.  Fed from the grid's dirty set with ±1 expansion.
+        self.rebuild_derived()
+
+    def rebuild_derived(self) -> None:
+        """Empty the hot map: segment -> 2-bit mask of cycle parities
+        still to examine, fed from the grid's dirty set with ±1 expansion."""
         self._hot: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -432,20 +438,9 @@ class CompactionEngine:
             return 0
         moved = 0
         for segment, lane, health in list(self.grid.faulty_segments()):
-            if health is not PortHealth.DYING:
-                continue
-            if segment in self.dropped_incs:
-                continue
-            if self.grid.occupant(segment, lane) is None:
-                continue
-            if self.move_legal(segment, lane, ignore_head_rule=True):
-                self._commit(*self._hop_at(segment, lane), segment, lane,
-                             cycle)
-                self.stats.evacuations += 1
-                moved += 1
-            elif self._evacuate_up_legal(segment, lane):
-                self._commit_up(segment, lane, cycle)
-                moved += 1
+            if health is PortHealth.DYING and \
+                    segment not in self.dropped_incs:
+                moved += self._evacuate(segment, lane, cycle)
         return moved
 
     def _evacuate_segment_column(self, segment: int, cycle: int) -> int:
@@ -461,19 +456,23 @@ class CompactionEngine:
         """
         moved = 0
         for lane in range(self.grid.lanes):
-            if self.grid.health(segment, lane) is not PortHealth.DYING:
-                continue
-            if self.grid.occupant(segment, lane) is None:
-                continue
-            if self.move_legal(segment, lane, ignore_head_rule=True):
-                self._commit(*self._hop_at(segment, lane), segment, lane,
-                             cycle)
-                self.stats.evacuations += 1
-                moved += 1
-            elif self._evacuate_up_legal(segment, lane):
-                self._commit_up(segment, lane, cycle)
-                moved += 1
+            if self.grid.health(segment, lane) is PortHealth.DYING:
+                moved += self._evacuate(segment, lane, cycle)
         return moved
+
+    def _evacuate(self, segment: int, lane: int, cycle: int) -> int:
+        """Move the occupant of a dying segment off it: down if D1 allows
+        (D9 waived), else up.  Returns the number of moves (0 or 1)."""
+        if self.grid.occupant(segment, lane) is None:
+            return 0
+        if self.move_legal(segment, lane, ignore_head_rule=True):
+            self._commit(*self._hop_at(segment, lane), segment, lane, cycle)
+            self.stats.evacuations += 1
+            return 1
+        if self._evacuate_up_legal(segment, lane):
+            self._commit_up(segment, lane, cycle)
+            return 1
+        return 0
 
     def _evacuate_up_legal(self, segment: int, lane: int) -> bool:
         """Mirror of D1 for an upward escape from a dying segment."""

@@ -37,6 +37,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import RMBConfig
+from repro.core.derived import DerivedState
 from repro.core.flits import Message, MessageRecord
 from repro.core.segments import SegmentGrid
 from repro.core.status import PortHealth
@@ -117,8 +118,11 @@ class _RetryRequeue:
         self._engine._fire(self._message, LifecycleEvent.RETRY_TIMER)
 
 
-class RoutingEngine:
+class RoutingEngine(DerivedState):
     """Message lifecycle driver for one unidirectional RMB ring."""
+
+    _DERIVED = ("_dispatch", "_extending", "_signalling", "_streaming",
+                "_parked", "_ready")
 
     def __init__(
         self,
@@ -193,23 +197,8 @@ class RoutingEngine:
             List[Tuple[int, LifecycleState, LifecycleEvent, LifecycleState]]
         ] = None
         self._stall_ticks: dict[int, int] = {}   # bus_id -> consecutive stalls
-        #: The buses each flit-tick pass visits, keyed by bus id: headers
-        #: extending (in bus-id order, as a bus enters once), reverse
-        #: signals walking home, and data streaming or draining.
-        #: ``_fire`` keeps all three in step (DESIGN.md P5).
-        self._extending: dict[int, VirtualBus] = {}
-        self._signalling: dict[int, VirtualBus] = {}
-        self._streaming: dict[int, VirtualBus] = {}
         #: Header passes run so far: the clock parked headers wait on.
         self._passes = 0
-        #: Stalled headers: bus_id -> ``(head column, its epoch, next
-        #: column, its epoch, last pass counted in its stall ticks, pass
-        #: its header timeout falls due)`` when its lane pick last failed
-        #: (DESIGN.md P4, P5).
-        self._parked: dict[int, tuple[int, int, int, int, int, float]] = {}
-        #: Nodes with a queued request and a free transmit port: the
-        #: only nodes admission visits.
-        self._ready: set[int] = set()
         # Aggregate counters
         self.injected = 0
         self.established = 0
@@ -229,14 +218,13 @@ class RoutingEngine:
         #: Fack returned and all ports were freed).  Used by the grid
         #: composition layer to chain multi-ring journeys.
         self.on_complete: Optional[Callable[[MessageRecord], None]] = None
-        self._dispatch = self._build_dispatch()
+        self.rebuild_derived()
 
-    # ------------------------------------------------------------------
-    # Lifecycle FSM interpreter
-    # ------------------------------------------------------------------
-    def _build_dispatch(self) -> Dict[type, Callable[..., None]]:
-        """Effect type -> handler method, resolved once per engine."""
-        return {
+    def rebuild_derived(self) -> None:
+        """Compute the dispatch table, pass maps (in ``buses`` order),
+        parked headers (none) and ready nodes (DESIGN.md §9 P8)."""
+        #: Effect type -> handler method, resolved once per engine.
+        self._dispatch: Dict[type, Callable[..., None]] = {
             Enqueue: self._fx_enqueue,
             Park: self._fx_park,
             MarkShed: self._fx_mark_shed,
@@ -256,18 +244,40 @@ class RoutingEngine:
             DisarmRetryTimer: self._fx_disarm_retry_timer,
             HurryRelease: self._fx_hurry_release,
         }
+        #: The buses each flit-tick pass visits, keyed by bus id: headers
+        #: extending, reverse signals walking home, and data streaming or
+        #: draining.  ``_fire`` keeps all three in step (DESIGN.md P5).
+        self._extending: dict[int, VirtualBus] = {}
+        self._signalling: dict[int, VirtualBus] = {}
+        self._streaming: dict[int, VirtualBus] = {}
+        for bus_id, bus in self.buses.items():
+            kept = self._pass_of(self._lifecycle[bus.message.message_id])
+            if kept is not None:
+                kept[bus_id] = bus
+        #: Stalled headers: bus_id -> ``(head column, its epoch, next
+        #: column, its epoch, last pass counted in its stall ticks, pass
+        #: its header timeout falls due)`` when its lane pick last failed
+        #: (DESIGN.md P4, P5).
+        self._parked: dict[int, tuple[int, int, int, int, int, float]] = {}
+        #: Nodes with a queued request and a free transmit port: the
+        #: only nodes admission visits.
+        self._ready: set[int] = set()
+        for node in range(self.config.nodes):
+            self._note_ready(node)
 
     def __getstate__(self) -> dict:
-        # The dispatch table holds bound methods; drop it from pickles
-        # (checkpointing) and deep copies, and rebuild on restore.
-        state = self.__dict__.copy()
-        state.pop("_dispatch", None)
-        return state
+        # Dropped parked headers must have counted their stall ticks;
+        # settling here would be unsound (DESIGN.md P5).
+        if any(wait[4] != self._passes for wait in self._parked.values()):
+            raise ProtocolError(
+                "parked headers have unsettled stall ticks: call "
+                "settle_stalls() before pickling"
+            )
+        return super().__getstate__()
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._dispatch = self._build_dispatch()
-
+    # ------------------------------------------------------------------
+    # Lifecycle FSM interpreter
+    # ------------------------------------------------------------------
     def _fire(self, message: Message, event: LifecycleEvent,
               bus: Optional[VirtualBus] = None,
               ctx: Optional[FireContext] = None) -> FireContext:
@@ -425,7 +435,9 @@ class RoutingEngine:
            header timeout is configured),
         5. sorted per-message lifecycle/record tuples,
         6.–8. per-node ``tx_active`` / ``rx_active`` /
-           ``awaiting_retry`` counters.
+           ``awaiting_retry`` counters,
+        9. per-node lifetime retry totals (empty unless the retry policy
+           sets a ``node_budget``, the only thing they feed).
 
         Node-indexed components are rotation-covariant and message ids
         appear only through these tuples, which is what lets the
@@ -496,6 +508,8 @@ class RoutingEngine:
             tuple(self._tx_active),
             tuple(self._rx_active),
             tuple(self._awaiting_retry_by_node),
+            (tuple(self._node_retry_totals)
+             if self.config.retry.node_budget is not None else ()),
         )
 
     def flit_tick(self) -> None:
@@ -1219,10 +1233,6 @@ class RoutingEngine:
         if self._trace_on:
             self.trace.record(self._now(), kind, f"msg{message.message_id}",
                               **details)
-
-    def queue_length(self, node: int) -> int:
-        """Requests still waiting at a node's PE (excludes in-flight)."""
-        return len(self._queues[node])
 
     def receiver_busy(self, node: int) -> bool:
         """True while every RX port at ``node`` is claimed."""

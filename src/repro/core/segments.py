@@ -5,8 +5,9 @@ port ``l`` to INC ``(i+1) % N``'s input port ``l``.  The grid tracks which
 virtual bus (by id) occupies each segment; all protocol engines mutate the
 grid through this class so occupancy invariants live in one place.
 
-Alongside the 2-D occupancy array the grid maintains three derived
-structures that keep the per-cycle engines off full ``N x k`` scans:
+Alongside the occupancy and health rows the grid keeps derived
+structures, rebuilt from the rows and never pickled (DESIGN.md §9 P8),
+that keep the per-cycle engines off full ``N x k`` scans:
 
 * an **occupancy index** ``(segment, lane) -> bus_id`` so iterating the
   occupied segments costs O(occupied), not O(N*k);
@@ -24,17 +25,21 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Optional
 
+from repro.core.derived import DerivedState
 from repro.core.status import PortHealth
 from repro.errors import CapacityError, ConfigurationError, FaultError
 
 
-class SegmentGrid:
+class SegmentGrid(DerivedState):
     """Occupancy of the ``N x k`` segment array.
 
     The grid is deliberately dumb: it knows ids, not protocol state.  It
     enforces exactly one structural rule — a segment carries at most one
     virtual bus at a time.
     """
+
+    _DERIVED = ("_occupied_index", "_occupied_count", "_faulty_index",
+                "_faulty_count", "_dirty", "epochs")
 
     def __init__(self, nodes: int, lanes: int) -> None:
         if nodes < 2 or lanes < 1:
@@ -46,22 +51,36 @@ class SegmentGrid:
         self._occupant: list[list[Optional[int]]] = [
             [None] * lanes for _ in range(nodes)
         ]
-        self._occupied_count = 0
-        self._occupied_index: dict[tuple[int, int], int] = {}
         self._health: list[list[PortHealth]] = [
             [PortHealth.OK] * lanes for _ in range(nodes)
         ]
-        self._faulty_count = 0
-        self._faulty_index: dict[tuple[int, int], PortHealth] = {}
-        self._dirty: set[int] = set()
-        # Per-column mutation counters (see the module docstring).
-        self.epochs: list[int] = [0] * nodes
         # Cumulative segment-ticks are integrated externally; the grid
         # keeps simple structural counters only.
         self.total_claims = 0
         self.total_releases = 0
         self.total_faults = 0
         self.total_repairs = 0
+        self.rebuild_derived()
+        self._dirty.clear()  # a fresh grid starts clean
+
+    def rebuild_derived(self) -> None:
+        """Compute the indexes from the rows; every column is dirty and
+        every epoch zero (DESIGN.md §9 P8)."""
+        self._occupied_index: dict[tuple[int, int], int] = {
+            (segment, lane): bus_id
+            for segment, column in enumerate(self._occupant)
+            for lane, bus_id in enumerate(column) if bus_id is not None
+        }
+        self._occupied_count = len(self._occupied_index)
+        self._faulty_index: dict[tuple[int, int], PortHealth] = {
+            (segment, lane): health
+            for segment, row in enumerate(self._health)
+            for lane, health in enumerate(row) if health is not PortHealth.OK
+        }
+        self._faulty_count = len(self._faulty_index)
+        self._dirty: set[int] = set(range(self.nodes))
+        # Per-column mutation counters (see the module docstring).
+        self.epochs: list[int] = [0] * self.nodes
 
     # ------------------------------------------------------------------
     # Queries
@@ -104,11 +123,6 @@ class SegmentGrid:
         """Number of segments currently DYING or DEAD."""
         return self._faulty_count
 
-    def free_lanes(self, segment: int) -> list[int]:
-        """Free lane indices at one segment column, ascending."""
-        column = self._occupant[segment % self.nodes]
-        return [lane for lane in range(self.lanes) if column[lane] is None]
-
     def used_lanes(self, segment: int) -> list[int]:
         """Occupied lane indices at one segment column, ascending."""
         column = self._occupant[segment % self.nodes]
@@ -117,14 +131,6 @@ class SegmentGrid:
     def column(self, segment: int) -> list[Optional[int]]:
         """A copy of the occupancy column at ``segment`` (lane order)."""
         return list(self._occupant[segment % self.nodes])
-
-    def lanes_of(self, bus_id: int) -> dict[int, int]:
-        """Map ``segment -> lane`` for every segment held by ``bus_id``."""
-        held = {}
-        for segment, lane in sorted(self._occupied_index):
-            if self._occupied_index[(segment, lane)] == bus_id:
-                held[segment] = lane
-        return held
 
     def lane_occupancy(self) -> list[int]:
         """Occupied-segment count per lane (observability scrape).
@@ -173,21 +179,6 @@ class SegmentGrid:
             self.total_faults,
             self.total_repairs,
         )
-
-    def health_signature(
-        self, rotate: int = 0
-    ) -> tuple[tuple[int, int, str], ...]:
-        """Sorted ``(segment, lane, health)`` for every non-OK segment.
-
-        ``rotate`` relabels segment columns by ``(segment + rotate) % N``
-        before sorting — the ring-rotation the model checker's symmetry
-        quotient applies when it compares two fault configurations up to
-        cyclic relabelling.  O(faulty), independent of ``N * k``.
-        """
-        return tuple(sorted(
-            ((segment + rotate) % self.nodes, lane, health.value)
-            for (segment, lane), health in self._faulty_index.items()
-        ))
 
     def is_packed(self, segment: int) -> bool:
         """True iff the column's occupied lanes are exactly ``0..m-1``.
@@ -318,20 +309,13 @@ class SegmentGrid:
         self._dirty.add(segment % self.nodes)
 
     def collect_dirty(self) -> list[int]:
-        """Drain and return the dirty segment columns, ascending.
-
-        Sorted so downstream consumers see a deterministic order
-        regardless of set-iteration history (which pickling perturbs).
-        """
+        """Drain and return the dirty segment columns, ascending (a
+        deterministic order whatever the set's iteration history)."""
         if not self._dirty:
             return []
         dirty = sorted(self._dirty)
         self._dirty.clear()
         return dirty
-
-    def dirty_pending(self) -> int:
-        """Number of segment columns currently marked dirty."""
-        return len(self._dirty)
 
     # ------------------------------------------------------------------
     # Health

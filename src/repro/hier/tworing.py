@@ -106,8 +106,3 @@ class TwoRingRMB(RingFabric):
         ))
         self._wire_obs(obs)
         self._arm_probes()
-
-    def _mirror(self, node: int) -> int:
-        route_map = self.route_map
-        assert isinstance(route_map, MirrorRouteMap)
-        return route_map.mirror(node)

@@ -620,10 +620,10 @@ class _World:
         of the same group action, and the tests assert they agree.
 
         On an even ring the compaction cycle counter also advances by
-        ``rotation`` so the D2 alternation pattern follows the rotated
-        segments; on an odd ring it must stay put (the only
-        parity-to-parity map that composes with Z_N there is the
-        identity), which merely makes the orbits smaller.
+        ``rotation``; on an odd ring it stays put (see
+        :func:`_transform_signature`).  Only primary state turns, after
+        the parked headers are settled; the grid and both engines then
+        rebuild (DESIGN.md §9 P8).
         """
         nodes = self.config.nodes
         rotation %= nodes
@@ -643,62 +643,31 @@ class _World:
         def turn(segment: int) -> int:
             return (segment + rotation) % nodes
 
-        # Grid: occupancy, health and epoch rows move with their segments.
+        def turn_rows(rows: list) -> list:
+            return [rows[(s - rotation) % nodes] for s in range(nodes)]
+
+        engine = self.engine
+        engine.settle_stalls()
         grid = self.grid
-        grid._occupant = [grid._occupant[(s - rotation) % nodes]
-                          for s in range(nodes)]
-        grid._health = [grid._health[(s - rotation) % nodes]
-                        for s in range(nodes)]
-        grid.epochs = [grid.epochs[(s - rotation) % nodes]
-                       for s in range(nodes)]
-        grid._occupied_index = {
-            (turn(segment), lane): bus_id
-            for (segment, lane), bus_id in sorted(grid._occupied_index.items())
-        }
-        grid._faulty_index = {
-            (turn(segment), lane): health
-            for (segment, lane), health in sorted(grid._faulty_index.items())
-        }
-        grid._dirty = {turn(segment) for segment in grid._dirty}
+        grid._occupant = turn_rows(grid._occupant)
+        grid._health = turn_rows(grid._health)
 
         # Engine: node-indexed vectors rotate, message references and
         # message-id keys relabel.  Bus ids, the bus dict order, and the
         # per-bus geometry are untouched — a bus's ring position derives
         # from its message's source, so swapping the message moves it.
-        # The per-pass bus maps are keyed by bus id and carry over as
-        # they are; a parked header's columns turn like every other
-        # segment index (their epochs moved with the grid rows above,
-        # its pass stamps count header passes, not positions), and the
-        # ready nodes turn with the queues.
-        engine = self.engine
-        engine._queues = [
-            deque(replace[m.message_id] for m in
-                  engine._queues[(s - rotation) % nodes])
-            for s in range(nodes)
-        ]
-        engine._deferred = [
-            deque(replace[m.message_id] for m in
-                  engine._deferred[(s - rotation) % nodes])
-            for s in range(nodes)
-        ]
-        engine._tx_active = [engine._tx_active[(s - rotation) % nodes]
-                             for s in range(nodes)]
-        engine._rx_active = [engine._rx_active[(s - rotation) % nodes]
-                             for s in range(nodes)]
-        engine._awaiting_retry_by_node = [
-            engine._awaiting_retry_by_node[(s - rotation) % nodes]
-            for s in range(nodes)
-        ]
+        engine._queues = [deque(replace[m.message_id] for m in queue)
+                          for queue in turn_rows(engine._queues)]
+        engine._deferred = [deque(replace[m.message_id] for m in queue)
+                            for queue in turn_rows(engine._deferred)]
+        engine._tx_active = turn_rows(engine._tx_active)
+        engine._rx_active = turn_rows(engine._rx_active)
+        engine._awaiting_retry_by_node = turn_rows(
+            engine._awaiting_retry_by_node)
+        engine._node_retry_totals = turn_rows(engine._node_retry_totals)
         engine._rx_holders = {
             bus_id: {turn(node) for node in holders}
             for bus_id, holders in engine._rx_holders.items()
-        }
-        engine._ready = {turn(node) for node in engine._ready}
-        engine._parked = {
-            bus_id: (turn(head), head_epoch, turn(ahead), ahead_epoch,
-                     settled, due)
-            for bus_id, (head, head_epoch, ahead, ahead_epoch, settled, due)
-            in engine._parked.items()
         }
         for record in engine.records.values():
             record.message = replace[record.message.message_id]
@@ -723,6 +692,9 @@ class _World:
             ]
         if nodes % 2 == 0:
             self.cycle += rotation
+        grid.rebuild_derived()
+        self.compaction.rebuild_derived()
+        engine.rebuild_derived()
 
     # -- properties ------------------------------------------------------
     def check(self) -> List[str]:
@@ -752,7 +724,8 @@ class _World:
         return self.engine.exploration_signature() + (
             tuple(self.timers.message_ids()),
             self.cycle & 1,
-            self.grid.health_signature(),
+            tuple((segment, lane, health.value) for segment, lane, health
+                  in self.grid.faulty_segments()),
             self.fails_used,
         )
 
@@ -867,9 +840,10 @@ def _transform_signature(
 
     Layout (indices into ``sig``): 0 queues, 1 deferred, 2 bus order,
     3 bus states, 4 stalls, 5 records, 6 tx_active, 7 rx_active,
-    8 awaiting_retry, 9 timer ids, 10 compaction-cycle parity,
-    11 fault health, 12 fails_used.  Node-indexed tuples rotate; message
-    ids relabel; sorted collections re-sort.  On an even ring the cycle
+    8 awaiting_retry, 9 node retry totals (empty without a node budget),
+    10 timer ids, 11 compaction-cycle parity, 12 fault health,
+    13 fails_used.  Node-indexed tuples rotate; message ids relabel;
+    sorted collections re-sort.  On an even ring the cycle
     parity shifts with the rotation (the D2 alternation rule keys on
     ``(segment + lane + cycle) % 2``, so rotating segments by ``r``
     matches advancing the cycle by ``r`` — and ``r mod 2`` respects
@@ -877,8 +851,8 @@ def _transform_signature(
     stays fixed, the only choice that still composes as a group action.
     """
     (queues, deferred, bus_order, bus_states, stalls, records,
-     tx_active, rx_active, awaiting, timer_ids, parity, health,
-     fails_used) = sig
+     tx_active, rx_active, awaiting, retry_totals, timer_ids, parity,
+     health, fails_used) = sig
 
     def rotate_nodes(values: Tuple[object, ...]) -> Tuple[object, ...]:
         return tuple(values[(i - rotation) % nodes] for i in range(nodes))
@@ -920,6 +894,7 @@ def _transform_signature(
         rotate_nodes(tx_active),  # type: ignore[arg-type]
         rotate_nodes(rx_active),  # type: ignore[arg-type]
         rotate_nodes(awaiting),  # type: ignore[arg-type]
+        rotate_nodes(retry_totals) if retry_totals else (),  # type: ignore[arg-type]
         tuple(sorted(
             relabelling[mid] for mid in timer_ids  # type: ignore[union-attr]
         )),
@@ -985,6 +960,7 @@ class _Cloner:
                      for index, obj in enumerate(self._objects)}
 
     def dumps(self, world: _World) -> bytes:
+        world.engine.settle_stalls()  # a clone parks no header
         buffer = io.BytesIO()
         pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
         ids = self._ids

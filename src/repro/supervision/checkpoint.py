@@ -1,18 +1,19 @@
 """Deterministic checkpoint/restore of a complete RMB run.
 
 A snapshot captures the *entire* live object graph of a ring — simulator
-clock and event queue, RNG stream states, segment grid (health and
-epochs included), live virtual buses, compaction and cycle-handshake
-state, the fault manager's armed schedule, admission and watchdog state,
-traces and statistics — in **one** pickle, so every shared reference is
-preserved exactly once and restored to the same shape.  A resumed run is
+clock and event queue, RNG stream states, segment occupancy and health,
+live virtual buses, compaction and cycle-handshake state, the fault
+manager's armed schedule, admission and watchdog state, traces and
+statistics — in **one** pickle, so every shared reference is preserved
+exactly once and restored to the same shape.  Derived indexes are not
+carried: the grid and engines rebuild them on restore, and the save path
+first settles the parked headers (DESIGN.md §9 P8).  A resumed run is
 bit-exact with the uninterrupted one: same event order, same RNG draws,
 same final statistics (property-tested in
-``tests/supervision/test_checkpoint_roundtrip.py``).
-
-This works because PR 2 removed every closure from the run's object
-graph (bound methods and :func:`functools.partial` pickle; closures do
-not) and made the kernel's event-sequence counter plain state.
+``tests/supervision/test_checkpoint_roundtrip.py``).  This works because
+the run's object graph holds no closures (bound methods and
+:func:`functools.partial` pickle; closures do not) and the kernel's
+event-sequence counter is plain state.
 
 File format: one JSON manifest line (format tag, :data:`SNAPSHOT_VERSION`,
 sim time, caller metadata, and — for ring fabrics — the member ring
@@ -45,8 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
 #: header-pass count, and each parked header's settled and due passes.
 #: Version 5: every invariant monitor's monotonicity tracker keeps one
 #: list of held-hop lanes per bus id, and the monitor no longer carries
-#: ``check_ports``.
-SNAPSHOT_VERSION = 5
+#: ``check_ports``.  Version 6: snapshots carry primary state only; the
+#: grid, compaction and routing engines rebuild their derived indexes on
+#: restore.
+SNAPSHOT_VERSION = 6
 
 _FORMAT = "rmb-snapshot"
 
@@ -76,6 +79,11 @@ def save_snapshot_bytes(ring: "RMBRing",
     members = getattr(ring, "rings", None)
     if isinstance(members, dict) and members:
         manifest["rings"] = list(members)
+        rings = list(members.values())
+    else:
+        rings = [ring]
+    for member in rings:  # a restored engine parks no header (§9 P8)
+        member.routing.settle_stalls()
     try:
         header = json.dumps(manifest, sort_keys=True).encode("utf-8")
     except (TypeError, ValueError) as exc:

@@ -17,18 +17,17 @@ from repro.errors import ProtocolError
 
 def test_grid_starts_clean():
     grid = SegmentGrid(8, 3)
-    assert grid.dirty_pending() == 0
     assert grid.collect_dirty() == []
 
 
 def test_occupancy_mutations_mark_dirty():
     grid = SegmentGrid(8, 3)
     grid.claim(2, 2, bus_id=1)
-    assert grid.dirty_pending() == 1
+    assert grid.collect_dirty() == [2]
     grid.move_down(2, 2, bus_id=1)
     grid.release(2, 1, bus_id=1)
     assert grid.collect_dirty() == [2]
-    assert grid.dirty_pending() == 0
+    assert grid.collect_dirty() == []
 
 
 def test_collect_dirty_is_sorted_and_drains():
@@ -77,7 +76,6 @@ def test_iter_occupied_matches_full_scan_order():
     grid.claim(2, 2, bus_id=2)
     # Segment-major, lane-minor ascending — the historical scan order.
     assert list(grid.iter_occupied()) == [(2, 0, 1), (2, 2, 2), (6, 1, 3)]
-    assert grid.lanes_of(2) == {2: 2}
 
 
 # ---------------------------------------------------------------------------

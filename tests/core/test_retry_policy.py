@@ -68,14 +68,15 @@ class TestAliases:
         policy = RetryPolicy(delay=2.0, jitter=0.0)
         assert config.with_overrides(retry=policy).retry == policy
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_checkpoint_version_is_refused_by_name(self, version):
         """Version-1 snapshots may hold configs pickled before the
         unification, without a ``retry`` slot; version-2 ones lack the
         grid epochs and parked headers; version-3 ones lack the
         per-pass bus maps, the ready nodes and the parked headers'
         deadlines; version-4 ones hold a monotonicity tracker keyed by
-        ``(bus, hop)``.  Each is refused with both versions named
+        ``(bus, hop)``; version-5 ones carry derived indexes that a
+        restore now rebuilds.  Each is refused with both versions named
         instead of being half-restored."""
         ring = RMBRing(RMBConfig(nodes=8, lanes=3))
         header, payload = save_snapshot_bytes(ring).split(b"\n", 1)
@@ -83,7 +84,7 @@ class TestAliases:
         manifest["version"] = version
         old = json.dumps(manifest).encode("utf-8") + b"\n" + payload
         with pytest.raises(SnapshotError,
-                           match=rf"version {version} unsupported .*version 5"):
+                           match=rf"version {version} unsupported .*version 6"):
             load_snapshot_bytes(old)
 
     def test_policy_survives_pickling(self):

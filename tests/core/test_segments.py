@@ -11,7 +11,7 @@ def test_grid_starts_empty():
     grid = SegmentGrid(4, 3)
     assert grid.occupied_segments() == 0
     assert grid.utilization() == 0.0
-    assert grid.free_lanes(0) == [0, 1, 2]
+    assert grid.column(0) == [None, None, None]
     assert grid.used_lanes(0) == []
 
 
@@ -79,14 +79,6 @@ def test_utilization_fraction():
     grid.claim(0, 0, 1)
     grid.claim(1, 1, 2)
     assert grid.utilization() == pytest.approx(2 / 8)
-
-
-def test_lanes_of_collects_all_segments():
-    grid = SegmentGrid(4, 3)
-    grid.claim(0, 2, 5)
-    grid.claim(1, 1, 5)
-    grid.claim(2, 1, 6)
-    assert grid.lanes_of(5) == {0: 2, 1: 1}
 
 
 def test_iter_occupied_yields_triplets():

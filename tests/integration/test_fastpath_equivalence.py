@@ -14,11 +14,12 @@ manifest of a mid-run snapshot.
 Parked headers (DESIGN.md P4) skip the full evaluation while the epochs
 of their head and next columns are unchanged; the soundness tests below
 run that full evaluation anyway before every pass and require it to
-agree that each such header stalls.  Before every pass they also rebuild
-the per-pass bus maps and the ready nodes (DESIGN.md P5) from a scan of
-the buses, queues and transmit ports.  A stall oracle kept entirely in
-the test pins the deferred stall accounting: every header that neither
-advances nor is fault-Nacked during a header pass stalls exactly once.
+agree that each such header stalls.  Before every pass they also compare
+the per-pass bus maps, the ready nodes (DESIGN.md P5) and the grid's
+occupancy and faulty indexes with a twin that rebuilt them from primary
+state (P8).  A stall oracle kept entirely in the test pins the deferred
+stall accounting: every header that neither advances nor is
+fault-Nacked during a header pass stalls exactly once.
 
 Synchronous compaction commits each candidate that survives D3 without
 re-checking D1 (DESIGN.md P6); a soundness test below re-checks it
@@ -52,6 +53,7 @@ from repro.supervision import (
     save_snapshot_bytes,
 )
 from repro.traffic import bernoulli_schedule, replay_on_fabric
+from tests.core.rebuilt import rebuilt
 
 NODES = 8
 LANES = 3
@@ -185,22 +187,20 @@ def test_check_level_is_read_only(seed, plan, level, snapshot_at):
     assert fast == reference
 
 
-SIGNALLING = (BusPhase.ACK_RETURN, BusPhase.NACK_RETURN, BusPhase.TEARDOWN)
-STREAMING = (BusPhase.STREAMING, BusPhase.DRAINING)
-
-
 def check_pass_maps(engine: RoutingEngine) -> None:
-    """The signalling and streaming bus maps and the ready nodes are
-    exactly what a scan of the buses, queues and transmit ports gives."""
-    for kept, phases in ((engine._signalling, SIGNALLING),
-                         (engine._streaming, STREAMING)):
-        scanned = [bus for bus in engine.buses.values()
-                   if bus.phase in phases]
-        assert sorted(kept) == [bus.bus_id for bus in scanned]
-        assert all(kept[bus.bus_id] is bus for bus in scanned)
-    assert engine._ready == {
-        node for node, queue in enumerate(engine._queues)
-        if queue and engine._tx_active[node] < engine.config.tx_ports}
+    """The pass maps and ready nodes the engine keeps up to date, and
+    the grid's occupancy and faulty indexes, are what a rebuild from
+    primary state gives (DESIGN.md §9 P8).  The header pass visits its
+    buses in order, so that order must agree too."""
+    twin = rebuilt(engine)
+    for name in ("_signalling", "_streaming", "_ready"):
+        assert getattr(engine, name) == getattr(twin, name), name
+    assert list(engine._extending.items()) == list(twin._extending.items())
+    grid = engine.grid
+    grid_twin = rebuilt(grid)
+    for name in ("_occupied_index", "_occupied_count", "_faulty_index",
+                 "_faulty_count"):
+        assert getattr(grid, name) == getattr(grid_twin, name), name
 
 
 def check_parked_headers(engine: RoutingEngine) -> int:
@@ -208,9 +208,6 @@ def check_parked_headers(engine: RoutingEngine) -> int:
     epochs still match; it must agree that the header stalls.  Check the
     pass maps, and that no parked header has outlived its deadline.
     Returns how many parked headers were checked."""
-    extending = [bus_id for bus_id, bus in engine.buses.items()
-                 if bus.phase is BusPhase.EXTENDING]
-    assert list(engine._extending) == extending
     check_pass_maps(engine)
     grid = engine.grid
     checked = 0

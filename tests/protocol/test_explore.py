@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import RetryPolicy
 from repro.protocol.explore import (
     ExplorationError,
+    ExploreOptions,
     Scenario,
     deadlock_scenario,
     exploration_config,
@@ -78,6 +79,33 @@ def test_known_circular_wait_is_reported_as_deadlock():
     assert not report.violations
     assert report.deadlocks, "the 4x1 wedge must be flagged"
     assert report.completed_runs == 0
+
+
+def budget_scenario(node_budget):
+    """Three one-lane messages, one per source, under a node budget and
+    uncapped per-message retries."""
+    config = exploration_config(3, 1, retry=RetryPolicy(
+        jitter=0.0, header_timeout=3.0, max_retries=None,
+        node_budget=node_budget))
+    routes = ((0, 2), (1, 0), (2, 1))
+    return config, Scenario("3x1-budget", 3, 1, routes).messages()
+
+
+def test_node_budget_keeps_states_apart_by_retry_totals():
+    """A source's lifetime retry total decides whether its next refusal
+    retries or abandons, so states that differ only in those totals are
+    different states.  Merging them hid reachable outcomes: 1,016
+    states instead of 3,136, and no run in which message 2 is abandoned
+    while 0 and 1 deliver."""
+    config, messages = budget_scenario(2)
+    report = explore_lifecycle(config, messages,
+                               options=ExploreOptions(keep_state_keys=True))
+    assert report.ok
+    assert report.states == 3136
+    outcomes = {
+        tuple(record[1] for record in key[5]) for key in report.state_keys
+    }
+    assert ("delivered", "delivered", "abandoned") in outcomes
 
 
 def test_lifecycle_state_bound_is_enforced():

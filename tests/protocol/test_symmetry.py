@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import RetryPolicy
 from repro.errors import ProtocolError
 from repro.protocol.explore import (
     ExploreOptions,
@@ -35,11 +36,13 @@ from repro.protocol.explore import (
     _rotation_relabelling,
     _transform_signature,
     default_scenarios,
+    exploration_config,
     explore_lifecycle,
     fault_scenarios,
     symmetry_group,
 )
 from repro.protocol.handshake import HandshakePhase
+from tests.core.rebuilt import derived, rebuilt
 
 PHASES = list(HandshakePhase)
 
@@ -179,22 +182,21 @@ def test_lifecycle_canon_is_group_invariant_and_idempotent(scenario):
                 scenario.label, rotation)
 
 
-@pytest.mark.parametrize("scenario", [
-    s for s, _ in _nontrivial_scenarios()
-], ids=lambda s: s.label)
-def test_world_rotation_surgery_matches_signature_transform(scenario):
-    config = scenario.config()
-    messages = scenario.messages()
+def _rotate_along_walk(config, messages, options, steps, stride):
+    """Walk a world and rotate a clone of it by every group element after
+    each step, requiring the surgery to give the transformed signature.
+    Returns how many rotated worlds held a faulty segment."""
     group = symmetry_group(config, messages)
     cloner = _Cloner(config, messages)
-    world = _World(config, messages, ExploreOptions())
+    world = _World(config, messages, options)
+    faulty = 0
     step = 0
-    for _ in range(25):
+    for _ in range(steps):
         actions = world.actions()
         if not actions:
             break
         world.apply(actions[step % len(actions)])
-        step += 3
+        step += stride
         signature = world.raw_signature()
         for rotation, relabelling in group:
             if rotation == 0:
@@ -202,56 +204,69 @@ def test_world_rotation_surgery_matches_signature_transform(scenario):
             twin = cloner.loads(cloner.dumps(world))
             twin.rotate(rotation)
             assert twin.raw_signature() == _transform_signature(
-                signature, config.nodes, rotation, relabelling), (
-                scenario.label, rotation)
+                signature, config.nodes, rotation, relabelling), rotation
+            faulty += world.grid.faulty_count() > 0
+    return faulty
 
 
-def test_world_rotation_carries_parked_headers():
-    """A parked header records its head and next columns with their
-    epochs.  Rotation turns the epoch rows with the occupancy rows and
-    the recorded columns with every other segment index, so in the
-    rotated world the record still names the header's own two columns
-    and their unchanged epochs; its settled and due passes count header
-    passes and carry over as they are.  The ready nodes turn with the
-    ring.  One lane and two-hop messages make headers park along the
-    walk."""
+@pytest.mark.parametrize("scenario", [
+    s for s, _ in _nontrivial_scenarios()
+], ids=lambda s: s.label)
+def test_world_rotation_surgery_matches_signature_transform(scenario):
+    """Surgery and transform agree on a healthy walk, and on a walk with
+    fault moves, whose rotated worlds hold DYING and DEAD segments."""
+    config = scenario.config()
+    messages = scenario.messages()
+    _rotate_along_walk(config, messages, ExploreOptions(), 25, 3)
+    assert _rotate_along_walk(config, messages,
+                              ExploreOptions(fault_budget=1), 40, 5) > 0
+
+
+def test_world_rotation_turns_node_retry_totals():
+    """Under a node budget the per-node retry totals are part of the
+    signature; rotation turns them like every node-indexed vector.  The
+    walk reaches totals that differ from node to node."""
+    config = exploration_config(3, 1, retry=RetryPolicy(
+        jitter=0.0, header_timeout=3.0, max_retries=None, node_budget=2))
+    messages = Scenario("3x1-budget", 3, 1,
+                        ((0, 2), (1, 0), (2, 1))).messages()
+    assert len(symmetry_group(config, messages)) == 3
+    _rotate_along_walk(config, messages, ExploreOptions(), 40, 3)
+
+
+def test_world_rotation_rebuilds_derived_state():
+    """Rotation turns primary state only and then rebuilds: the rotated
+    world parks no header, the stall ticks its parked headers had not
+    yet counted are counted, and every derived field equals a fresh
+    rebuild.  One lane and two-hop messages make headers park along the
+    walk; the world is rotated in place after every third step, so some
+    parked headers have waited out passes unvisited."""
     scenario = Scenario("4x1-span2", 4, 1, ((0, 2), (1, 3), (2, 0), (3, 1)))
     config = scenario.config()
     messages = scenario.messages()
-    nodes = config.nodes
-    cloner = _Cloner(config, messages)
+    group = symmetry_group(config, messages)
     world = _World(config, messages, ExploreOptions())
-    parked_seen = ready_seen = 0
+    unsettled_seen = 0
     step = 0
-    for _ in range(25):
+    for walked in range(1, 31):
         actions = world.actions()
         if not actions:
             break
         world.apply(actions[step % len(actions)])
-        step += 3
-        parked_seen += len(world.engine._parked)
-        ready_seen += len(world.engine._ready)
-        for rotation, _ in symmetry_group(config, messages):
-            if rotation == 0:
-                continue
-            twin = cloner.loads(cloner.dumps(world))
-            twin.rotate(rotation)
-            assert twin.grid.epochs == [
-                world.grid.epochs[(s - rotation) % nodes]
-                for s in range(nodes)]
-            assert twin.engine._ready == {
-                (node + rotation) % nodes for node in world.engine._ready}
-            assert twin.engine._parked.keys() == world.engine._parked.keys()
-            for bus_id, (head, head_epoch, ahead, ahead_epoch, settled,
-                         due) in twin.engine._parked.items():
-                bus = twin.buses[bus_id]
-                assert head == bus.segment_index(len(bus.hops) - 1)
-                assert ahead == bus.segment_index(len(bus.hops))
-                assert (head_epoch, ahead_epoch) == \
-                    world.engine._parked[bus_id][1:4:2]
-                assert (settled, due) == world.engine._parked[bus_id][4:]
-    assert parked_seen > 0
-    assert ready_seen > 0
+        step += 2
+        if walked % 3:
+            continue
+        engine = world.engine
+        stalls = dict(engine._stall_ticks)
+        for bus_id, wait in engine._parked.items():
+            stalls[bus_id] += engine._passes - wait[4]
+            unsettled_seen += wait[4] != engine._passes
+        world.rotate(group[1 + step % (len(group) - 1)][0])
+        assert engine._parked == {}
+        assert engine._stall_ticks == stalls
+        for owner in (world.grid, world.compaction, engine):
+            assert derived(owner) == derived(rebuilt(owner))
+    assert unsettled_seen > 0
 
 
 def test_rotate_rejects_non_symmetry():
