@@ -43,6 +43,9 @@ _RUN = ["run", "-n", "16", "-k", "4", "-m", "32", "--rate", "0.05",
         "--flits", "6", "--seed", "3"]
 _SAT = ["saturate", "-n", "8", "-k", "3", "--pattern", "uniform",
         "--duration", "40", "--iterations", "2", "--json", "curve.json"]
+_STORM = ["chaos", "-n", "16", "-k", "4", "--seed", "7", "--ticks", "10000",
+          "--rate", "0.02", "--flits", "8",
+          "--spec", "storm:0.35@500+3000%400"]
 
 CASES: dict[str, list[str]] = {
     "run_sync": _RUN + ["--stats-json", "stats.json"],
@@ -78,6 +81,12 @@ CASES: dict[str, list[str]] = {
     "chaos": ["chaos", "-n", "12", "-k", "3", "--seed", "7",
               "--ticks", "600", "--spec", "storm:0.3@100+300",
               "--json", "soak.json"],
+    # The resilience acceptance storm, with the recovery loop armed and
+    # open: 22 of 64 lane-segments cycle through fail -> repair, and a
+    # soak that ends with a violation or a pending message exits 1.
+    "chaos_storm": _STORM + ["--json", "soak.json"],
+    "chaos_storm_open": _STORM + ["--no-recovery", "--no-baseline",
+                                  "--json", "soak.json"],
     # The model-checking command lines CI runs: state and edge counts
     # are exact, so a change to what the explorer reaches shows here.
     "explore_smoke": ["explore", "--smoke", "--include-wedge"],
