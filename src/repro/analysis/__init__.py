@@ -38,12 +38,6 @@ from repro.analysis.offline import (
     service_time,
     verify_schedule,
 )
-from repro.analysis.sweep import (
-    aggregate_mean,
-    grid,
-    run_sweep,
-    run_sweep_parallel,
-)
 from repro.analysis.tables import render_comparison, render_series, render_table
 
 __all__ = [
@@ -54,7 +48,6 @@ __all__ = [
     "LatencyBreakdown",
     "OfflineSchedule",
     "ScheduledMessage",
-    "aggregate_mean",
     "area_advantage",
     "bandwidth_per_circuit",
     "cost_table",
@@ -65,7 +58,6 @@ __all__ = [
     "fattree_cost",
     "gfc_cost",
     "greedy_schedule",
-    "grid",
     "hypercube_cost",
     "index_half",
     "lower_bound",
@@ -76,8 +68,6 @@ __all__ = [
     "render_series",
     "render_table",
     "rmb_cost",
-    "run_sweep",
-    "run_sweep_parallel",
     "service_time",
     "unloaded_latency",
     "verify_schedule",

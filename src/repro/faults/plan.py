@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.errors import FaultError
 from repro.sim.rng import RandomStream

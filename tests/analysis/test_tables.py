@@ -1,8 +1,5 @@
-"""Tests for table/series rendering and sweep helpers."""
+"""Tests for table/series rendering."""
 
-import pytest
-
-from repro.analysis.sweep import aggregate_mean, grid, run_sweep
 from repro.analysis.tables import render_comparison, render_series, render_table
 
 
@@ -63,50 +60,3 @@ class TestRenderComparison:
                                  value_key="makespan")
         assert "makespan_vs_rmb" not in text
 
-
-class TestSweep:
-    def test_grid_cartesian_product(self):
-        points = grid(n=[8, 16], k=[2, 4])
-        assert len(points) == 4
-        assert {"n": 16, "k": 2} in points
-
-    def test_run_sweep_passes_seed_and_merges(self):
-        def measure(n, k, seed):
-            return {"value": n * k, "seed_used": seed}
-
-        rows = run_sweep(grid(n=[2, 3], k=[5]), measure)
-        assert len(rows) == 2
-        assert rows[0]["value"] == 10
-        assert all("seed_used" in row for row in rows)
-
-    def test_run_sweep_deterministic(self):
-        def measure(n, seed):
-            return {"seed": seed}
-
-        first = run_sweep(grid(n=[1, 2]), measure, root_seed=5)
-        second = run_sweep(grid(n=[1, 2]), measure, root_seed=5)
-        assert first == second
-        third = run_sweep(grid(n=[1, 2]), measure, root_seed=6)
-        assert first != third
-
-    def test_run_sweep_repeats_have_distinct_seeds(self):
-        def measure(n, seed):
-            return {"seed": seed}
-
-        rows = run_sweep(grid(n=[1]), measure, repeats=3)
-        seeds = {row["seed"] for row in rows}
-        assert len(seeds) == 3
-        assert {row["repeat"] for row in rows} == {0, 1, 2}
-
-    def test_aggregate_mean(self):
-        rows = [
-            {"n": 8, "latency": 10.0},
-            {"n": 8, "latency": 20.0},
-            {"n": 16, "latency": 30.0},
-        ]
-        aggregated = aggregate_mean(rows, group_by=["n"],
-                                    fields=["latency"])
-        by_n = {row["n"]: row for row in aggregated}
-        assert by_n[8]["latency"] == 15.0
-        assert by_n[8]["samples"] == 2
-        assert by_n[16]["latency"] == 30.0
