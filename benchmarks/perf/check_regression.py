@@ -1,41 +1,43 @@
-"""CI perf gate: compare fresh BENCH_*.json files against baseline.json.
+"""CI perf gate: one rmbbench run against the committed msgs_per_s floors.
 
-A gated metric fails when its measured ``ops_per_sec`` is more than
-``max_regression_factor`` below the committed baseline — loose enough
-to absorb machine variance between CI runners, tight enough to catch a
-hot path accidentally falling back to a slow implementation.
+Usage (from the repository root)::
 
-Non-gated baseline entries (the ``informational`` block) are printed
-for the log but never fail the build.
+    python3 benchmarks/rmbbench/run.py --seed 7 --seconds 0 --out RESULTS
+    python3 benchmarks/perf/check_regression.py RESULTS [--baseline PATH]
 
-Usage::
+RESULTS is the combined JSON of an untraced rmbbench run over all
+workloads: one pass of each workload's job list, each in its own
+subprocess.  The gate fails when rmbbench's event == batch digest check
+failed, and a gated workload fails when it is missing from RESULTS, when
+rmbbench found its outputs incorrect, or when its ``values.msgs_per_s``
+is more than ``max_regression_factor`` below its baseline in
+``baseline.json`` (next to this script unless ``--baseline`` names
+another file).  The factor is loose enough to absorb the spread between
+CI runners and tight enough to catch a hot path falling back to a slow
+implementation.
 
-    PYTHONPATH=src python benchmarks/perf/run_all.py
-    python benchmarks/perf/check_regression.py
-
-Environment:
-    PERF_OUT_DIR: where run_all wrote the JSON (default: repo root).
-    PERF_BASELINE: alternative baseline.json path (default: alongside
-        this script).
+Exit status: 0 when every gate passes, 1 when one fails, 2 when an
+input cannot be read or is malformed (a traced run included, since it
+measures no ``msgs_per_s``).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import os
 import pathlib
 import sys
+from typing import Optional
 
 HERE = pathlib.Path(__file__).resolve().parent
-REPO_ROOT = HERE.parents[1]
 
 
 class GateError(Exception):
-    """A problem with the gate's inputs (missing/malformed files)."""
+    """A problem with the gate's inputs (unreadable or malformed files)."""
 
 
 def load_json(path: pathlib.Path, what: str) -> dict:
-    """Read one JSON file with errors turned into clear messages."""
+    """Read one JSON object with errors turned into clear messages."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -50,84 +52,86 @@ def load_json(path: pathlib.Path, what: str) -> dict:
     return payload
 
 
-def load_baseline(path: pathlib.Path) -> tuple[dict, float]:
+def load_baseline(path: pathlib.Path) -> tuple[dict[str, float], float]:
+    """``({workload: baseline msgs_per_s}, max_regression_factor)``."""
     baseline = load_json(path, "baseline")
     try:
         factor = float(baseline["max_regression_factor"])
-        gates = baseline["gates"]
-    except (KeyError, TypeError, ValueError) as exc:
+        gates = {name: float(value)
+                 for name, value in baseline["gates"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GateError(
             f"baseline {path} is missing or mistypes a required key "
             f"('max_regression_factor', 'gates'): {exc}") from exc
-    if not isinstance(gates, dict):
-        raise GateError(f"baseline {path}: 'gates' must be an object")
-    return baseline, factor
+    return gates, factor
 
 
-def load_bench(layer: str, out_dir: pathlib.Path) -> dict | None:
-    path = out_dir / f"BENCH_{layer}.json"
-    if not path.exists():
-        return None
-    bench = load_json(path, "bench output")
-    if not isinstance(bench.get("results"), dict):
-        raise GateError(f"bench output {path} has no 'results' object; "
-                        f"re-run run_all.py")
-    return bench
-
-
-def main() -> int:
-    baseline_path = pathlib.Path(
-        os.environ.get("PERF_BASELINE", HERE / "baseline.json"))
-    out_dir = pathlib.Path(os.environ.get("PERF_OUT_DIR", REPO_ROOT))
-    try:
-        baseline, factor = load_baseline(baseline_path)
-        return check(baseline, factor, out_dir)
-    except GateError as exc:
-        print(f"perf regression gate cannot run: {exc}")
-        return 2
+def load_results(path: pathlib.Path) -> dict:
+    """The combined results of one untraced rmbbench run."""
+    results = load_json(path, "results")
+    if results.get("trace"):
+        raise GateError(f"results {path} are from a traced run, which "
+                        f"measures no msgs_per_s; re-run without --trace")
+    workloads = results.get("workloads")
+    if not isinstance(workloads, dict) or not all(
+            isinstance(run, dict) for run in workloads.values()):
+        raise GateError(f"results {path} has no 'workloads' object of "
+                        f"per-workload results; pass the file rmbbench's "
+                        f"run.py wrote with --out")
+    return results
 
 
 def fmt(value: float) -> str:
-    """Six significant digits and no exponent: ``24,704``, ``0.033125``
-    (a saturation rate), ``850,000``."""
+    """Six significant digits and no exponent: ``57.9``, ``4,441.7``."""
     return f"{value:,.0f}" if abs(value) >= 1e5 else f"{value:,.6g}"
 
 
-def check(baseline: dict, factor: float, out_dir: pathlib.Path) -> int:
-    failures = []
-    for layer, metrics in baseline["gates"].items():
-        bench = load_bench(layer, out_dir)
-        if bench is None:
-            failures.append(f"BENCH_{layer}.json missing (run run_all.py first)")
+def check(results: dict, gates: dict[str, float],
+          factor: float) -> list[str]:
+    """Print one verdict line per gate; return the failures."""
+    failures = [f"event == batch: {problem}"
+                for problem in results.get("problems") or []]
+    for name, baseline in gates.items():
+        run = results["workloads"].get(name)
+        if run is None:
+            failures.append(f"{name}: missing from the results")
             continue
-        for name, floor in metrics.items():
-            row = bench["results"].get(name)
-            if row is None or "ops_per_sec" not in row:
-                failures.append(f"{layer}/{name}: scenario missing from bench")
-                continue
-            measured = float(row["ops_per_sec"])
-            minimum = float(floor) / factor
-            verdict = "OK" if measured >= minimum else "REGRESSED"
-            print(f"[gate] {layer}/{name}: {fmt(measured)} ops/sec "
-                  f"(baseline {fmt(float(floor))}, floor {fmt(minimum)}) "
-                  f"{verdict}")
-            if measured < minimum:
-                failures.append(
-                    f"{layer}/{name}: {fmt(measured)} ops/sec is more than "
-                    f"{factor:g}x below the committed baseline "
-                    f"{fmt(float(floor))}")
-
-    for layer, metrics in baseline.get("informational", {}).items():
-        bench = load_bench(layer, out_dir)
-        if bench is None:
+        if not run.get("correct", False):
+            problems = run.get("problems") or ["no problem recorded"]
+            failures.append(f"{name}: rmbbench found its outputs "
+                            f"incorrect: {problems[0]}")
             continue
-        for name, reference in metrics.items():
-            row = bench["results"].get(name)
-            if row is None:
-                continue
-            print(f"[info] {layer}/{name}: {fmt(float(row['ops_per_sec']))} "
-                  f"ops/sec (reference {fmt(float(reference))})")
+        try:
+            measured = float(run["values"]["msgs_per_s"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GateError(f"{name} has no numeric values.msgs_per_s: "
+                            f"{exc}") from exc
+        floor = baseline / factor
+        verdict = "OK" if measured >= floor else "REGRESSED"
+        print(f"[gate] {name}: {fmt(measured)} msg/s (baseline "
+              f"{fmt(baseline)}, floor {fmt(floor)}) {verdict}")
+        if measured < floor:
+            failures.append(f"{name}: {fmt(measured)} msg/s is more than "
+                            f"{factor:g}x below the baseline "
+                            f"{fmt(baseline)}")
+    return failures
 
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Check one rmbbench run against the msgs_per_s floors.")
+    parser.add_argument("results",
+                        help="combined results JSON of rmbbench's run.py")
+    parser.add_argument("--baseline", default=str(HERE / "baseline.json"),
+                        help="baseline JSON (default: %(default)s)")
+    args = parser.parse_args(argv)
+    try:
+        gates, factor = load_baseline(pathlib.Path(args.baseline))
+        failures = check(load_results(pathlib.Path(args.results)), gates,
+                         factor)
+    except GateError as exc:
+        print(f"perf regression gate cannot run: {exc}")
+        return 2
     if failures:
         print("\nperf regression gate FAILED:")
         for failure in failures:

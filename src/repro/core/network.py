@@ -199,9 +199,8 @@ class RMBRing:
             )
         if obs is not None:
             # Pull collectors run only at export/report time (zero
-            # run-time cost), so they are registered even at level "off" —
-            # that is how the perf benchmarks read final counts through
-            # the registry without perturbing the timed region.
+            # run-time cost), so they are registered even at level "off":
+            # a run that records nothing still exports its final counts.
             from repro.obs.wiring import (
                 CompactionCollector,
                 KernelCollector,

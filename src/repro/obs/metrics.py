@@ -13,8 +13,7 @@ Two acquisition styles coexist, mirroring Prometheus practice:
   :meth:`MetricsRegistry.register_collector` run only at
   :meth:`MetricsRegistry.collect` time (export / report) and scrape
   engine-owned state into gauges.  Pull metrics cost nothing during the
-  run, which is how the perf benchmarks read final counts through the
-  registry without perturbing the timed region.
+  run, so even a run at level ``"off"`` exports its final counts.
 
 Collectors are instances of plain classes, never closures, so a ring
 carrying an armed registry still checkpoints (the same pickling rule as

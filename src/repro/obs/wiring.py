@@ -11,8 +11,8 @@ without observability pays one predictable branch per site.
 The collector classes scrape engine-owned state (kernel counters, grid
 occupancy, routing aggregates, compaction stats) into gauges *at export
 time only*.  This is the pull half of the registry: it costs nothing
-during the run, which lets the perf benchmarks consume final counts
-through the registry with ``level="off"`` and zero timed-region cost.
+during the run, so a run at ``level="off"`` still exports its final
+counts.
 Collectors are plain class instances — never closures — so a ring
 carrying an armed registry still checkpoints (the
 :class:`~repro.sim.kernel.SimClock` pickling rule).

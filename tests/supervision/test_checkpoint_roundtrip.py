@@ -67,7 +67,7 @@ def build_ring(seed: int, plan: FaultPlan | None) -> RMBRing:
 
 def finish(ring: RMBRing) -> None:
     ring.sim.run(until=HORIZON)
-    ring.drain()
+    ring.drain(max_ticks=2_000)
 
 
 def observables(ring: RMBRing) -> tuple:

@@ -1,14 +1,12 @@
 """Exact pins on the traffic saturation rates, on both backends.
 
 The saturation rate a sweep finds is a simulation fact, deterministic in
-the seed, so it is pinned exactly here rather than within the 2x
-wall-clock factor ``benchmarks/perf/check_regression.py`` allows.  The
-sweeps are those of ``benchmarks/perf/bench_traffic.py``: N=16, k=4,
-4 data flits, seed 7, 100-tick windows, 4 bisection steps.  Their
-unstable points run the header-timeout path under ``BOUNDED_RETRY``,
-so the pins also guard the parked headers' timeout deadlines (DESIGN.md
-P5).  ``benchmarks/perf/baseline.json`` rounds the kperm value to
-0.157625.
+the seed, so it is pinned exactly.  The sweeps are those of
+EXPERIMENTS.md E34: N=16, k=4, 4 data flits, seed 7, 100-tick windows,
+4 bisection steps.  Their unstable points run the header-timeout path
+under ``BOUNDED_RETRY``, so the pins also guard the parked headers'
+timeout deadlines (DESIGN.md P5).  E34 prints the kperm value rounded
+to 0.157625.
 """
 
 from __future__ import annotations
