@@ -64,6 +64,11 @@ CASES: dict[str, list[str]] = {
     "arena": ["arena", "-n", "16", "-k", "4",
               "--patterns", "ring-shift,transpose",
               "--networks", "rmb,mesh,multibus", "--json", "arena.json"],
+    # Every RMB network the arena races, flat ring and both fabrics.
+    "arena_fabrics": ["arena", "-n", "16", "-k", "4",
+                      "--patterns", "ring-shift,transpose,tornado",
+                      "--networks", "rmb,rmb-2ring,hier:4x4",
+                      "--json", "arena.json"],
     "selfcheck": ["selfcheck"],
     # The checkpoint/resume command line CI ran as a shell smoke step.
     "checkpoint": ["run", "-n", "16", "-k", "4", "-m", "40", "--rate", "0.05",

@@ -5,7 +5,9 @@ submission waves mixing clockwise, counter-clockwise, tie-break and
 multicast traffic, with mid-run lifecycle census capture — whose outputs
 are committed byte-for-byte under ``tests/fixtures/two_ring_golden/``:
 
-* ``summary.json`` — the run's ``stats().summary()`` plus drain timing;
+* ``summary.json`` — the pooled leg aggregate's ``summary()`` (every
+  ``cw`` record, then every ``ccw`` record, with the fabric's probe
+  series and duration) plus drain timing;
 * ``records.txt`` — every per-ring message record (timestamps, counters,
   lanes visited, tap deliveries);
 * ``census.txt`` — lifecycle census strings sampled mid-run and after
@@ -29,6 +31,7 @@ import pathlib
 from repro.core.config import RMBConfig
 from repro.core.flits import Message
 from repro.core.routing import format_census
+from repro.core.stats import RunStats
 from repro.hier import TwoRingRMB
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -67,15 +70,14 @@ def _submit(network: TwoRingRMB, wave) -> None:
 
 
 def _census_line(network: TwoRingRMB, label: str) -> str:
-    cw = format_census(network.clockwise.routing.lifecycle_census())
-    ccw = format_census(network.counterclockwise.routing.lifecycle_census())
+    cw = format_census(network.rings["cw"].routing.lifecycle_census())
+    ccw = format_census(network.rings["ccw"].routing.lifecycle_census())
     return f"{label} t={network.sim.now:.1f} cw[{cw}] ccw[{ccw}]"
 
 
 def _record_lines(network: TwoRingRMB) -> list[str]:
     lines = []
-    for name, ring in (("cw", network.clockwise),
-                       ("ccw", network.counterclockwise)):
+    for name, ring in network.rings.items():
         for message_id in sorted(ring.routing.records):
             record = ring.routing.records[message_id]
             taps = " ".join(
@@ -96,7 +98,19 @@ def _record_lines(network: TwoRingRMB) -> list[str]:
     return lines
 
 
-def build_outputs() -> dict[str, str]:
+def pooled_leg_stats(network: TwoRingRMB) -> RunStats:
+    """One row per leg record: ``cw``'s records, then ``ccw``'s."""
+    records = []
+    for ring in network.rings.values():
+        ring.routing.settle_stalls()
+        records.extend(ring.routing.records.values())
+    return RunStats.from_records(
+        records, duration=network.sim.now,
+        utilization=network.utilization, live_buses=network.live_buses)
+
+
+def run_scenario() -> tuple[TwoRingRMB, list[str], float]:
+    """The drained run, its census lines and its drain time."""
     network = TwoRingRMB(
         RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0), seed=SEED)
     census = []
@@ -110,16 +124,21 @@ def build_outputs() -> dict[str, str]:
     census.append(_census_line(network, "wave2+10"))
     elapsed = network.drain()
     census.append(_census_line(network, "drained"))
+    return network, census, elapsed
+
+
+def build_outputs() -> dict[str, str]:
+    network, census, elapsed = run_scenario()
     summary = {key: value for key, value in
-               sorted(network.stats().summary().items())}
+               sorted(pooled_leg_stats(network).summary().items())}
     summary["drain_elapsed"] = elapsed
     summary["final_time"] = network.sim.now
     return {
         "summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
         "records.txt": "\n".join(_record_lines(network)) + "\n",
         "census.txt": "\n".join(census) + "\n",
-        "trace_cw.txt": network.clockwise.trace.render() + "\n",
-        "trace_ccw.txt": network.counterclockwise.trace.render() + "\n",
+        "trace_cw.txt": network.rings["cw"].trace.render() + "\n",
+        "trace_ccw.txt": network.rings["ccw"].trace.render() + "\n",
     }
 
 
