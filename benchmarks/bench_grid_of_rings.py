@@ -46,7 +46,7 @@ def run_lattice(lattice, pairs):
         lattice.submit(Message(index, source, destination, data_flits=FLITS,
                                created_at=lattice.sim.now))
     makespan = lattice.drain()
-    return makespan, lattice.journey_run_stats().latency.mean
+    return makespan, lattice.stats().latency.mean
 
 
 def run_grid(pairs):

@@ -37,11 +37,12 @@ def main() -> None:
                             created_at=grid.sim.now))
 
     makespan = grid.drain()
-    stats = grid.journey_run_stats()
+    stats = grid.stats()
     single = [journey for journey in grid.journeys.values()
-              if journey.hops == 1]
+              if len(journey.plan) == 1]
     turn_waits = [journey.trail[1].submitted_at - journey.message.created_at
-                  for journey in grid.journeys.values() if journey.hops == 2]
+                  for journey in grid.journeys.values()
+                  if len(journey.plan) == 2]
 
     print(f"{rows}x{cols} grid of RMB rings (k={lanes}, {len(grid.rings)} "
           f"rings): {stats.completed}/{count} journeys completed in "

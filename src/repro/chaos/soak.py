@@ -191,11 +191,11 @@ def build_soak_ring(
         nodes=config.nodes,
         lanes=config.lanes,
         synchronous=not config.asynchronous,
+        check_level="sampled",
     )
     return RMBRing(
         rmb,
         seed=config.seed,
-        check_level="sampled",
         fault_plan=plan,
         recovery=(config.recovery
                   if with_recovery and plan is not None else None),

@@ -364,10 +364,7 @@ def command_run(args: argparse.Namespace) -> int:
     watchdog = None
     if args.watchdog:
         from repro.supervision import WatchdogConfig
-        # The watchdog's storm knobs come from the unified retry policy
-        # (the policy defaults mirror the historical WatchdogConfig ones).
-        watchdog = WatchdogConfig(retry_threshold=retry.storm_threshold,
-                                  retry_storm_action=retry.storm_action)
+        watchdog = WatchdogConfig()
     obs = _build_obs(args)
     try:
         network = build_rmb(config, args.backend, args.topology, args.seed,
@@ -527,7 +524,7 @@ def _report_run(ring, title: str,
 
 def _report_fabric(network, title: str, stats_json: Optional[str]) -> None:
     """Journey-level table, per-ring legs, and the JSON with both."""
-    stats = network.journey_run_stats()
+    stats = network.stats()
     rows = [{"metric": key, "value": round(value, 3)}
             for key, value in stats.summary().items()]
     print(render_table(rows, title=f"{title} (journey-level)"))

@@ -13,8 +13,8 @@ class RetryPolicy:
     """Every retry/timeout knob of one ring, in one validated place.
 
     A refused request (Nack) makes its source retry; this policy is the
-    only home of how: the backoff, the give-up rules, the header timeout
-    and the watchdog's retry-storm response.  :class:`RMBConfig` carries
+    only home of how: the backoff, the give-up rules and the header
+    timeout.  :class:`RMBConfig` carries
     one as ``config.retry``, so a whole retry regime is named, validated
     and swapped as a unit.
 
@@ -40,15 +40,6 @@ class RetryPolicy:
             re-arming a timer — the per-node fuse that keeps a dead
             destination from monopolising a source's injection slots
             during fault storms.  ``None`` (default) disables the fuse.
-        storm_threshold: retries since the last intervention before the
-            watchdog's ``retry_storm`` condition trips (mirrors
-            :class:`~repro.supervision.watchdog.WatchdogConfig.
-            retry_threshold`; consumed by the CLI when it builds the
-            watchdog for a run).
-        storm_action: what the watchdog does about a retry storm —
-            ``"reset_backoff"`` (forgive the exponential backoff) or
-            ``"report"`` (record only; the default, matching the
-            historical CLI behaviour).
     """
 
     delay: float = 16.0
@@ -57,8 +48,6 @@ class RetryPolicy:
     max_retries: Optional[int] = None
     header_timeout: Optional[float] = 128.0
     node_budget: Optional[int] = None
-    storm_threshold: int = 8
-    storm_action: str = "report"
 
     def __post_init__(self) -> None:
         if self.delay <= 0:
@@ -76,14 +65,6 @@ class RetryPolicy:
         if self.node_budget is not None and self.node_budget < 0:
             raise ConfigurationError(
                 "retry.node_budget must be >= 0 or None")
-        if self.storm_threshold < 1:
-            raise ConfigurationError(
-                f"retry.storm_threshold must be >= 1, "
-                f"got {self.storm_threshold}")
-        if self.storm_action not in ("reset_backoff", "report"):
-            raise ConfigurationError(
-                f"retry.storm_action must be 'reset_backoff' or 'report', "
-                f"got {self.storm_action!r}")
 
     def with_overrides(self, **changes: Any) -> "RetryPolicy":
         """A copy with some fields replaced (validated again)."""

@@ -10,9 +10,9 @@ Messages travel dimension-ordered: one leg per differing coordinate, in
 ascending dimension order, with a store-and-forward hop at every turn.
 For ``n = 2`` this is the classic grid of row and column rings; ``n = 3``
 is the paper's 3-D case.  Ring sizes inherit the RMB's even-and-at-least-4
-requirement.  Everything composite — leg chaining, draining, stats,
-checkpoints — comes from :class:`RingFabric`; this module contributes the
-route map and the member rings.
+requirement.  Everything composite — building the rings, leg chaining,
+draining, stats, checkpoints — comes from :class:`RingFabric`; this
+module contributes the route map and the member list.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core.config import RMBConfig
 from repro.core.flits import Message
 from repro.core.network import RMBRing
 from repro.errors import ConfigurationError, ProtocolError
-from repro.hier.fabric import Hop, RingFabric, RouteMap
+from repro.hier.fabric import Hop, Member, RingFabric, RouteMap
 
 
 def line_ring_name(dim: int, fixed: Sequence[int]) -> str:
@@ -95,21 +95,23 @@ class RMBLattice(RingFabric):
     Args:
         shape: processors per dimension; every entry even and >= 4.
         lanes: lane count for every ring.
-        base_config: optional parameter template (cycle period, retry
-            policy, ...); ``nodes``/``lanes`` are overridden per ring.
+        config: optional parameter template (cycle period, retry policy,
+            check level, ...); ``nodes``/``lanes`` are overridden per
+            ring.  The built-in template runs no invariant monitor
+            (``check_level="off"``).
         seed: root seed; member rings get ``seed + 1, seed + 2, ...`` in
-            registration order (dimension-major, then row-major over the
-            fixed coordinates).
-        check_invariants: arm each member ring's invariant monitor.
+            member order (dimension-major, then row-major over the fixed
+            coordinates).
+
+    Member rings record no trace.
     """
 
     def __init__(
         self,
         shape: Sequence[int],
         lanes: int,
-        base_config: Optional[RMBConfig] = None,
+        config: Optional[RMBConfig] = None,
         seed: int = 0,
-        check_invariants: bool = False,
     ) -> None:
         shape = tuple(shape)
         if len(shape) < 1:
@@ -121,30 +123,25 @@ class RMBLattice(RingFabric):
                     f"got {shape}"
                 )
         route_map = DimensionOrderRouteMap(shape)
-        super().__init__(
-            route_map,
-            name=f"lattice {'x'.join(str(size) for size in shape)}",
-        )
-        self.shape = shape
-        self.lanes = lanes
-        self.nodes = route_map.nodes
-        self.node_id = route_map.node_id
-        self.coordinates = route_map.coordinates
-        template = base_config if base_config is not None else \
-            RMBConfig(nodes=max(shape), lanes=lanes, cycle_period=2.0)
-        ring_seed = seed
+        template = config if config is not None else RMBConfig(
+            nodes=max(shape), lanes=lanes, cycle_period=2.0,
+            check_level="off")
+        members: List[Member] = []
         for dim, size in enumerate(shape):
-            config = template.with_overrides(nodes=size, lanes=lanes)
+            ring_config = template.with_overrides(nodes=size, lanes=lanes)
             for fixed in itertools.product(*(
                     range(extent) for axis, extent in enumerate(shape)
                     if axis != dim)):
-                ring_seed += 1
-                self.add_ring(RMBRing(
-                    config, seed=ring_seed, sim=self.sim,
-                    name=line_ring_name(dim, fixed),
-                    check_invariants=check_invariants,
-                    trace_kinds=set(),
-                ))
+                members.append((line_ring_name(dim, fixed), ring_config,
+                                seed + len(members) + 1))
+        super().__init__(
+            route_map, members,
+            name=f"lattice {'x'.join(str(size) for size in shape)}",
+            trace_kinds=set(),
+        )
+        self.nodes = route_map.nodes
+        self.node_id = route_map.node_id
+        self.coordinates = route_map.coordinates
 
     def ring_for(self, dim: int, coords: Sequence[int]) -> RMBRing:
         """The ring running along ``dim`` through the given coordinates."""

@@ -8,9 +8,9 @@ the short way round.  The counter-clockwise ring is an ordinary
 (``i -> (N - i) % N``), which turns counter-clockwise physical travel
 into clockwise logical travel.
 
-Everything composite — submission routing, draining, census, stats —
-comes from :class:`RingFabric`; this module only contributes the mirror
-route map and the lane split.
+Everything composite — building the rings, submission routing,
+draining, census, stats — comes from :class:`RingFabric`; this module
+only contributes the mirror route map and the lane split.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.config import RMBConfig
 from repro.core.flits import Message
-from repro.core.network import RMBRing
 from repro.errors import ProtocolError
 from repro.hier.fabric import Hop, RingFabric, RouteMap
 
@@ -66,43 +65,23 @@ class TwoRingRMB(RingFabric):
     """Two unidirectional RMB rings sharing one simulator.
 
     Messages are routed on the ring that gives the shorter span; ties go
-    clockwise.  ``config.lanes`` is split evenly between the directions
-    unless ``lanes_per_direction`` is given.
+    clockwise.  ``config.lanes`` is split evenly between the directions:
+    the ``cw`` ring (seed ``seed``) and the ``ccw`` ring (``seed + 1``).
     """
 
     def __init__(
         self,
         config: RMBConfig,
-        lanes_per_direction: Optional[int] = None,
         seed: int = 0,
-        check_invariants: bool = True,
         probe_period: Optional[float] = None,
         obs: Optional["Observability"] = None,
     ) -> None:
-        lanes = lanes_per_direction
-        if lanes is None:
-            if config.lanes < 2:
-                raise ProtocolError(
-                    "two-ring RMB needs at least 2 lanes to split"
-                )
-            lanes = config.lanes // 2
+        if config.lanes < 2:
+            raise ProtocolError("two-ring RMB needs at least 2 lanes to split")
+        ring_config = config.with_overrides(lanes=config.lanes // 2)
         super().__init__(
             MirrorRouteMap(config.nodes),
-            name="two-ring RMB",
-            probe_period=probe_period,
+            [("cw", ring_config, seed), ("ccw", ring_config, seed + 1)],
+            name="two-ring RMB", probe_period=probe_period, obs=obs,
         )
-        ring_config = config.with_overrides(lanes=lanes)
-        self.config = ring_config
         self.nodes = config.nodes
-        self.clockwise = self.add_ring(RMBRing(
-            ring_config, seed=seed, sim=self.sim, name="cw",
-            check_invariants=check_invariants, probe_period=probe_period,
-            obs=obs, obs_ring_label="cw" if obs is not None else None,
-        ))
-        self.counterclockwise = self.add_ring(RMBRing(
-            ring_config, seed=seed + 1, sim=self.sim, name="ccw",
-            check_invariants=check_invariants, probe_period=probe_period,
-            obs=obs, obs_ring_label="ccw" if obs is not None else None,
-        ))
-        self._wire_obs(obs)
-        self._arm_probes()

@@ -19,7 +19,7 @@ from repro.networks.registry import (
     PAPER_NETWORKS,
     build_network,
 )
-from repro.networks.rmb_adapter import RMBNetworkAdapter, TwoRingRMBAdapter
+from repro.networks.rmb_adapter import RMBNetworkAdapter
 from repro.networks.wormhole import Channel, WormholeEngine
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "MultiBusNetwork",
     "PAPER_NETWORKS",
     "RMBNetworkAdapter",
-    "TwoRingRMBAdapter",
     "WormholeEngine",
     "build_network",
     "ecube_route",

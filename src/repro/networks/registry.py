@@ -26,7 +26,9 @@ import math
 from typing import Callable
 
 from repro.core.config import RMBConfig
+from repro.core.network import RMBRing
 from repro.errors import ConfigurationError
+from repro.hier import HierRMB, TwoRingRMB
 from repro.networks.base import ComparisonNetwork
 from repro.networks.crossbar import CrossbarNetwork
 from repro.networks.ehc import EnhancedHypercubeNetwork
@@ -36,11 +38,7 @@ from repro.networks.hypercube import HypercubeNetwork
 from repro.networks.karyncube import KAryNCubeNetwork
 from repro.networks.mesh import MeshNetwork
 from repro.networks.multibus import MultiBusNetwork
-from repro.networks.rmb_adapter import (
-    HierRMBAdapter,
-    RMBNetworkAdapter,
-    TwoRingRMBAdapter,
-)
+from repro.networks.rmb_adapter import RMBNetworkAdapter
 
 
 def hier_shape(name: str, nodes: int) -> tuple[int, int]:
@@ -132,15 +130,15 @@ def build_network(name: str, nodes: int, k: int,
         )
     if hier:
         locals_count, nodes_per_local = hier_shape(name, nodes)
-        return HierRMBAdapter(
-            locals_count, nodes_per_local, k=k, seed=seed, name=name)
+        return RMBNetworkAdapter(name, nodes, lambda: HierRMB(
+            locals=locals_count, nodes_per_local=nodes_per_local, lanes=k,
+            seed=seed))
     builders: dict[str, Callable[[], ComparisonNetwork]] = {
-        "rmb": lambda: RMBNetworkAdapter(
-            RMBConfig(nodes=nodes, lanes=k), seed=seed
-        ),
-        "rmb-2ring": lambda: TwoRingRMBAdapter(
-            RMBConfig(nodes=nodes, lanes=k), seed=seed
-        ),
+        "rmb": lambda: RMBNetworkAdapter("rmb", nodes, lambda: RMBRing(
+            RMBConfig(nodes=nodes, lanes=k), seed=seed, trace_kinds=set())),
+        "rmb-2ring": lambda: RMBNetworkAdapter(
+            "rmb-2ring", nodes,
+            lambda: TwoRingRMB(RMBConfig(nodes=nodes, lanes=k), seed=seed)),
         "hypercube": lambda: HypercubeNetwork(nodes),
         "ehc": lambda: EnhancedHypercubeNetwork(nodes),
         "gfc": lambda: GeneralizedFoldingCubeNetwork(

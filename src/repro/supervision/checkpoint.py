@@ -48,8 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
 #: list of held-hop lanes per bus id, and the monitor no longer carries
 #: ``check_ports``.  Version 6: snapshots carry primary state only; the
 #: grid, compaction and routing engines rebuild their derived indexes on
-#: restore.
-SNAPSHOT_VERSION = 6
+#: restore.  Version 7: a ring fabric no longer carries its probe period
+#: or a message-to-ring map, a ring no longer carries its check level,
+#: and a retry policy no longer carries the watchdog's storm knobs.
+SNAPSHOT_VERSION = 7
 
 _FORMAT = "rmb-snapshot"
 

@@ -322,18 +322,16 @@ def run_point(cfg: SaturationConfig, pattern: TrafficPattern,
         ring.drain(max_ticks=drain_cap)
     except ProtocolError:
         drained = False
+    # On a fabric, stability is judged over whole journeys (completion
+    # and end-to-end latency); per-ring leg rates ride along.
+    stats = ring.stats()
     ring_rates: Optional[dict[str, float]] = None
     if isinstance(ring, RingFabric):
-        # Stability is judged over the whole fabric: journey-level
-        # completion and end-to-end latency, not per-leg numbers.
-        stats: RunStats = ring.journey_run_stats()
         duration = stats.duration if stats.duration > 0 else 1.0
         ring_rates = {
             name: member.routing.completed / duration
             for name, member in ring.rings.items()
         }
-    else:
-        stats = ring.stats()
     point = _classify(cfg, rate, stats, drained, ring_rates=ring_rates)
     _record_obs(cfg, pattern, point)
     return point

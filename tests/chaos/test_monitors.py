@@ -64,9 +64,9 @@ class TestStuckBusMonitor:
     def test_frozen_bus_is_reported_after_window(self):
         # Blockade wedges the bus; header_timeout off keeps it frozen.
         config = RMBConfig(nodes=8, lanes=3, compaction_enabled=False,
-                           retry=RetryPolicy(header_timeout=None))
-        ring = RMBRing(config, seed=1, check_invariants=False,
-                       trace_kinds=set())
+                           retry=RetryPolicy(header_timeout=None),
+                           check_level="off")
+        ring = RMBRing(config, seed=1, trace_kinds=set())
         for lane in range(3):
             ring.grid.claim(2, lane, 900 + lane)
         ring.submit(Message(0, 0, 4, data_flits=2))

@@ -83,7 +83,7 @@ def build_ring(plan, seed=3, synchronous=True, **overrides):
                            delay=4.0,
                            max_retries=overrides.pop("max_retries", 5)),
                        **overrides)
-    # check_invariants defaults on: the monitor (including the fault-aware
+    # check_level defaults to "full": the monitor (including the fault-aware
     # monotonicity and no-dead-occupancy checks) runs every cycle and
     # raises mid-run on any Theorem 1 violation.
     return RMBRing(config, seed=seed, fault_plan=plan, trace_kinds=set())

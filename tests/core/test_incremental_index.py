@@ -8,7 +8,7 @@ from repro.core.config import RMBConfig
 from repro.core.network import RMBRing
 from repro.core.segments import SegmentGrid
 from repro.core.status import PortHealth
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +122,13 @@ def test_dirty_heating_expands_neighbourhood():
 def test_check_level_off_disables_monitor():
     ring = RMBRing(RMBConfig(nodes=8, lanes=3, check_level="off"), seed=1)
     assert ring.monitor is None
-    assert ring.check_level == "off"
 
 
 def test_check_level_full_installs_monitor():
     ring = RMBRing(RMBConfig(nodes=8, lanes=3), seed=1)
     assert ring.monitor is not None
-    assert ring.check_level == "full"
-
-
-def test_check_level_argument_overrides_config():
-    ring = RMBRing(RMBConfig(nodes=8, lanes=3, check_level="full"),
-                   seed=1, check_level="sampled")
-    assert ring.check_level == "sampled"
-    assert ring.monitor is not None
 
 
 def test_check_level_rejects_unknown_value():
-    with pytest.raises(ProtocolError):
-        RMBRing(RMBConfig(nodes=8, lanes=3), seed=1, check_level="never")
+    with pytest.raises(ConfigurationError):
+        RMBConfig(nodes=8, lanes=3, check_level="never")

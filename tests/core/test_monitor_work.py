@@ -84,7 +84,7 @@ def job() -> SimpleNamespace:
 
 
 def test_the_simulation_is_unchanged(job):
-    assert job.ring.check_level == "full"
+    assert job.ring.config.check_level == "full"
     assert job.calls["checks"] == job.ring.monitor.checks_run == 1952
     assert job.calls["held_hops"] == 212029
     assert job.ring.sim.now == 3904

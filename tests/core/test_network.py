@@ -82,8 +82,7 @@ def test_drain_raises_on_livelock_budget():
 
 
 def test_check_now_builds_monitor_on_demand():
-    ring = RMBRing(RMBConfig(nodes=8, lanes=3), seed=0,
-                   check_invariants=False)
+    ring = RMBRing(RMBConfig(nodes=8, lanes=3, check_level="off"), seed=0)
     assert ring.monitor is None
     ring.check_now()
     assert ring.monitor is not None

@@ -24,8 +24,9 @@ def blocked_column_ring(**policy) -> RMBRing:
     a header extending from node 0 wedges in front of column 2.
     """
     config = RMBConfig(nodes=8, lanes=3, compaction_enabled=False,
-                       retry=RetryPolicy(jitter=0.0, **policy))
-    ring = RMBRing(config, seed=1, check_invariants=False)
+                       retry=RetryPolicy(jitter=0.0, **policy),
+                       check_level="off")
+    ring = RMBRing(config, seed=1)
     for lane in range(3):
         ring.grid.claim(2, lane, 900 + lane)
     return ring

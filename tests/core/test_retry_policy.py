@@ -21,17 +21,15 @@ class TestValidation:
         {"max_retries": -1},
         {"header_timeout": 0.0},
         {"node_budget": -1},
-        {"storm_threshold": 0},
-        {"storm_action": "panic"},
     ])
     def test_invalid_policies_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
             RetryPolicy(**overrides)
 
     def test_defaults_match_legacy_config_defaults(self):
-        """The policy's defaults are the historical retry knobs and the
-        watchdog's storm response, and a config without an explicit
-        policy gets exactly them (the baseline-preservation contract)."""
+        """The policy's defaults are the historical retry knobs, and a
+        config without an explicit policy gets exactly them (the
+        baseline-preservation contract)."""
         policy = RetryPolicy()
         assert RMBConfig(nodes=8, lanes=3).retry == policy
         assert (policy.delay, policy.backoff, policy.jitter) == \
@@ -39,10 +37,6 @@ class TestValidation:
         assert policy.max_retries is None
         assert policy.header_timeout == 128.0
         assert policy.node_budget is None
-        from repro.supervision import WatchdogConfig
-        watchdog = WatchdogConfig()
-        assert policy.storm_threshold == watchdog.retry_threshold
-        assert policy.storm_action == watchdog.retry_storm_action
 
     def test_with_overrides_revalidates(self):
         policy = RetryPolicy()
@@ -68,7 +62,7 @@ class TestAliases:
         policy = RetryPolicy(delay=2.0, jitter=0.0)
         assert config.with_overrides(retry=policy).retry == policy
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_old_checkpoint_version_is_refused_by_name(self, version):
         """Version-1 snapshots may hold configs pickled before the
         unification, without a ``retry`` slot; version-2 ones lack the
@@ -76,7 +70,8 @@ class TestAliases:
         per-pass bus maps, the ready nodes and the parked headers'
         deadlines; version-4 ones hold a monotonicity tracker keyed by
         ``(bus, hop)``; version-5 ones carry derived indexes that a
-        restore now rebuilds.  Each is refused with both versions named
+        restore now rebuilds; version-6 ones hold fabrics, rings and
+        retry policies with fields that are gone.  Each is refused with both versions named
         instead of being half-restored."""
         ring = RMBRing(RMBConfig(nodes=8, lanes=3))
         header, payload = save_snapshot_bytes(ring).split(b"\n", 1)
@@ -84,7 +79,7 @@ class TestAliases:
         manifest["version"] = version
         old = json.dumps(manifest).encode("utf-8") + b"\n" + payload
         with pytest.raises(SnapshotError,
-                           match=rf"version {version} unsupported .*version 6"):
+                           match=rf"version {version} unsupported .*version 7"):
             load_snapshot_bytes(old)
 
     def test_policy_survives_pickling(self):
@@ -102,9 +97,8 @@ class TestNodeBudget:
         policy = RetryPolicy(delay=4.0, jitter=0.0, max_retries=50,
                              node_budget=node_budget)
         config = RMBConfig(nodes=8, lanes=1, compaction_enabled=False,
-                           retry=policy)
-        ring = RMBRing(config, seed=1, check_invariants=False,
-                       trace_kinds=set())
+                           retry=policy, check_level="off")
+        ring = RMBRing(config, seed=1, trace_kinds=set())
         ring.grid.claim(1, 0, 900)
         return ring
 

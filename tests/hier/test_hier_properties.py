@@ -64,7 +64,7 @@ def test_delivery_is_conserved_across_bridge_hops(messages, seed):
                    for record in ring.routing.records.values())
     # Leg totals line up with the plans (conservation at the bridges).
     total_legs = sum(len(j.trail) for j in network.journeys.values())
-    assert total_legs == sum(j.hops for j in network.journeys.values())
+    assert total_legs == sum(len(j.plan) for j in network.journeys.values())
 
 
 @settings(max_examples=15, deadline=None)
@@ -95,7 +95,7 @@ def test_journeys_are_conserved_under_admission_control(shape, limit, policy,
                                    (source + offset) % nodes,
                                    data_flits=2))
         network.drain()
-        stats = network.journey_run_stats()
+        stats = network.stats()
         assert stats.offered == len(network.journeys)
         assert stats.offered == \
             stats.completed + stats.abandoned + stats.shed
@@ -117,7 +117,7 @@ def test_local_traffic_never_touches_the_global_ring(local, pairs):
     for other in range(LOCALS):
         if other != local:
             assert not network.rings[local_ring_name(other)].routing.records
-    assert all(j.rings_visited() == (local_ring_name(local),)
+    assert all([hop.ring for hop in j.trail] == [local_ring_name(local)]
                for j in network.journeys.values())
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import RMBConfig
 from repro.core.flits import Message
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hier import DimensionOrderRouteMap, RMBLattice
@@ -16,6 +17,11 @@ def submit(lattice, message_id, source, destination, data_flits):
     lattice.submit(Message(message_id, source, destination,
                            data_flits=data_flits, created_at=lattice.sim.now))
     return lattice.journeys[message_id]
+
+
+def rings_of(journey):
+    """The rings the journey's legs were injected on, in order."""
+    return tuple(hop.ring for hop in journey.trail)
 
 
 def leg_endpoints(journey):
@@ -69,7 +75,7 @@ class TestConstruction:
         # Registration order fixes member seeds (seed + 1, seed + 2, ...),
         # so it is part of the fixed-seed contract.
         lattice = RMBLattice((4, 6), lanes=2)
-        names = lattice.member_names()
+        names = tuple(lattice.rings)
         assert names[:2] == ("d0@(0,)", "d0@(1,)")
         assert names[6:] == ("d1@(0,)", "d1@(1,)", "d1@(2,)", "d1@(3,)")
 
@@ -81,7 +87,7 @@ class TestJourneys:
                         lattice.node_id((1, 3)), data_flits=4)
         lattice.drain()
         assert record.finished
-        assert record.hops == 1
+        assert len(record.plan) == 1
 
     def test_three_dimensional_journey(self):
         lattice = RMBLattice((4, 4, 4), lanes=2)
@@ -89,8 +95,8 @@ class TestJourneys:
                         lattice.node_id((2, 3, 1)), data_flits=4)
         lattice.drain()
         assert record.finished
-        assert record.hops == 3
-        assert record.rings_visited() == ("d0@(0, 0)", "d1@(2, 0)",
+        assert len(record.plan) == 3
+        assert rings_of(record) == ("d0@(0, 0)", "d1@(2, 0)",
                                           "d2@(2, 3)")
         # Legs run strictly in sequence.
         for earlier, later in zip(record.trail, record.trail[1:]):
@@ -104,7 +110,7 @@ class TestJourneys:
         # Leg 1 crosses dim 0: from row 0 to row 2 within column 1.
         # Leg 2 crosses dim 1: from column 1 to column 3 within row 2.
         assert leg_endpoints(record) == [(0, 2), (1, 3)]
-        assert record.rings_visited() == ("d0@(1,)", "d1@(2,)")
+        assert rings_of(record) == ("d0@(1,)", "d1@(2,)")
 
     def test_validation(self):
         lattice = RMBLattice((4, 4), lanes=2)
@@ -131,7 +137,7 @@ class TestJourneys:
                 destination = (destination + 1) % 64
             submit(lattice, index, source, destination, data_flits=6)
         lattice.drain()
-        stats = lattice.journey_run_stats()
+        stats = lattice.stats()
         assert stats.completed == 20
         assert stats.latency.count == 20
 
@@ -192,7 +198,7 @@ class TestTwoDimensionalGrid:
                         grid.node_id((1, 3)), data_flits=8)
         grid.drain()
         assert record.finished
-        assert record.rings_visited() == ("d1@(1,)",)
+        assert rings_of(record) == ("d1@(1,)",)
 
     def test_same_column_single_leg(self):
         grid = RMBLattice((4, 4), lanes=2)
@@ -200,7 +206,7 @@ class TestTwoDimensionalGrid:
                         grid.node_id((3, 2)), data_flits=8)
         grid.drain()
         assert record.finished
-        assert record.rings_visited() == ("d0@(2,)",)
+        assert rings_of(record) == ("d0@(2,)",)
 
     def test_two_leg_journey_turns_at_destination_row(self):
         grid = RMBLattice((4, 4), lanes=2)
@@ -210,7 +216,7 @@ class TestTwoDimensionalGrid:
         assert record.finished
         # Leg 1 rode column ring 1 from row 0 to row 2; leg 2 rode row
         # ring 2 from column 1 to column 3.
-        assert record.rings_visited() == ("d0@(1,)", "d1@(2,)")
+        assert rings_of(record) == ("d0@(1,)", "d1@(2,)")
         assert leg_endpoints(record) == [(0, 2), (1, 3)]
         # The second leg starts only after the first completes.
         first, second = record.trail
@@ -227,12 +233,12 @@ class TestTwoDimensionalGrid:
                        grid.node_id((col, row)), data_flits=6)
                 message_id += 1
         grid.drain()
-        stats = grid.journey_run_stats()
+        stats = grid.stats()
         assert stats.completed == message_id
         assert stats.latency.count == message_id
         assert stats.latency.mean > 0
         # Every transpose pair differs in both coordinates: two legs each.
-        assert all(journey.hops == 2 for journey in grid.journeys.values())
+        assert all(len(journey.plan) == 2 for journey in grid.journeys.values())
 
     def test_latency_orders_single_vs_double_leg(self):
         grid = RMBLattice((6, 6), lanes=2)
@@ -281,12 +287,12 @@ def test_any_batch_drains_on_3d_lattice(pairs):
     for index, (source, destination) in enumerate(pairs):
         submit(lattice, index, source, destination, data_flits=index % 4)
     lattice.drain()
-    assert lattice.journey_run_stats().completed == len(pairs)
+    assert lattice.stats().completed == len(pairs)
     # Conservation: every planned leg ran on its ring, and every ring
     # carried exactly the legs planned on it.
     planned = {}
     for journey in lattice.journeys.values():
-        assert journey.rings_visited() == tuple(hop.ring
+        assert rings_of(journey) == tuple(hop.ring
                                                 for hop in journey.plan)
         for hop in journey.plan:
             planned[hop.ring] = planned.get(hop.ring, 0) + 1
@@ -306,11 +312,12 @@ def test_any_batch_drains_on_3d_lattice(pairs):
     min_size=1, max_size=10,
 ))
 def test_any_batch_drains_on_grid(pairs):
-    grid = RMBLattice((4, 4), lanes=2, check_invariants=True)
+    grid = RMBLattice((4, 4), lanes=2, config=RMBConfig(
+        nodes=4, lanes=2, cycle_period=2.0, check_level="full"))
     for index, (source, destination) in enumerate(pairs):
         submit(grid, index, source, destination, data_flits=index % 5)
     grid.drain()
-    assert grid.journey_run_stats().completed == len(pairs)
+    assert grid.stats().completed == len(pairs)
     for ring in grid.rings.values():
         assert ring.grid.occupied_segments() == 0
 
@@ -334,7 +341,7 @@ def test_mid_run_snapshot_resumes_bit_exact():
     snapshot = save_snapshot_bytes(interrupted)
     resumed, manifest = load_snapshot_bytes(snapshot)
     assert len(manifest["rings"]) == 48
-    assert manifest["rings"] == list(uninterrupted.member_names())
+    assert manifest["rings"] == list(uninterrupted.rings)
     resumed.drain()
     assert resumed.sim.now == uninterrupted.sim.now
     assert trail_signature(resumed) == trail_signature(uninterrupted)

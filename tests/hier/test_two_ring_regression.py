@@ -56,8 +56,7 @@ def test_admission_summary_is_merged_across_rings():
     stats = network.stats()
     assert stats.admission is not None
     # Both member rings enable admission; the merged summary sums them.
-    per_ring = [ring.stats().admission
-                for ring in (network.clockwise, network.counterclockwise)]
+    per_ring = [ring.stats().admission for ring in network.rings.values()]
     for key, value in stats.admission.items():
         assert value == sum(summary[key] for summary in per_ring)
 

@@ -271,7 +271,8 @@ def test_parked_headers_really_stall(seed, plan, synchronous, extend_up,
 
 def loaded_fabric() -> HierRMB:
     fabric = HierRMB(locals=4, nodes_per_local=4, lanes=3, seed=5,
-                     check_invariants=False, probe_period=16.0)
+                     config=RMBConfig(nodes=4, lanes=3, check_level="off"),
+                     probe_period=16.0)
     replay_on_fabric(fabric, bernoulli_schedule(
         16, 120, 0.08, 4, RandomStream(5, name="parking")))
     return fabric
@@ -380,18 +381,25 @@ def test_parked_stall_ticks_settle_exactly(seed, plan, synchronous, timing,
 
 
 def test_fabric_readers_settle_parked_stall_ticks():
-    """Leg-level and journey-level fabric statistics read mid-run count
+    """Journey-level and per-ring fabric statistics read mid-run count
     every stall tick the oracle saw, and reading them changes nothing."""
+    def journey_stalls(fabric: HierRMB) -> int:
+        return fabric.stats().stalls.total
+
+    def leg_stalls(fabric: HierRMB) -> int:
+        return sum(stats.stalls.total
+                   for stats in fabric.stats_by_ring().values())
+
     with stall_oracle() as oracle:
         fabric = loaded_fabric()
         for step in range(15):
             fabric.run(10)
             total = sum(oracle.values())
-            readers = [fabric.stats, fabric.journey_run_stats]
+            readers = [journey_stalls, leg_stalls]
             if step % 4 >= 2:   # each reader goes first on some reads
                 readers.reverse()
             for read in readers:
-                assert read().stalls.total == total
+                assert read(fabric) == total
         fabric.drain()
     reference = loaded_fabric()
     reference.run(120)

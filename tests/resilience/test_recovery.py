@@ -118,11 +118,11 @@ class TestForcedEvacuation:
         config = RMBConfig(nodes=8, lanes=2, compaction_enabled=False,
                            retry=RetryPolicy(delay=8.0, jitter=0.0,
                                              max_retries=4,
-                                             header_timeout=None))
+                                             header_timeout=None),
+                           check_level="off")
         recovery = RecoveryConfig(period=10.0, evacuation_patience=30.0,
                                   storm_threshold=50)
-        ring = RMBRing(config, seed=1, check_invariants=False,
-                       recovery=recovery, trace_kinds=set())
+        ring = RMBRing(config, seed=1, recovery=recovery, trace_kinds=set())
         for lane in range(2):
             ring.grid.claim(4, lane, 900 + lane)
         record = ring.submit(msg(0, 0, 6))
@@ -237,9 +237,10 @@ class TestIncidentConsumption:
         """
         config = RMBConfig(nodes=8, lanes=3, compaction_enabled=False,
                            retry=RetryPolicy(delay=8.0, jitter=0.0,
-                                             header_timeout=None))
+                                             header_timeout=None),
+                           check_level="off")
         ring = RMBRing(
-            config, seed=1, check_invariants=False,
+            config, seed=1,
             watchdog=WatchdogConfig(period=8.0, stall_window=32.0,
                                     stalled_bus_action=REPORT),
             recovery=RecoveryConfig(period=8.0, act_on_incidents=True,

@@ -27,8 +27,9 @@ def stalled_ring(action: str = FORCE_TEARDOWN,
     """
     config = RMBConfig(nodes=8, lanes=3, compaction_enabled=False,
                        retry=RetryPolicy(delay=8.0, jitter=0.0,
-                                         header_timeout=None))
-    ring = RMBRing(config, seed=1, check_invariants=False,
+                                         header_timeout=None),
+                       check_level="off")
+    ring = RMBRing(config, seed=1,
                    watchdog=WatchdogConfig(period=period,
                                            stall_window=stall_window,
                                            stalled_bus_action=action))
