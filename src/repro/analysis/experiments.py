@@ -12,8 +12,6 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
-
 
 @dataclass(frozen=True)
 class Experiment:
@@ -95,24 +93,6 @@ _RAW = [
 EXPERIMENTS: tuple[Experiment, ...] = tuple(
     Experiment(*row) for row in _RAW
 )
-
-_BY_ID = {experiment.experiment_id: experiment
-          for experiment in EXPERIMENTS}
-
-
-def get_experiment(experiment_id: str) -> Experiment:
-    """Look an experiment up by its E-number.
-
-    Raises:
-        ConfigurationError: for an unknown id.
-    """
-    if experiment_id not in _BY_ID:
-        raise ConfigurationError(
-            f"unknown experiment {experiment_id!r}; known ids: "
-            f"{', '.join(sorted(_BY_ID))}"
-        )
-    return _BY_ID[experiment_id]
-
 
 def benchmarks_dir() -> pathlib.Path:
     """Repository ``benchmarks/`` directory (resolved from this file)."""

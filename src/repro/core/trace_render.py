@@ -85,14 +85,6 @@ def render_ring(ring: RMBRing) -> str:
     return "\n".join(parts)
 
 
-def phase_histogram(buses: dict[int, VirtualBus]) -> dict[str, int]:
-    """Count live buses per protocol phase (diagnostics for examples)."""
-    histogram: dict[str, int] = {}
-    for bus in buses.values():
-        histogram[bus.phase.value] = histogram.get(bus.phase.value, 0) + 1
-    return histogram
-
-
 def film(ring: RMBRing, ticks: float, step: float) -> list[str]:
     """Advance the ring, capturing a rendered frame every ``step`` ticks.
 

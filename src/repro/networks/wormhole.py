@@ -63,9 +63,6 @@ class Channel:
                 return sub
         return None
 
-    def utilized(self) -> int:
-        return sum(1 for owner in self.owners if owner is not None)
-
 
 #: Routing callback: (engine, message, current_node) -> channel index.
 #: Must return a channel whose ``source`` is ``current_node``; adaptive
@@ -130,8 +127,6 @@ class WormholeEngine(ComparisonNetwork):
         self._worms: list[_Worm] = []
         self._active_tx: dict[int, int] = {}
         self._active_rx: dict[int, int] = {}
-        self.total_channel_ticks_busy = 0
-        self._channel_heat: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Topology queries
@@ -152,40 +147,6 @@ class WormholeEngine(ComparisonNetwork):
     def link_count(self) -> int:
         """Total wires: sum of channel multiplicities."""
         return sum(channel.multiplicity for channel in self.channels)
-
-    def mean_channel_utilization(self) -> float:
-        """Fraction of sub-channel-ticks spent owned by a worm.
-
-        Accumulated over every tick the engine has executed; a batch that
-        saturates a bottleneck link still reports low *mean* utilisation
-        when the rest of the fabric idles — exactly the imbalance the
-        per-channel report below makes visible.
-        """
-        if self.now == 0:
-            return 0.0
-        capacity = self.link_count() * self.now
-        return self.total_channel_ticks_busy / capacity
-
-    def hottest_channels(self, top: int = 5) -> list[tuple[str, int]]:
-        """The ``top`` channels by accumulated busy ticks.
-
-        Returns ``(description, busy_ticks)`` pairs, hottest first —
-        the bottleneck-spotting view of a finished batch.
-        """
-        ranked = sorted(
-            ((index, busy) for index, busy in self._channel_heat.items()
-             if busy > 0),
-            key=lambda item: item[1], reverse=True,
-        )
-        return [
-            (self._describe_channel(index), busy)
-            for index, busy in ranked[:top]
-        ]
-
-    def _describe_channel(self, index: int) -> str:
-        channel = self.channels[index]
-        label = f" {channel.label}" if channel.label else ""
-        return f"{channel.source}->{channel.sink}{label}"
 
     # ------------------------------------------------------------------
     # Batch driver
@@ -240,13 +201,6 @@ class WormholeEngine(ComparisonNetwork):
         for worm in self._worms:
             if worm.finish_time is None:
                 self._advance_worm(worm)
-        for channel in self.channels:
-            busy = channel.utilized()
-            if busy:
-                self.total_channel_ticks_busy += busy
-                self._channel_heat[channel.index] = (
-                    self._channel_heat.get(channel.index, 0) + busy
-                )
 
     def _head_node(self, worm: _Worm) -> int:
         if not worm.path:

@@ -82,13 +82,6 @@ class Span:
     def of_kind(self, kind: str) -> list[SpanEvent]:
         return [event for event in self.events if event.kind == kind]
 
-    def milestones(self) -> dict[str, float]:
-        """First-occurrence time of each event kind."""
-        seen: dict[str, float] = {}
-        for event in self.events:
-            seen.setdefault(event.kind, event.time)
-        return seen
-
     def duration(self) -> Optional[float]:
         """submit → complete span length, ``None`` while incomplete."""
         start = self.first("submit")

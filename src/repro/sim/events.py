@@ -17,7 +17,7 @@ cuts them to near the floor of what ``heapq`` can do.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator
 
 from repro.errors import SchedulingError
 
@@ -128,15 +128,6 @@ class EventQueue:
             self._live -= 1
             return event
         raise SchedulingError("pop from an empty event queue")
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the earliest live event, or ``None``."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]
 
     def note_cancelled(self) -> None:
         """Inform the queue that one previously pushed event was cancelled.

@@ -62,15 +62,6 @@ class RandomStream:
         """Exponential inter-arrival with the given rate."""
         return self._random.expovariate(rate)
 
-    def geometric(self, p: float) -> int:
-        """Geometric draw >= 1: number of Bernoulli(p) trials to first success."""
-        if not 0 < p <= 1:
-            raise ValueError(f"p must be in (0, 1], got {p}")
-        count = 1
-        while self._random.random() >= p:
-            count += 1
-        return count
-
     def permutation(self, n: int) -> list[int]:
         """A uniformly random permutation of ``range(n)``."""
         items = list(range(n))
@@ -114,7 +105,3 @@ class SeedSequence:
                 _derive_seed(self.root_seed, name), name=name
             )
         return self._issued[name]
-
-    def issued_names(self) -> list[str]:
-        """Names of all streams created so far (sorted, for reporting)."""
-        return sorted(self._issued)

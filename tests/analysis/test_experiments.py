@@ -1,16 +1,10 @@
 """The experiment registry must match the benchmark suite on disk."""
 
-import pathlib
-
-import pytest
-
 from repro.analysis.experiments import (
     EXPERIMENTS,
     benchmarks_dir,
-    get_experiment,
     registry_status,
 )
-from repro.errors import ConfigurationError
 
 
 def test_ids_unique_and_ordered():
@@ -18,12 +12,6 @@ def test_ids_unique_and_ordered():
     assert len(set(ids)) == len(ids)
     assert ids[0] == "E1"
     assert ids[-1] == "E27"
-
-
-def test_get_experiment_lookup():
-    assert get_experiment("E4").bench_module == "bench_two_cycle_move.py"
-    with pytest.raises(ConfigurationError):
-        get_experiment("E99")
 
 
 def test_kinds_are_constrained():

@@ -40,7 +40,6 @@ def test_throughput_normalises_by_duration():
     ]
     stats = RunStats.from_records(records, duration=50.0)
     assert stats.throughput_flits_per_tick == pytest.approx(10 / 50)
-    assert stats.throughput_messages_per_tick == pytest.approx(1 / 50)
 
 
 def test_zero_duration_is_safe():

@@ -4,7 +4,6 @@ from repro.core import Message, RMBConfig, RMBRing
 from repro.core.trace_render import (
     film,
     glyph_for,
-    phase_histogram,
     render_bus,
     render_grid,
     render_ring,
@@ -56,15 +55,6 @@ def test_render_ring_lists_live_buses():
     assert "0->4" in text
     ring.drain()
     assert "live buses: none" in render_ring(ring)
-
-
-def test_phase_histogram_counts():
-    ring = RMBRing(RMBConfig(nodes=8, lanes=3), seed=0)
-    ring.submit(Message(0, 0, 4, data_flits=30))
-    ring.submit(Message(1, 2, 6, data_flits=30))
-    ring.run(3)
-    histogram = phase_histogram(ring.buses)
-    assert sum(histogram.values()) == 2
 
 
 def test_film_captures_frames():

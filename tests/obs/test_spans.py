@@ -38,12 +38,6 @@ class TestSpan:
         assert event.get("segment") == 4
         assert event.get("missing", -1) == -1
 
-    def test_milestones_keep_first_occurrence(self):
-        span = Span(1, 0, 3)
-        span.add(1.0, "retry", attempt=1)
-        span.add(9.0, "retry", attempt=2)
-        assert span.milestones() == {"retry": 1.0}
-
     def test_duration_needs_submit_and_complete(self):
         span = Span(1, 0, 3)
         assert span.duration() is None

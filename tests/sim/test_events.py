@@ -50,19 +50,6 @@ def test_cancelled_events_are_skipped():
     assert queue.pop() is keep
 
 
-def test_peek_time_skips_cancelled():
-    queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    first.cancel()
-    queue.note_cancelled()
-    assert queue.peek_time() == 2.0
-
-
-def test_peek_time_empty_is_none():
-    assert EventQueue().peek_time() is None
-
-
 def test_len_tracks_live_events():
     queue = EventQueue()
     assert len(queue) == 0
