@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Optional, Sequence
 
 from repro.analysis.tables import render_comparison
@@ -58,8 +59,16 @@ class ArenaSection:
 
     def ordering(self) -> list[str]:
         """Network names from fastest to slowest makespan."""
-        return [result.network for result in
-                sorted(self.results, key=lambda r: (r.makespan, r.network))]
+        return [result.network for result in self._ranked()]
+
+    def ranking(self) -> str:
+        """The ordering as text: ``<`` between makespans, ``=`` in a tie."""
+        ties = groupby(self._ranked(), key=lambda r: r.makespan)
+        return " < ".join(" = ".join(r.network for r in tied)
+                          for _, tied in ties)
+
+    def _ranked(self) -> list[BatchResult]:
+        return sorted(self.results, key=lambda r: (r.makespan, r.network))
 
     def result_for(self, network: str) -> BatchResult:
         for result in self.results:
@@ -98,7 +107,7 @@ class ArenaReport:
             parts.append(render_comparison(
                 section.title(), section.rows(),
                 baseline_key="rmb", value_key="makespan"))
-            parts.append(f"ordering: {' < '.join(section.ordering())}")
+            parts.append(f"ordering: {section.ranking()}")
         return "\n".join(parts)
 
     def summary(self) -> dict[str, Any]:

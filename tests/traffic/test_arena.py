@@ -51,6 +51,18 @@ class TestRunArena:
         assert "ordering:" in rendered
         json.dumps(report.summary())  # JSON-able (CI artifact shape)
 
+    def test_a_tie_renders_with_equals(self):
+        # One ring-shift round finishes in 64 ticks on both RMB layouts.
+        report = run_arena(16, 4, ["ring-shift"],
+                           networks=("rmb-2ring", "rmb"))
+        section = report.sections[0]
+        assert section.result_for("rmb").makespan == \
+            section.result_for("rmb-2ring").makespan
+        assert "ordering: rmb = rmb-2ring" in report.render()
+        assert section.ordering() == ["rmb", "rmb-2ring"]
+        assert report.summary()["sections"][0]["ordering"] == \
+            ["rmb", "rmb-2ring"]
+
     def test_default_networks_all_race(self):
         report = run_arena(16, 4, ["ring-shift"], rounds=1, data_flits=2)
         assert report.networks == DEFAULT_NETWORKS
