@@ -5,7 +5,8 @@ this module centralises how each architecture is sized "fairly" for a
 k-permutation comparison, following Section 3.2's own normalisations:
 
 * ``rmb`` — N nodes, k lanes;
-* ``rmb-2ring`` — N nodes, k/2 lanes per direction (equal wire budget);
+* ``rmb-2ring`` — N nodes, k/2 lanes per direction (equal wire budget,
+  so k must be even);
 * ``hypercube`` / ``ehc`` — N nodes (power of two);
 * ``gfc`` — N processors folded into N/fold super-nodes with fold = min(k, N/4)
   rounded to a power of two (the paper's "scaled GFC");
@@ -120,13 +121,19 @@ def build_network(name: str, nodes: int, k: int,
 
     The two RMB fabrics split their k lanes between two rings or tiers,
     so they refuse k < 2 rather than race on a wider wire budget than
-    the flat ring's.
+    the flat ring's; ``rmb-2ring`` also refuses an odd k rather than
+    race on a narrower one.
     """
     hier = name == "hier" or name.startswith("hier:")
     if (hier or name == "rmb-2ring") and k < 2:
         raise ConfigurationError(
             f"network {name!r} needs at least 2 lanes to split between "
             f"its rings, got k={k}"
+        )
+    if name == "rmb-2ring" and k % 2:
+        raise ConfigurationError(
+            f"network {name!r} splits its lanes evenly between its two "
+            f"rings; k={k} is odd"
         )
     if hier:
         locals_count, nodes_per_local = hier_shape(name, nodes)

@@ -104,13 +104,18 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             build_network("token-ring", nodes=16, k=4)
 
-    @pytest.mark.parametrize("name", ["hier", "rmb-2ring"])
-    def test_lane_splitting_fabrics_refuse_one_lane(self, name):
+    @pytest.mark.parametrize("name, k, refusal", [
+        ("hier", 1, "needs at least 2 lanes"),
+        ("rmb-2ring", 1, "needs at least 2 lanes"),
+        ("rmb-2ring", 5, "k=5 is odd"),
+    ], ids=["hier", "rmb-2ring", "rmb-2ring-k5"])
+    def test_lane_splitting_fabrics_refuse_one_lane(self, name, k, refusal):
         # Widening k=1 to 2 lanes would race on twice the flat ring's
-        # wire budget; the fabric is refused by name instead.
+        # wire budget, and rounding k=5 down to 2 + 2 on less of it; the
+        # fabric is refused by name instead.
         with pytest.raises(ConfigurationError,
-                           match=f"{name!r} needs at least 2 lanes"):
-            build_network(name, nodes=16, k=1)
+                           match=f"{name!r} .*{refusal}"):
+            build_network(name, nodes=16, k=k)
 
     def test_make_batch_skips_fixed_points(self):
         batch = make_batch([(0, 0), (1, 2)], data_flits=1)
