@@ -140,6 +140,8 @@ class HierRMB(RingFabric):
         obs: optional observability bundle; member metrics are labelled
             ``ring=localL`` / ``ring=global`` plus ``rmb_ring{name=...}``
             membership gauges.
+        trace_kinds: every member's trace filter (``None`` records
+            everything; an empty set records nothing).
     """
 
     def __init__(
@@ -151,6 +153,7 @@ class HierRMB(RingFabric):
         config: Optional[RMBConfig] = None,
         probe_period: Optional[float] = None,
         obs: Optional["Observability"] = None,
+        trace_kinds: Optional[set[str]] = None,
     ) -> None:
         if lanes < 2:
             raise ProtocolError(
@@ -169,7 +172,7 @@ class HierRMB(RingFabric):
         super().__init__(
             HierRouteMap(locals, nodes_per_local), members,
             name=f"hier {locals}x{nodes_per_local}",
-            probe_period=probe_period, obs=obs,
+            probe_period=probe_period, obs=obs, trace_kinds=trace_kinds,
         )
         self.locals = locals
         self.nodes_per_local = nodes_per_local

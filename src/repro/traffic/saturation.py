@@ -156,7 +156,8 @@ def build_rmb(config: RMBConfig, backend: str = "event",
     locals_count, nodes_per_local = hier_shape(topology, config.nodes)
     return HierRMB(locals=locals_count, nodes_per_local=nodes_per_local,
                    lanes=config.lanes, seed=seed, config=config,
-                   probe_period=probe_period, obs=obs)
+                   probe_period=probe_period, obs=obs,
+                   trace_kinds=trace_kinds)
 
 
 @dataclass

@@ -160,6 +160,26 @@ class TestHierTopology:
         assert all(rate >= 0.0 for rate in point.ring_rates.values())
         assert "ring_rates" in point.row()
 
+    def test_load_point_records_no_member_trace(self, monkeypatch):
+        # run_point asks build_rmb for no trace; a fabric must honour
+        # that in every member ring, as the flat ring does.
+        from repro.traffic import saturation
+
+        build, built = saturation.build_rmb, []
+
+        def spy(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(saturation, "build_rmb", spy)
+        cfg = SaturationConfig(**self.HIER)
+        pattern = make_pattern("uniform", 16, k=4, seed=1)
+        point = run_point(cfg, pattern, rate=0.02)
+        assert point.offered > 0 and len(built) == 1
+        members = built[0].rings.values()
+        assert all(ring.trace.kinds == set() for ring in members)
+        assert sum(len(ring.trace) for ring in members) == 0
+
     def test_curve_carries_the_topology(self):
         cfg = SaturationConfig(**self.HIER)
         pattern = make_pattern("uniform", 16, k=4, seed=1)
