@@ -122,6 +122,9 @@ class CompactionEngine(DerivedState):
         self.grid = grid
         self.buses = buses
         self.trace = trace
+        # Cached at construction, as in the routing engine: a recorder
+        # filtered to no kinds costs one branch per move, not a call.
+        self._trace_on = trace is not None and trace.enabled
         self._now = now if now is not None else _zero_time
         # One-branch obs discipline (see repro.obs): lane moves attach to
         # the migrating message's span only when observability is armed.
@@ -231,7 +234,7 @@ class CompactionEngine(DerivedState):
             self.recent_moves.append(
                 Move(self._now(), cycle, segment, lane, bus.bus_id, condition)
             )
-        if self.trace is not None:
+        if self._trace_on:
             self.trace.record(
                 self._now(), "compaction_move", f"bus{bus.bus_id}",
                 segment=segment, lane_from=lane, lane_to=lane - 1,
@@ -515,7 +518,7 @@ class CompactionEngine(DerivedState):
                 Move(self._now(), cycle, segment, lane, bus.bus_id,
                      "evacuation-up")
             )
-        if self.trace is not None:
+        if self._trace_on:
             self.trace.record(
                 self._now(), "evacuation_move", f"bus{bus.bus_id}",
                 segment=segment, lane_from=lane, lane_to=lane + 1,

@@ -81,6 +81,7 @@ class CycleController:
         self.transitions = 0
         self._work = work
         self._trace = trace
+        self._trace_on = trace is not None and trace.enabled
         self.left: Optional["CycleController"] = None
         self.right: Optional["CycleController"] = None
         self._domain: Optional[ClockDomain] = None
@@ -126,18 +127,19 @@ class CycleController:
         if rule.advances_cycle:
             self.cycle += 1
             self.transitions += 1
-            self._record("cycle_switch")
+            if self._trace_on:
+                self._record("cycle_switch")
         self.phase = after.phase
-        self._record("phase", phase=self.phase.value)
+        if self._trace_on:
+            self._record("phase", phase=self.phase.value)
 
     def parity(self) -> int:
         """Current cycle parity (0 = even, 1 = odd)."""
         return self.cycle % 2
 
     def _record(self, kind: str, **details: object) -> None:
-        if self._trace is not None:
-            self._trace.record(self._clock_time(), kind,
-                               f"inc{self.index}", cycle=self.cycle, **details)
+        self._trace.record(self._clock_time(), kind,
+                           f"inc{self.index}", cycle=self.cycle, **details)
 
 
 def wire_ring(controllers: Sequence[CycleController]) -> None:

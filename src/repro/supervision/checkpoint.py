@@ -51,7 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
 #: restore.  Version 7: a ring fabric no longer carries its probe period
 #: or a message-to-ring map, a ring no longer carries its check level,
 #: and a retry policy no longer carries the watchdog's storm knobs.
-SNAPSHOT_VERSION = 7
+#: Version 8: a trace recorder keeps its built rows and four (empty)
+#: pending columns, and the compaction engine and every cycle controller
+#: carry their cached trace flag.
+SNAPSHOT_VERSION = 8
 
 _FORMAT = "rmb-snapshot"
 

@@ -62,7 +62,7 @@ class TestAliases:
         policy = RetryPolicy(delay=2.0, jitter=0.0)
         assert config.with_overrides(retry=policy).retry == policy
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_old_checkpoint_version_is_refused_by_name(self, version):
         """Version-1 snapshots may hold configs pickled before the
         unification, without a ``retry`` slot; version-2 ones lack the
@@ -71,15 +71,17 @@ class TestAliases:
         deadlines; version-4 ones hold a monotonicity tracker keyed by
         ``(bus, hop)``; version-5 ones carry derived indexes that a
         restore now rebuilds; version-6 ones hold fabrics, rings and
-        retry policies with fields that are gone.  Each is refused with both versions named
-        instead of being half-restored."""
+        retry policies with fields that are gone; version-7 ones hold
+        trace recorders without pending columns and engines without
+        their cached trace flag.  Each is refused with both versions
+        named instead of being half-restored."""
         ring = RMBRing(RMBConfig(nodes=8, lanes=3))
         header, payload = save_snapshot_bytes(ring).split(b"\n", 1)
         manifest = json.loads(header)
         manifest["version"] = version
         old = json.dumps(manifest).encode("utf-8") + b"\n" + payload
         with pytest.raises(SnapshotError,
-                           match=rf"version {version} unsupported .*version 7"):
+                           match=rf"version {version} unsupported .*version 8"):
             load_snapshot_bytes(old)
 
     def test_policy_survives_pickling(self):
