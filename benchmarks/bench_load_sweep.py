@@ -39,7 +39,8 @@ def run_point(lanes: int, rate: float):
     stats = ring.stats()
     return {
         "k": lanes,
-        "offered (msgs/node/tick)": rate,
+        # A string, so the table prints 0.002 rather than rounding it.
+        "offered (msgs/node/tick)": str(rate),
         "mean latency": round(stats.latency.mean, 1),
         "p95 latency": round(stats.latency_percentile(0.95), 1),
         "throughput (flits/tick)": round(stats.throughput_flits_per_tick, 2),
@@ -68,7 +69,7 @@ def test_e25_load_sweep(benchmark):
     )
     report("E25_load_sweep", text)
 
-    by_point = {(row["k"], row["offered (msgs/node/tick)"]): row
+    by_point = {(row["k"], float(row["offered (msgs/node/tick)"])): row
                 for row in rows}
     # Light load sits near the analytic floor for every k.
     for lanes in (2, 4, 8):
