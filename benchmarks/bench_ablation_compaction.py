@@ -57,7 +57,7 @@ def run_point(compaction_enabled: bool, cycle_period: float,
     config = RMBConfig(nodes=NODES, lanes=LANES,
                        cycle_period=cycle_period,
                        compaction_enabled=compaction_enabled)
-    ring = RMBRing(config, seed=8, trace_kinds=set())
+    ring = RMBRing(config, seed=8)
     if saturated:
         saturated_workload(ring)
     else:

@@ -33,7 +33,7 @@ def run_point(label, **overrides):
     rng = RandomStream(71)  # identical workload at every point
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
                        **overrides)
-    ring = RMBRing(config, seed=5, trace_kinds=set())
+    ring = RMBRing(config, seed=5)
     for index in range(MESSAGES):
         source = rng.randint(0, NODES - 1)
         destination = (source + rng.randint(1, NODES - 1)) % NODES
@@ -59,8 +59,7 @@ def d9_capacity_trials(compact_head: bool, trials: int = 12):
         pairs = bounded_load_pairs(NODES, LANES, rng)
         config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
                            compact_head_while_extending=compact_head)
-        ring = RMBRing(config, seed=rng.randint(0, 2**30),
-                       trace_kinds=set())
+        ring = RMBRing(config, seed=rng.randint(0, 2**30))
         ring.submit_all(
             Message(i, s, d, data_flits=250)
             for i, (s, d) in enumerate(pairs)

@@ -44,8 +44,7 @@ def run_overload_point(label: str, limit, policy: str, seed: int = 11) -> dict:
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
                        admission_limit=limit, admission_policy=policy,
                        retry=RetryPolicy(delay=8.0))
-    ring = RMBRing(config, seed=seed, trace_kinds=set(),
-                   watchdog=WatchdogConfig())
+    ring = RMBRing(config, seed=seed, watchdog=WatchdogConfig())
     rng = RandomStream(seed, name="burst")
     messages = []
     for node in range(NODES):

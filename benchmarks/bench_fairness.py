@@ -26,7 +26,7 @@ LANES = 4
 def run_point(compaction_enabled: bool):
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
                        compaction_enabled=compaction_enabled)
-    ring = RMBRing(config, seed=9, trace_kinds=set())
+    ring = RMBRing(config, seed=9)
     # A long transfer crossing half the ring on the top lane.
     ring.submit(Message(0, 0, NODES // 2, data_flits=600))
     ring.run(8)

@@ -37,8 +37,7 @@ def run_sweep_point(fraction: float, seed: int = 7) -> dict:
     )
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
                        retry=RetryPolicy(delay=8.0, max_retries=6))
-    ring = RMBRing(config, seed=seed, fault_plan=plan, probe_period=16.0,
-                   trace_kinds=set())
+    ring = RMBRing(config, seed=seed, fault_plan=plan, probe_period=16.0)
     rng = RandomStream(seed, name="traffic")
     for index in range(MESSAGES):
         source = rng.randint(0, NODES - 1)

@@ -57,7 +57,7 @@ def run_flat_ring(pairs):
     # One ring over all 16 nodes; double lanes so per-node wire budget is
     # comparable to belonging to two 2-lane rings.
     ring = RMBRing(RMBConfig(nodes=SIDE * SIDE, lanes=2 * LANES,
-                             cycle_period=2.0), seed=1, trace_kinds=set())
+                             cycle_period=2.0), seed=1)
     for index, (source, destination) in enumerate(pairs):
         ring.submit(Message(index, source, destination, data_flits=FLITS))
     makespan = ring.drain(max_ticks=2_000_000)

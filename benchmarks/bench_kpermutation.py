@@ -30,7 +30,7 @@ from repro.traffic import bounded_load_pairs, worst_case_virtual_buses
 def capability_trial(nodes, k, rng):
     pairs = bounded_load_pairs(nodes, k, rng)
     ring = RMBRing(RMBConfig(nodes=nodes, lanes=k, cycle_period=2.0),
-                   seed=rng.randint(0, 2**30), trace_kinds=set())
+                   seed=rng.randint(0, 2**30))
     ring.submit_all(
         Message(i, s, d, data_flits=250) for i, (s, d) in enumerate(pairs)
     )
@@ -52,8 +52,7 @@ def over_capacity_trial(nodes, k):
     # k+1 full-length messages on k lanes: load k+1 > k, so at least one
     # circuit cannot be up concurrently with the others.
     pairs = worst_case_virtual_buses(nodes, k + 1)
-    ring = RMBRing(RMBConfig(nodes=nodes, lanes=k, cycle_period=2.0),
-                   seed=5, trace_kinds=set())
+    ring = RMBRing(RMBConfig(nodes=nodes, lanes=k, cycle_period=2.0), seed=5)
     # Long enough that the first wave still holds its circuits when we
     # sample: the (k+1)-th circuit cannot be concurrent with them.
     ring.submit_all(

@@ -31,7 +31,7 @@ DURATION = 600
 def run_point(lanes: int, rate: float):
     rng = RandomStream(int(rate * 10_000) * 31 + lanes)
     ring = RMBRing(RMBConfig(nodes=NODES, lanes=lanes, cycle_period=2.0),
-                   seed=lanes, trace_kinds=set(), probe_period=16.0)
+                   seed=lanes, probe_period=16.0)
     schedule = bernoulli_schedule(NODES, DURATION, rate, FLITS, rng)
     replay_on_ring(ring, schedule)
     ring.run(DURATION)

@@ -19,7 +19,6 @@ from repro.core.status import move_sequences
 def run_validated_traffic(nodes=16, lanes=4, messages=32):
     ring = RMBRing(RMBConfig(nodes=nodes, lanes=lanes, cycle_period=2.0),
                    seed=3, trace_kinds={"compaction_move"})
-    ring.compaction.keep_move_log = True
     for index in range(messages):
         source = (index * 3) % nodes
         destination = (source + 2 + (index % (nodes - 3))) % nodes

@@ -20,7 +20,7 @@ from repro.sim import RandomStream
 def run_condition_census(nodes=16, lanes=5, messages=64):
     rng = RandomStream(11)
     ring = RMBRing(RMBConfig(nodes=nodes, lanes=lanes, cycle_period=2.0),
-                   seed=4, trace_kinds=set())
+                   seed=4)
     for index in range(messages):
         source = rng.randint(0, nodes - 1)
         destination = (source + rng.randint(1, nodes - 1)) % nodes

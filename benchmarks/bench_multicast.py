@@ -35,7 +35,7 @@ def receiver_set(fan_out):
 def run_multicast(fan_out):
     taps, final = receiver_set(fan_out)
     ring = RMBRing(RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0),
-                   seed=3, trace_kinds=set())
+                   seed=3)
     ring.submit(Message(0, NODES - 1, final, data_flits=FLITS,
                         extra_destinations=tuple(taps)))
     return ring.drain(max_ticks=1_000_000)
@@ -44,7 +44,7 @@ def run_multicast(fan_out):
 def run_serial_unicast(fan_out):
     taps, final = receiver_set(fan_out)
     ring = RMBRing(RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0),
-                   seed=3, trace_kinds=set())
+                   seed=3)
     for index, destination in enumerate(taps + [final]):
         ring.submit(Message(index, NODES - 1, destination,
                             data_flits=FLITS))

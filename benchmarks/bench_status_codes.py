@@ -18,7 +18,7 @@ from repro.core.status import CODE_MEANINGS, LEGAL_CODES
 
 def observe_code_histogram(nodes=12, lanes=4, messages=24, ticks=600):
     ring = RMBRing(RMBConfig(nodes=nodes, lanes=lanes, cycle_period=2.0),
-                   seed=1, trace_kinds=set())
+                   seed=1)
     for index in range(messages):
         ring.submit(Message(index, index % nodes,
                             (index * 5 + 3) % nodes

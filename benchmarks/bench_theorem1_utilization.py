@@ -26,7 +26,7 @@ from repro.traffic import bounded_load_pairs, max_ring_load
 def admission_trial(nodes, k, rng, flits=40):
     pairs = bounded_load_pairs(nodes, k, rng)
     ring = RMBRing(RMBConfig(nodes=nodes, lanes=k, cycle_period=2.0),
-                   seed=rng.randint(0, 2**30), trace_kinds=set())
+                   seed=rng.randint(0, 2**30))
     messages = [Message(i, s, d, data_flits=flits)
                 for i, (s, d) in enumerate(pairs)]
     ring.submit_all(messages)
@@ -54,7 +54,7 @@ def run_admission(nodes=16, k=4, trials=10):
 def run_saturation(nodes=16, k=4, messages=96, flits=16):
     rng = RandomStream(22)
     ring = RMBRing(RMBConfig(nodes=nodes, lanes=k, cycle_period=2.0),
-                   seed=9, trace_kinds=set(), probe_period=8.0)
+                   seed=9, probe_period=8.0)
     for index in range(messages):
         source = rng.randint(0, nodes - 1)
         destination = (source + rng.randint(1, nodes - 1)) % nodes

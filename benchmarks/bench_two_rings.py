@@ -34,7 +34,7 @@ def messages_for(family, rng):
 def run_pair(family, rng):
     messages = messages_for(family, rng)
     single = RMBRing(RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0),
-                     seed=2, trace_kinds=set())
+                     seed=2)
     single.submit_all([Message(m.message_id, m.source, m.destination,
                                data_flits=m.data_flits) for m in messages])
     single_makespan = single.drain(max_ticks=1_000_000)

@@ -26,7 +26,7 @@ def peak_concurrent_buses(span: int, flits: int = 120):
     full path held) alive at once — partial circuits behind stalled
     headers do not count as usable buses."""
     ring = RMBRing(RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0),
-                   seed=6, trace_kinds=set())
+                   seed=6)
     for index in range(NODES):
         ring.submit(Message(index, index, (index + span) % NODES,
                             data_flits=flits))
@@ -49,7 +49,7 @@ def worst_case_point(flits=200):
     """Exactly k full-length (span N-1) messages: the paper's stated worst
     case, which must still hold k concurrent virtual buses."""
     ring = RMBRing(RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0),
-                   seed=6, trace_kinds=set())
+                   seed=6)
     for index, (source, destination) in enumerate(
             worst_case_virtual_buses(NODES, LANES)):
         ring.submit(Message(index, source, destination, data_flits=flits))

@@ -63,7 +63,7 @@ def measure_competitiveness(
     max_ticks: float = 2_000_000.0,
 ) -> CompetitivenessReport:
     """Run the batch online and offline; return the bracketing ratios."""
-    ring = RMBRing(config, seed=seed, trace_kinds=set())
+    ring = RMBRing(config, seed=seed)
     ring.submit_all(messages)
     online_makespan = ring.drain(max_ticks=max_ticks)
 

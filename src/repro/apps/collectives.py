@@ -74,7 +74,7 @@ class CollectiveDriver:
     # ------------------------------------------------------------------
     def _fresh_ring(self) -> RMBRing:
         self._next_id = 0
-        return RMBRing(self.config, seed=self.seed, trace_kinds=set())
+        return RMBRing(self.config, seed=self.seed)
 
     def _send_round(self, ring: RMBRing, pairs: list[tuple[int, int]],
                     data_flits: int) -> float:

@@ -98,7 +98,7 @@ class StreamDriver:
     def run(self, sessions: Sequence[StreamSession],
             max_ticks: float = 2_000_000.0) -> list[SessionReport]:
         """Run every session to completion; return one report each."""
-        ring = RMBRing(self.config, seed=self.seed, trace_kinds=set())
+        ring = RMBRing(self.config, seed=self.seed)
         frame_owner: dict[int, StreamSession] = {}
         next_id = 0
         for session in sessions:

@@ -32,7 +32,7 @@ from repro.chaos.schedules import parse_chaos_spec
 from repro.core.config import RMBConfig
 from repro.core.network import RMBRing
 from repro.errors import ConfigurationError, ProtocolError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, total_failed_segments
 from repro.resilience.recovery import RecoveryConfig
 from repro.sim.kernel import every
 from repro.sim.rng import RandomStream
@@ -199,7 +199,6 @@ def build_soak_ring(
         fault_plan=plan,
         recovery=(config.recovery
                   if with_recovery and plan is not None else None),
-        trace_kinds=set(),      # soaks are long; tracing off
         name="soak",
     )
 
@@ -270,10 +269,7 @@ def run_soak(config: SoakConfig,
     pending = ring.routing.pending()
     duration = ring.sim.now
     goodput = stats.completed / duration if duration > 0 else 0.0
-    segments_cycled = len({
-        (event.segment, event.lane)
-        for event in plan.events if event.action == "fail"
-    })
+    segments_cycled = total_failed_segments(plan, config.nodes, config.lanes)
     if snapshot_path is not None and suite.violations:
         from repro.supervision.checkpoint import save_snapshot
         save_snapshot(snapshot_path, ring,

@@ -6,7 +6,7 @@ read :class:`RunStats`.  Lower layers (grid, compaction, cycles, routing)
 are exported for tests, benchmarks and power users.
 """
 
-from repro.core.compaction import CompactionEngine, CompactionStats, Move
+from repro.core.compaction import CompactionEngine, CompactionStats
 from repro.core.config import RMBConfig
 from repro.core.cycles import (
     CycleController,
@@ -25,12 +25,7 @@ from repro.core.flits import (
 from repro.core.invariants import InvariantMonitor
 from repro.core.network import RMBRing
 from repro.core.ports import PE_SOURCE, PortView, all_ports, inc_ports, port_view
-from repro.core.routing import (
-    RoutingCensus,
-    RoutingEngine,
-    drain,
-    format_census,
-)
+from repro.core.routing import RoutingCensus, RoutingEngine, format_census
 from repro.core.segments import SegmentGrid
 from repro.core.selfcheck import CheckResult, run_selfcheck
 from repro.core.stats import RunStats
@@ -63,7 +58,6 @@ __all__ = [
     "LEGAL_CODES",
     "Message",
     "MessageRecord",
-    "Move",
     "PE_SOURCE",
     "PortHealth",
     "PortView",
@@ -79,7 +73,6 @@ __all__ = [
     "broadcast_message",
     "classify_condition",
     "code_for",
-    "drain",
     "film",
     "format_census",
     "glyph_for",

@@ -76,18 +76,6 @@ def _zero_time() -> float:
 _Candidate = tuple[int, int, int, int, VirtualBus]
 
 
-@dataclass(frozen=True)
-class Move:
-    """One committed compaction move (for traces and condition accounting)."""
-
-    time: float
-    cycle: int
-    segment: int
-    lane_from: int
-    bus_id: int
-    condition: str
-
-
 @dataclass
 class CompactionStats:
     """Aggregated compaction activity."""
@@ -131,8 +119,6 @@ class CompactionEngine(DerivedState):
         self.obs = obs
         self._obs_on = obs is not None and obs.enabled
         self.stats = CompactionStats()
-        self.recent_moves: list[Move] = []
-        self.keep_move_log = False
         #: INCs whose switching logic has dropped out (fault model): they
         #: perform no compaction work on their output segments.  Shared
         #: with the fault manager, which adds/removes indices.
@@ -230,10 +216,6 @@ class CompactionEngine(DerivedState):
         hops[hop] = lane - 1
         bus.record.lanes_visited.add(lane - 1)
         self.stats.count(condition)
-        if self.keep_move_log:
-            self.recent_moves.append(
-                Move(self._now(), cycle, segment, lane, bus.bus_id, condition)
-            )
         if self._trace_on:
             self.trace.record(
                 self._now(), "compaction_move", f"bus{bus.bus_id}",
@@ -513,11 +495,6 @@ class CompactionEngine(DerivedState):
         bus.hops[hop] = lane + 1
         bus.record.lanes_visited.add(lane + 1)
         self.stats.evacuations += 1
-        if self.keep_move_log:
-            self.recent_moves.append(
-                Move(self._now(), cycle, segment, lane, bus.bus_id,
-                     "evacuation-up")
-            )
         if self._trace_on:
             self.trace.record(
                 self._now(), "evacuation_move", f"bus{bus.bus_id}",

@@ -18,7 +18,7 @@ The checks encode the paper's correctness claims:
 * Lemma 1 — neighbouring INCs' cycle counts differ by at most one;
 * Theorem 1 (safety half) — distinct virtual buses never share a segment,
   so every transaction is maintained unchanged; the liveness half (all
-  requests complete) is asserted by :func:`repro.core.routing.drain`.
+  requests complete) is asserted by :meth:`repro.core.network.RMBRing.drain`.
 """
 
 from __future__ import annotations

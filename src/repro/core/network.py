@@ -9,7 +9,7 @@ Multi-ring networks compose rings in :mod:`repro.hier`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional
 
 from repro.core.compaction import CompactionEngine
 from repro.core.config import RMBConfig
@@ -44,8 +44,9 @@ class RMBRing:
             identically.
         sim: optional shared simulator (used by ring fabrics); a
             private one is created when omitted.
-        trace_kinds: restricts trace recording to these kinds (``None``
-            records everything; pass an empty set to disable).
+        trace_kinds: the kinds :attr:`trace` records; ``None`` records
+            every kind.  By default it records nothing, so only a caller
+            that reads the trace pays for it.
         probe_period: sampling period for the utilisation / live-bus
             probes (and, with a fault plan, the residual-throughput rate
             meter); ``None`` disables them.
@@ -79,7 +80,7 @@ class RMBRing:
         config: RMBConfig,
         seed: int = 0,
         sim: Optional[Simulator] = None,
-        trace_kinds: Optional[set[str]] = None,
+        trace_kinds: Optional[AbstractSet[str]] = frozenset(),
         probe_period: Optional[float] = None,
         fault_plan: Optional["FaultPlan"] = None,
         watchdog: Optional[WatchdogConfig] = None,

@@ -1261,23 +1261,3 @@ class RoutingCensus:
 
     def __call__(self) -> str:
         return format_census(self._engine.lifecycle_census())
-
-
-def drain(engine: RoutingEngine, tick: Callable[[], None],
-          max_ticks: int = 1_000_000) -> int:
-    """Run ``tick`` until the engine has no pending work; return tick count.
-
-    Utility for tests and offline-style experiments where a finite batch of
-    messages must all complete (Theorem 1 liveness).
-    """
-    ticks = 0
-    while engine.pending() > 0:
-        tick()
-        ticks += 1
-        if ticks > max_ticks:
-            raise ProtocolError(
-                f"network failed to drain within {max_ticks} ticks; "
-                f"{engine.pending()} requests outstanding "
-                f"({format_census(engine.lifecycle_census())})"
-            )
-    return ticks

@@ -60,8 +60,7 @@ def _check_figure5() -> CheckResult:
 
 
 def _check_table1() -> CheckResult:
-    ring = RMBRing(RMBConfig(nodes=10, lanes=3, cycle_period=2.0),
-                   seed=1, trace_kinds=set())
+    ring = RMBRing(RMBConfig(nodes=10, lanes=3, cycle_period=2.0), seed=1)
     for index in range(8):
         ring.submit(Message(index, index, (index + 4) % 10, data_flits=16))
     observed: set[int] = set()
@@ -78,7 +77,7 @@ def _check_table1() -> CheckResult:
 def _check_lemma1() -> CheckResult:
     config = RMBConfig(nodes=10, lanes=3, synchronous=False,
                        clock_drift=0.05, clock_jitter_fraction=0.1)
-    ring = RMBRing(config, seed=2, trace_kinds=set())
+    ring = RMBRing(config, seed=2)
     worst = 0
     for _ in range(40):
         ring.run(16)
@@ -88,8 +87,7 @@ def _check_lemma1() -> CheckResult:
 
 
 def _check_theorem1_safety() -> CheckResult:
-    ring = RMBRing(RMBConfig(nodes=12, lanes=3, cycle_period=2.0),
-                   seed=3, trace_kinds=set())
+    ring = RMBRing(RMBConfig(nodes=12, lanes=3, cycle_period=2.0), seed=3)
     expected_flits = 0
     for index in range(20):
         source = (index * 5) % 12
@@ -115,8 +113,7 @@ def _check_theorem1_safety() -> CheckResult:
 def _check_latency_model() -> CheckResult:
     mismatches = []
     for span, flits in ((1, 0), (4, 10), (9, 3)):
-        ring = RMBRing(RMBConfig(nodes=12, lanes=3, cycle_period=2.0),
-                       seed=4, trace_kinds=set())
+        ring = RMBRing(RMBConfig(nodes=12, lanes=3, cycle_period=2.0), seed=4)
         record = ring.submit(Message(0, 0, span, data_flits=flits))
         ring.drain()
         predicted = unloaded_latency(span, flits)
@@ -137,7 +134,7 @@ def _check_sync_async_agree() -> CheckResult:
     def quiescent_state(synchronous: bool):
         config = RMBConfig(nodes=8, lanes=4, cycle_period=2.0,
                            synchronous=synchronous)
-        ring = RMBRing(config, seed=5, trace_kinds=set())
+        ring = RMBRing(config, seed=5)
         for index in range(4):
             ring.submit(Message(index, index * 2, (index * 2 + 3) % 8,
                                 data_flits=300))

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, AbstractSet, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.core.config import RMBConfig
 from repro.core.flits import Message, MessageRecord
@@ -224,8 +224,8 @@ class RingFabric:
             ``ring=<name>`` plus ``rmb_ring{name=...}`` membership
             gauges, and the fabric registers the one kernel collector
             of the shared simulator.
-        trace_kinds: every member's trace filter (``None`` records
-            everything; an empty set records nothing).
+        trace_kinds: the kinds every member's trace records; ``None``
+            records every kind, and the default records nothing.
     """
 
     def __init__(
@@ -236,7 +236,7 @@ class RingFabric:
         name: str,
         probe_period: Optional[float] = None,
         obs: Optional["Observability"] = None,
-        trace_kinds: Optional[set[str]] = None,
+        trace_kinds: Optional[AbstractSet[str]] = frozenset(),
     ) -> None:
         self.name = name
         self.route_map = route_map

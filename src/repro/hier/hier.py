@@ -33,7 +33,7 @@ local rings give up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, AbstractSet, List, Optional, Tuple
 
 from repro.core.config import RMBConfig
 from repro.core.flits import Message
@@ -140,8 +140,8 @@ class HierRMB(RingFabric):
         obs: optional observability bundle; member metrics are labelled
             ``ring=localL`` / ``ring=global`` plus ``rmb_ring{name=...}``
             membership gauges.
-        trace_kinds: every member's trace filter (``None`` records
-            everything; an empty set records nothing).
+        trace_kinds: the kinds every member's trace records; ``None``
+            records every kind, and the default records nothing.
     """
 
     def __init__(
@@ -153,7 +153,7 @@ class HierRMB(RingFabric):
         config: Optional[RMBConfig] = None,
         probe_period: Optional[float] = None,
         obs: Optional["Observability"] = None,
-        trace_kinds: Optional[set[str]] = None,
+        trace_kinds: Optional[AbstractSet[str]] = frozenset(),
     ) -> None:
         if lanes < 2:
             raise ProtocolError(

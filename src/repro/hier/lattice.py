@@ -137,7 +137,6 @@ class RMBLattice(RingFabric):
         super().__init__(
             route_map, members,
             name=f"lattice {'x'.join(str(size) for size in shape)}",
-            trace_kinds=set(),
         )
         self.nodes = route_map.nodes
         self.node_id = route_map.node_id

@@ -16,7 +16,7 @@ only contributes the mirror route map and the lane split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Optional, Tuple
 
 from repro.core.config import RMBConfig
 from repro.core.flits import Message
@@ -67,7 +67,9 @@ class TwoRingRMB(RingFabric):
     Messages are routed on the ring that gives the shorter span; ties go
     clockwise.  ``config.lanes`` (even, at least 2) is split evenly
     between the directions: the ``cw`` ring (seed ``seed``) and the
-    ``ccw`` ring (``seed + 1``).
+    ``ccw`` ring (``seed + 1``).  ``trace_kinds`` is both rings' trace
+    filter, as in :class:`RingFabric`: ``None`` records every kind, and
+    the default records nothing.
     """
 
     def __init__(
@@ -76,6 +78,7 @@ class TwoRingRMB(RingFabric):
         seed: int = 0,
         probe_period: Optional[float] = None,
         obs: Optional["Observability"] = None,
+        trace_kinds: Optional[AbstractSet[str]] = frozenset(),
     ) -> None:
         if config.lanes < 2 or config.lanes % 2:
             raise ProtocolError(
@@ -86,5 +89,6 @@ class TwoRingRMB(RingFabric):
             MirrorRouteMap(config.nodes),
             [("cw", ring_config, seed), ("ccw", ring_config, seed + 1)],
             name="two-ring RMB", probe_period=probe_period, obs=obs,
+            trace_kinds=trace_kinds,
         )
         self.nodes = config.nodes

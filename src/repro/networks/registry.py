@@ -142,7 +142,7 @@ def build_network(name: str, nodes: int, k: int,
             seed=seed))
     builders: dict[str, Callable[[], ComparisonNetwork]] = {
         "rmb": lambda: RMBNetworkAdapter("rmb", nodes, lambda: RMBRing(
-            RMBConfig(nodes=nodes, lanes=k), seed=seed, trace_kinds=set())),
+            RMBConfig(nodes=nodes, lanes=k), seed=seed)),
         "rmb-2ring": lambda: RMBNetworkAdapter(
             "rmb-2ring", nodes,
             lambda: TwoRingRMB(RMBConfig(nodes=nodes, lanes=k), seed=seed)),

@@ -12,8 +12,8 @@ kernel itself is unit-agnostic.
 
 The hot path is :meth:`Simulator.run`: it pops heap entries directly
 instead of calling :meth:`Simulator.step` per event, so dispatching one
-event costs a heap pop, one ``None`` check for tracing, and the callback
-itself.  Built-in periodic machinery reschedules through the trusted
+event costs a heap pop and the callback itself.  Built-in periodic
+machinery reschedules through the trusted
 :meth:`Simulator._schedule_trusted` lane, which skips argument
 re-validation (the arguments were validated when the component was
 built and cannot go stale).
@@ -26,14 +26,10 @@ from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import Event, EventQueue, PRIORITY_NORMAL
-from repro.sim.trace import TraceRecorder
 
 
 class Simulator:
     """A deterministic discrete-event simulator.
-
-    Args:
-        trace: optional :class:`TraceRecorder` capturing kernel activity.
 
     Example:
         >>> sim = Simulator()
@@ -44,16 +40,11 @@ class Simulator:
         [5.0]
     """
 
-    def __init__(self, trace: Optional[TraceRecorder] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._queue = EventQueue()
         self._running = False
         self._finished = False
-        self.trace = trace
-        # Cached at construction (no caller reattaches a recorder to a
-        # live simulator): one flag check instead of a record() call per
-        # scheduled event when tracing is off or filtered to nothing.
-        self._tracing = trace is not None and trace.enabled
         self.events_executed = 0
         # Model-level diagnostics providers (picklable callables returning
         # a one-line description) appended to livelock error messages so
@@ -119,11 +110,7 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at {time!r}, current time is {self._now!r}"
             )
-        event = self._queue.push(time, callback, priority, label)
-        if self._tracing:
-            self.trace.record(self._now, "schedule", label or callback.__name__,
-                              at=time)
-        return event
+        return self._queue.push(time, callback, priority, label)
 
     def _schedule_trusted(
         self,
@@ -138,12 +125,7 @@ class Simulator:
         minus the re-validation: callers on this path are kernel-owned
         machinery whose delays were validated at construction time.
         """
-        time = self._now + delay
-        event = self._queue.push(time, callback, priority, label)
-        if self._tracing:
-            self.trace.record(self._now, "schedule", label or callback.__name__,
-                              at=time)
-        return event
+        return self._queue.push(self._now + delay, callback, priority, label)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -164,8 +146,6 @@ class Simulator:
         if event.time < self._now:
             raise SimulationError("event queue returned an event in the past")
         self._now = event.time
-        if self._tracing:
-            self.trace.record(self._now, "fire", event.label)
         event.callback()
         self.events_executed += 1
         return self._now
@@ -186,9 +166,6 @@ class Simulator:
         queue = self._queue
         heap = queue._heap
         heappop = heapq.heappop
-        # Hoisted locals: the no-trace path costs one flag check per event.
-        trace = self.trace
-        tracing = self._tracing
         try:
             while heap:
                 entry = heap[0]
@@ -204,8 +181,6 @@ class Simulator:
                 heappop(heap)
                 queue._live -= 1
                 self._now = time
-                if tracing:
-                    trace.record(time, "fire", event.label)
                 event.callback()
                 executed += 1
             if until is not None and until > self._now:

@@ -1,14 +1,16 @@
 """Structured trace recording for simulations.
 
-Traces serve three purposes here: debugging protocol models, rendering the
-ASCII figures in the examples, and asserting temporal properties in tests
-(e.g. "the top lane was released within two cycles of the header leaving").
+Tracing is opt-in: a ring records only the kinds its caller names.  The
+readers are the benchmarks that reproduce the paper's figures from a
+trace (E2's injection lanes, E3's compaction moves), the golden trace
+fixtures, and tests asserting temporal properties (e.g. "the top lane
+was released within two cycles of the header leaving").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import AbstractSet, Any, Callable, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -35,9 +37,10 @@ class TraceRecorder:
     """Accumulates :class:`TraceEntry` rows, optionally filtered by kind.
 
     Args:
-        kinds: if given, only these kinds are retained (others are dropped
-            at record time, keeping long simulations cheap to trace).
-        capacity: optional bound; the oldest entries are discarded beyond it.
+        kinds: the kinds retained (others are dropped at record time);
+            ``None`` retains every kind.  A ring passes its
+            ``trace_kinds``, which is empty unless its caller reads the
+            trace.
 
     :attr:`enabled` is False when the kind filter is the empty set — the
     recorder can never retain anything, so hot paths check this one flag
@@ -53,11 +56,8 @@ class TraceRecorder:
     a snapshot's bytes do not depend on whether the trace was read.
     """
 
-    def __init__(self, kinds: Optional[set[str]] = None,
-                 capacity: Optional[int] = None) -> None:
+    def __init__(self, kinds: Optional[AbstractSet[str]] = None) -> None:
         self.kinds = kinds
-        self.capacity = capacity
-        self.dropped = 0
         self._rows: list[TraceEntry] = []
         self._times: list[float] = []
         self._tags: list[str] = []
@@ -77,11 +77,6 @@ class TraceRecorder:
         self._tags.append(kind)
         self._subjects.append(subject)
         self._details.append(details)
-        if self.capacity is not None and len(self) > self.capacity:
-            rows = self.entries
-            overflow = len(rows) - self.capacity
-            del rows[:overflow]
-            self.dropped += overflow
 
     @property
     def entries(self) -> list[TraceEntry]:

@@ -53,8 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
 #: and a retry policy no longer carries the watchdog's storm knobs.
 #: Version 8: a trace recorder keeps its built rows and four (empty)
 #: pending columns, and the compaction engine and every cycle controller
-#: carry their cached trace flag.
-SNAPSHOT_VERSION = 8
+#: carry their cached trace flag.  Version 9: the simulator carries no
+#: trace, a trace recorder no capacity or drop count, and the compaction
+#: engine no move log.
+SNAPSHOT_VERSION = 9
 
 _FORMAT = "rmb-snapshot"
 

@@ -129,7 +129,6 @@ def build_rmb(config: RMBConfig, backend: str = "event",
               watchdog: Optional["WatchdogConfig"] = None,
               recovery: Optional["RecoveryConfig"] = None,
               obs: Optional["Observability"] = None,
-              trace_kinds: Optional[set[str]] = None,
               checkpoint_every: Optional[float] = None,
               ) -> Union[RMBRing, "BatchRing", HierRMB]:
     """The network ``repro run`` and :func:`run_point` drive.
@@ -151,13 +150,12 @@ def build_rmb(config: RMBConfig, backend: str = "event",
     if topology == "ring":
         return RMBRing(config, seed=seed, probe_period=probe_period,
                        fault_plan=fault_plan, watchdog=watchdog,
-                       recovery=recovery, obs=obs, trace_kinds=trace_kinds)
+                       recovery=recovery, obs=obs)
     from repro.networks.registry import hier_shape
     locals_count, nodes_per_local = hier_shape(topology, config.nodes)
     return HierRMB(locals=locals_count, nodes_per_local=nodes_per_local,
                    lanes=config.lanes, seed=seed, config=config,
-                   probe_period=probe_period, obs=obs,
-                   trace_kinds=trace_kinds)
+                   probe_period=probe_period, obs=obs)
 
 
 @dataclass
@@ -310,7 +308,7 @@ def run_point(cfg: SaturationConfig, pattern: TrafficPattern,
     ring = build_rmb(config, cfg.backend, cfg.topology, cfg.seed,
                      cfg.probe_period, fault_plan=cfg.fault_plan,
                      watchdog=cfg.watchdog, recovery=cfg.recovery,
-                     obs=cfg.obs, trace_kinds=set())
+                     obs=cfg.obs)
     if cfg.backend == "batch":
         from repro.batch import replay_on_batch
         replay_on_batch(ring, schedule)

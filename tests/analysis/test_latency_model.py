@@ -15,7 +15,7 @@ from repro.errors import ConfigurationError
 
 def simulate_one(nodes, lanes, span, flits):
     ring = RMBRing(RMBConfig(nodes=nodes, lanes=lanes, cycle_period=2.0),
-                   seed=0, trace_kinds=set())
+                   seed=0)
     record = ring.submit(Message(0, 0, span % nodes, data_flits=flits))
     ring.drain()
     return record

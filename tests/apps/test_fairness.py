@@ -34,8 +34,7 @@ class TestJainIndex:
 
 class TestPerNodeMetrics:
     def _loaded_ring(self):
-        ring = RMBRing(RMBConfig(nodes=8, lanes=3, cycle_period=2.0),
-                       seed=0, trace_kinds=set())
+        ring = RMBRing(RMBConfig(nodes=8, lanes=3, cycle_period=2.0), seed=0)
         for index in range(16):
             source = index % 8
             ring.submit(Message(index, source, (source + 3) % 8,
@@ -65,8 +64,7 @@ class TestPerNodeMetrics:
     def test_symmetric_workload_is_fair(self):
         # A uniform shift from every node is perfectly symmetric; the
         # latency fairness must be essentially 1.
-        ring = RMBRing(RMBConfig(nodes=8, lanes=3, cycle_period=2.0),
-                       seed=0, trace_kinds=set())
+        ring = RMBRing(RMBConfig(nodes=8, lanes=3, cycle_period=2.0), seed=0)
         for index in range(8):
             ring.submit(Message(index, index, (index + 2) % 8,
                                 data_flits=8))

@@ -17,7 +17,7 @@ from repro.core.config import RetryPolicy
 
 def healthy_ring(asynchronous=False) -> RMBRing:
     config = RMBConfig(nodes=8, lanes=3, synchronous=not asynchronous)
-    return RMBRing(config, seed=2, trace_kinds=set())
+    return RMBRing(config, seed=2)
 
 
 class TestConservationMonitor:
@@ -66,7 +66,7 @@ class TestStuckBusMonitor:
         config = RMBConfig(nodes=8, lanes=3, compaction_enabled=False,
                            retry=RetryPolicy(header_timeout=None),
                            check_level="off")
-        ring = RMBRing(config, seed=1, trace_kinds=set())
+        ring = RMBRing(config, seed=1)
         for lane in range(3):
             ring.grid.claim(2, lane, 900 + lane)
         ring.submit(Message(0, 0, 4, data_flits=2))

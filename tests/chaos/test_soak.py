@@ -46,6 +46,12 @@ class TestSoakRuns:
         assert result.recovery_actions["breakers_opened"] >= 1
         assert result.healthy_goodput is None   # baseline skipped
 
+    def test_inc_outage_counts_every_lane_it_fails(self):
+        # An INC outage fails all of its output segments, one per lane.
+        result = run_soak(small_config(spec="incs:2@100+200"),
+                          healthy_baseline=False)
+        assert result.segments_cycled == 2 * 3
+
     def test_replay_determinism(self):
         config = small_config()
         one = run_soak(config, healthy_baseline=False)

@@ -86,7 +86,7 @@ def build_ring(plan, seed=3, synchronous=True, **overrides):
     # check_level defaults to "full": the monitor (including the fault-aware
     # monotonicity and no-dead-occupancy checks) runs every cycle and
     # raises mid-run on any Theorem 1 violation.
-    return RMBRing(config, seed=seed, fault_plan=plan, trace_kinds=set())
+    return RMBRing(config, seed=seed, fault_plan=plan)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ _PASSES = {
 def job() -> SimpleNamespace:
     ring = RMBRing(RMBConfig(nodes=32, lanes=4, cycle_period=2.0,
                              check_level="sampled"),
-                   seed=7, trace_kinds=set(), probe_period=16.0)
+                   seed=7, probe_period=16.0)
     replay_on_ring(ring, bernoulli_schedule(
         32, 150, 0.04, 8, RandomStream(7, name="perf")))
     engine = ring.routing

@@ -99,7 +99,7 @@ def build_ring(seed: int, nodes: int, lanes: int, synchronous: bool,
     config = RMBConfig(nodes=nodes, lanes=lanes, synchronous=synchronous,
                        cycle_period=2.0, check_level="full",
                        retry=RetryPolicy(jitter=0.25, max_retries=8))
-    ring = RMBRing(config, seed=seed, fault_plan=plan, trace_kinds=set())
+    ring = RMBRing(config, seed=seed, fault_plan=plan)
     replay_on_ring(ring, bernoulli_schedule(
         nodes, 150, 0.05, 6, RandomStream(seed, name="walk")))
     return ring

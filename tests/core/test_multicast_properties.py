@@ -26,8 +26,7 @@ def multicast_requests(draw):
 @given(multicast_requests())
 def test_every_receiver_gets_the_stream(request):
     nodes, message = request
-    ring = RMBRing(RMBConfig(nodes=nodes, lanes=3, cycle_period=2.0),
-                   seed=1, trace_kinds=set())
+    ring = RMBRing(RMBConfig(nodes=nodes, lanes=3, cycle_period=2.0), seed=1)
     record = ring.submit(message)
     ring.drain(max_ticks=500_000)
     assert record.finished
@@ -46,8 +45,7 @@ def test_every_receiver_gets_the_stream(request):
 @given(multicast_requests())
 def test_multicast_leaves_no_residue(request):
     nodes, message = request
-    ring = RMBRing(RMBConfig(nodes=nodes, lanes=3, cycle_period=2.0),
-                   seed=2, trace_kinds=set())
+    ring = RMBRing(RMBConfig(nodes=nodes, lanes=3, cycle_period=2.0), seed=2)
     ring.submit(message)
     ring.drain(max_ticks=500_000)
     assert ring.grid.occupied_segments() == 0
@@ -60,8 +58,7 @@ def test_multicast_leaves_no_residue(request):
 @given(multicast_requests(), st.integers(min_value=0, max_value=2**20))
 def test_multicast_coexists_with_unicast_traffic(request, seed):
     nodes, message = request
-    ring = RMBRing(RMBConfig(nodes=nodes, lanes=4, cycle_period=2.0),
-                   seed=3, trace_kinds=set())
+    ring = RMBRing(RMBConfig(nodes=nodes, lanes=4, cycle_period=2.0), seed=3)
     ring.submit(message)
     # Background unicast traffic from deterministic offsets.
     for index in range(1, 6):

@@ -130,7 +130,7 @@ def random_batches(draw):
 def test_every_random_batch_drains_clean(batch):
     nodes, lanes, messages = batch
     ring = RMBRing(RMBConfig(nodes=nodes, lanes=lanes, cycle_period=2.0),
-                   seed=5, trace_kinds=set())
+                   seed=5)
     ring.submit_all(messages)
     ring.drain(max_ticks=500_000)
     assert ring.stats().completed == len(messages)
@@ -145,7 +145,7 @@ def test_async_mode_matches_sync_delivery_count(batch):
     ring = RMBRing(
         RMBConfig(nodes=nodes, lanes=lanes, synchronous=False,
                   cycle_period=2.0),
-        seed=5, trace_kinds=set(),
+        seed=5,
     )
     ring.submit_all(messages)
     ring.drain(max_ticks=500_000)

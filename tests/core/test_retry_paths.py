@@ -26,7 +26,7 @@ def blocked_column_ring(**policy) -> RMBRing:
     config = RMBConfig(nodes=8, lanes=3, compaction_enabled=False,
                        retry=RetryPolicy(jitter=0.0, **policy),
                        check_level="off")
-    ring = RMBRing(config, seed=1)
+    ring = RMBRing(config, seed=1, trace_kinds={"header_timeout"})
     for lane in range(3):
         ring.grid.claim(2, lane, 900 + lane)
     return ring
@@ -92,7 +92,7 @@ class TestExponentialBackoff:
         policy.setdefault("jitter", 0.0)
         config = RMBConfig(nodes=8, lanes=3, retry=RetryPolicy(
             delay=4.0, backoff=2.0, **policy))
-        ring = RMBRing(config, seed=1)
+        ring = RMBRing(config, seed=1, trace_kinds={"inject", "abandon"})
         ring.routing._rx_active[4] = config.rx_ports
         return ring
 
@@ -126,6 +126,7 @@ class TestExponentialBackoff:
         jittered.run(300)
         base_injects = self.inject_times(base)
         jitter_injects = self.inject_times(jittered)
+        assert min(len(base_injects), len(jitter_injects)) >= 2
         for deterministic, randomised in zip(base_injects[1:],
                                              jitter_injects[1:]):
             assert randomised >= deterministic

@@ -62,7 +62,7 @@ class TestAliases:
         policy = RetryPolicy(delay=2.0, jitter=0.0)
         assert config.with_overrides(retry=policy).retry == policy
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_old_checkpoint_version_is_refused_by_name(self, version):
         """Version-1 snapshots may hold configs pickled before the
         unification, without a ``retry`` slot; version-2 ones lack the
@@ -73,15 +73,17 @@ class TestAliases:
         restore now rebuilds; version-6 ones hold fabrics, rings and
         retry policies with fields that are gone; version-7 ones hold
         trace recorders without pending columns and engines without
-        their cached trace flag.  Each is refused with both versions
-        named instead of being half-restored."""
+        their cached trace flag; version-8 ones hold a simulator's
+        trace, a recorder's capacity and a compaction move log, which
+        are gone.  Each is refused with both versions named instead of
+        being half-restored."""
         ring = RMBRing(RMBConfig(nodes=8, lanes=3))
         header, payload = save_snapshot_bytes(ring).split(b"\n", 1)
         manifest = json.loads(header)
         manifest["version"] = version
         old = json.dumps(manifest).encode("utf-8") + b"\n" + payload
         with pytest.raises(SnapshotError,
-                           match=rf"version {version} unsupported .*version 8"):
+                           match=rf"version {version} unsupported .*version 9"):
             load_snapshot_bytes(old)
 
     def test_policy_survives_pickling(self):
@@ -100,7 +102,7 @@ class TestNodeBudget:
                              node_budget=node_budget)
         config = RMBConfig(nodes=8, lanes=1, compaction_enabled=False,
                            retry=policy, check_level="off")
-        ring = RMBRing(config, seed=1, trace_kinds=set())
+        ring = RMBRing(config, seed=1)
         ring.grid.claim(1, 0, 900)
         return ring
 

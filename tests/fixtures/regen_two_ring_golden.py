@@ -112,7 +112,8 @@ def pooled_leg_stats(network: TwoRingRMB) -> RunStats:
 def run_scenario() -> tuple[TwoRingRMB, list[str], float]:
     """The drained run, its census lines and its drain time."""
     network = TwoRingRMB(
-        RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0), seed=SEED)
+        RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0), seed=SEED,
+        trace_kinds=None)
     census = []
     _submit(network, WAVE_ONE)
     network.run(10.0)

@@ -13,6 +13,7 @@ from repro.networks import (
     make_batch,
     permutation_pairs,
 )
+from repro.traffic import make_pattern, pattern_batch
 
 
 class TestMultiBus:
@@ -99,6 +100,19 @@ class TestRegistry:
         result = net.route_batch(make_batch(pairs, data_flits=4))
         assert result.delivered == 16
         assert result.makespan > 0
+
+    @pytest.mark.parametrize("name", ["rmb", "rmb-2ring", "hier:4x4"])
+    def test_raced_rmb_networks_record_no_trace(self, name):
+        # The arena reads only message statistics, so no member ring
+        # records trace rows that nothing reads.
+        network = build_network(name, 16, 4).factory()
+        pattern = make_pattern("transpose", 16, k=4, seed=0)
+        network.submit_all(pattern_batch(pattern, data_flits=16).messages())
+        network.drain()
+        assert network.stats().completed > 0
+        rings = getattr(network, "rings", {name: network})
+        assert {ring: len(rings[ring].trace) for ring in rings} == \
+            dict.fromkeys(rings, 0)
 
     def test_unknown_network_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -82,8 +82,7 @@ def build_ring(plan, seed=3):
         evacuation_patience=48.0,
         storm_threshold=4, storm_window=100.0, calm_window=60.0,
     )
-    return RMBRing(config, seed=seed, fault_plan=plan, recovery=recovery,
-                   trace_kinds=set())
+    return RMBRing(config, seed=seed, fault_plan=plan, recovery=recovery)
 
 
 @settings(max_examples=20, deadline=None)

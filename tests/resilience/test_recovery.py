@@ -71,8 +71,7 @@ def flapping_ring(obs=None, watchdog=None) -> RMBRing:
         storm_threshold=50,
     )
     return RMBRing(config, seed=7, fault_plan=flap_plan(),
-                   recovery=recovery, watchdog=watchdog, obs=obs,
-                   trace_kinds=set())
+                   recovery=recovery, watchdog=watchdog, obs=obs)
 
 
 class TestBreakerQuarantine:
@@ -122,7 +121,7 @@ class TestForcedEvacuation:
                            check_level="off")
         recovery = RecoveryConfig(period=10.0, evacuation_patience=30.0,
                                   storm_threshold=50)
-        ring = RMBRing(config, seed=1, recovery=recovery, trace_kinds=set())
+        ring = RMBRing(config, seed=1, recovery=recovery)
         for lane in range(2):
             ring.grid.claim(4, lane, 900 + lane)
         record = ring.submit(msg(0, 0, 6))
@@ -165,8 +164,7 @@ class TestForcedEvacuation:
         config = RMBConfig(nodes=8, lanes=2)
         ring = RMBRing(config, seed=1,
                        recovery=RecoveryConfig(period=5.0,
-                                               evacuation_patience=10.0),
-                       trace_kinds=set())
+                                               evacuation_patience=10.0))
         records = ring.submit_all(msg(i, i, (i + 2) % 8) for i in range(6))
         ring.drain()
         assert ring.recovery.stats.evacuations_forced == 0
@@ -191,7 +189,7 @@ class TestDegradedMode:
             breaker=BreakerConfig(failure_threshold=100, window=10.0),
         )
         return RMBRing(config, seed=3, fault_plan=FaultPlan(events),
-                       recovery=recovery, trace_kinds=set())
+                       recovery=recovery)
 
     def test_storm_enters_and_calm_exits_degraded_mode(self):
         ring = self.storm_ring()
@@ -360,7 +358,7 @@ class TestConfigValidation:
     def test_manager_without_optional_wiring(self):
         """Bare manager (no watchdog/faults/obs) probes without error."""
         config = RMBConfig(nodes=4, lanes=2)
-        ring = RMBRing(config, seed=0, trace_kinds=set())
+        ring = RMBRing(config, seed=0)
         manager = RecoveryManager(ring.sim, ring.grid, ring.routing,
                                   config=RecoveryConfig(period=5.0))
         ring.submit(msg(0, 0, 2))

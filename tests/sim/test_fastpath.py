@@ -86,26 +86,8 @@ def test_schedule_trusted_respects_priority_ordering():
 
 def test_trace_enabled_flag():
     assert TraceRecorder().enabled
-    assert TraceRecorder(kinds={"fire"}).enabled
+    assert TraceRecorder(kinds={"inject"}).enabled
     assert not TraceRecorder(kinds=set()).enabled
-
-
-def test_simulator_skips_disabled_recorder():
-    trace = TraceRecorder(kinds=set())
-    sim = Simulator(trace=trace)
-    assert sim._tracing is False
-    sim.schedule(1, lambda: None)
-    sim.run()
-    assert trace.entries == []
-
-
-def test_simulator_records_with_enabled_recorder():
-    trace = TraceRecorder()
-    sim = Simulator(trace=trace)
-    sim.schedule(1, lambda: None, label="tick")
-    sim.run()
-    kinds = [entry.kind for entry in trace.entries]
-    assert "schedule" in kinds and "fire" in kinds
 
 
 # ---------------------------------------------------------------------------

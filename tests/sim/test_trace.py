@@ -21,15 +21,6 @@ def test_kind_filter_drops_at_record_time():
     assert len(trace) == 1
 
 
-def test_capacity_bounds_memory():
-    trace = TraceRecorder(capacity=3)
-    for index in range(10):
-        trace.record(float(index), "tick", f"s{index}")
-    assert len(trace) == 3
-    assert trace.dropped == 7
-    assert [entry.subject for entry in trace] == ["s7", "s8", "s9"]
-
-
 def test_first_and_last():
     trace = TraceRecorder()
     assert trace.first("x") is None

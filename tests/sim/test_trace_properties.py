@@ -1,11 +1,10 @@
 """The column recorder keeps exactly what the eager recorder kept.
 
 :class:`EagerRecorder` below is the recorder before rows were kept as
-columns: every ``record`` built its :class:`TraceEntry` at once and
-trimmed to ``capacity``.  Hypothesis drives it and a
-:class:`TraceRecorder` with the same rows under random kind filters and
-capacities, interleaving every reader, ``len`` calls and pickle round
-trips, and requires equal entries, ``dropped`` and ``len`` throughout.
+columns: every ``record`` built its :class:`TraceEntry` at once.
+Hypothesis drives it and a :class:`TraceRecorder` with the same rows
+under random kind filters, interleaving every reader, ``len`` calls and
+pickle round trips, and requires equal entries and ``len`` throughout.
 A third recorder takes the same rows but is never read: its pickle must
 be byte-identical to the read one's, so a snapshot's bytes do not
 depend on whether the trace was read first.
@@ -27,12 +26,9 @@ KINDS = ("inject", "extend", "compaction_move")
 class EagerRecorder:
     """The reference: one ``TraceEntry`` built per ``record`` call."""
 
-    def __init__(self, kinds: Optional[set[str]],
-                 capacity: Optional[int]) -> None:
+    def __init__(self, kinds: Optional[set[str]]) -> None:
         self.kinds = kinds
-        self.capacity = capacity
         self.entries: list[TraceEntry] = []
-        self.dropped = 0
 
     def record(self, time: float, kind: str, subject: str,
                **details: Any) -> None:
@@ -41,10 +37,6 @@ class EagerRecorder:
         self.entries.append(
             TraceEntry(time, kind, subject, tuple(sorted(details.items())))
         )
-        if self.capacity is not None and len(self.entries) > self.capacity:
-            overflow = len(self.entries) - self.capacity
-            del self.entries[:overflow]
-            self.dropped += overflow
 
 
 def _has_lane(entry: TraceEntry) -> bool:
@@ -90,12 +82,11 @@ operations = st.lists(st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(kinds=st.one_of(st.none(), st.sets(st.sampled_from(KINDS))),
-       capacity=st.one_of(st.none(), st.integers(0, 8)),
        operations=operations)
-def test_columns_match_the_eager_recorder(kinds, capacity, operations):
-    eager = EagerRecorder(kinds, capacity)
-    columns = TraceRecorder(kinds=kinds, capacity=capacity)
-    unread = TraceRecorder(kinds=kinds, capacity=capacity)
+def test_columns_match_the_eager_recorder(kinds, operations):
+    eager = EagerRecorder(kinds)
+    columns = TraceRecorder(kinds=kinds)
+    unread = TraceRecorder(kinds=kinds)
     for operation, argument in operations:
         if operation == "record":
             time, kind, subject, row_details = argument
@@ -111,8 +102,6 @@ def test_columns_match_the_eager_recorder(kinds, capacity, operations):
             assert snapshot == pickle.dumps(unread)
             columns = pickle.loads(snapshot)
             unread = pickle.loads(snapshot)
-        assert columns.dropped == eager.dropped
     assert len(columns) == len(eager.entries)
     assert columns.entries == eager.entries
-    assert columns.dropped == eager.dropped
     assert pickle.dumps(columns) == pickle.dumps(unread)

@@ -20,7 +20,7 @@ def capped_ring(limit, policy, delay=16.0) -> RMBRing:
     config = RMBConfig(nodes=8, lanes=3, admission_limit=limit,
                        admission_policy=policy,
                        retry=RetryPolicy(delay=delay, jitter=0.0))
-    return RMBRing(config, seed=1)
+    return RMBRing(config, seed=1, trace_kinds={"shed"})
 
 
 class TestController:

@@ -30,6 +30,8 @@ def msg(mid, src, dst, flits=4):
 
 
 def build_ring(seed=3, fault=False) -> RMBRing:
+    """A small loaded ring that records every trace kind, so a restore
+    is checked against a non-empty trace."""
     plan = None
     if fault:
         plan = FaultPlan(events=[
@@ -41,7 +43,7 @@ def build_ring(seed=3, fault=False) -> RMBRing:
     config = RMBConfig(nodes=8, lanes=3, retry=RetryPolicy(
         jitter=0.25, max_retries=8 if fault else None))
     ring = RMBRing(config, seed=seed, probe_period=16.0, fault_plan=plan,
-                   watchdog=WatchdogConfig())
+                   watchdog=WatchdogConfig(), trace_kinds=None)
     ring.submit_all(msg(i, i % 8, (i + 3) % 8) for i in range(12))
     return ring
 
@@ -96,6 +98,7 @@ class TestFidelity:
             ring.seeds.stream("retry").getstate()
         assert restored.sim.pending_events == ring.sim.pending_events
         assert set(restored.buses) == set(ring.buses)
+        assert ring.trace.entries
         assert restored.trace.entries == ring.trace.entries
         assert restored.stats().summary() == ring.stats().summary()
 
@@ -112,6 +115,7 @@ class TestFidelity:
 
         assert restored.sim.now == reference.sim.now
         assert restored.stats().summary() == reference.stats().summary()
+        assert reference.trace.entries
         assert restored.trace.entries == reference.trace.entries
         assert restored.grid.state_signature() == \
             reference.grid.state_signature()
@@ -183,4 +187,5 @@ class TestPeriodicCheckpointer:
         assert manifest["meta"]["run_until"] == 60.0
         assert resumed.sim.now == reference.sim.now
         assert resumed.stats().summary() == reference.stats().summary()
+        assert reference.trace.entries
         assert resumed.trace.entries == reference.trace.entries

@@ -55,7 +55,7 @@ def build_ring(seed: int, plan: FaultPlan | None) -> RMBRing:
                            jitter=0.25,
                            max_retries=8 if plan is not None else None))
     ring = RMBRing(config, seed=seed, probe_period=16.0, fault_plan=plan,
-                   watchdog=WatchdogConfig())
+                   watchdog=WatchdogConfig(), trace_kinds=None)
     ring.submit_all(
         Message(message_id=i, source=(i + seed) % NODES,
                 destination=(i + seed + 2 + i % 3) % NODES,
@@ -97,6 +97,7 @@ def test_interrupted_run_is_byte_identical(seed, plan, checkpoint_at):
     restored, _ = load_snapshot_bytes(snapshot)
     finish(restored)
 
+    assert reference.trace.entries
     assert observables(restored) == observables(reference)
 
 
@@ -117,4 +118,5 @@ def test_double_interruption_is_byte_identical(seed, plan, first, second):
     ring, _ = load_snapshot_bytes(save_snapshot_bytes(ring))
     finish(ring)
 
+    assert reference.trace.entries
     assert observables(ring) == observables(reference)

@@ -161,8 +161,8 @@ class TestHierTopology:
         assert "ring_rates" in point.row()
 
     def test_load_point_records_no_member_trace(self, monkeypatch):
-        # run_point asks build_rmb for no trace; a fabric must honour
-        # that in every member ring, as the flat ring does.
+        # A load point reads no trace, so no member ring of a fabric
+        # records one, as the flat ring records none.
         from repro.traffic import saturation
 
         build, built = saturation.build_rmb, []
