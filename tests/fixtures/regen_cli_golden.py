@@ -56,6 +56,18 @@ CASES: dict[str, list[str]] = {
                             "--metrics-out", "metrics.prom",
                             "--spans-out", "spans.jsonl"],
     "run_async_watchdog": _RUN + ["--asynchronous", "--watchdog"],
+    # Supervision end to end: a flapping segment trips its breaker
+    # (open, quarantine hold, half-open, close), the flaps enter and
+    # leave degraded mode, and five retry storms are reported by the
+    # watchdog and acted on by the recovery manager.
+    "run_supervised": ["run", "-n", "16", "-k", "2", "-m", "96",
+                       "--rate", "0.2", "--flits", "16", "--seed", "1",
+                       "--fault-plan",
+                       "seg:3,1@40;+seg:3,1@80;seg:3,1@120;+seg:3,1@160;"
+                       "seg:3,1@200;+seg:3,1@240;seg:9,0@60;+seg:9,0@500",
+                       "--watchdog", "--recovery", "--max-retries", "40",
+                       "--obs-level", "full", "--metrics-out", "metrics.prom",
+                       "--stats-json", "stats.json"],
     "run_batch": _RUN + ["--backend", "batch", "--stats-json", "stats.json"],
     "run_hier": ["run", "--topology", "hier:4x4", "-n", "16", "-k", "4",
                  "-m", "32", "--rate", "0.05", "--flits", "6", "--seed", "5",
