@@ -27,7 +27,6 @@ from repro.analysis.tables import render_table
 from repro.core import Message, RMBConfig, RMBRing
 from repro.core.config import RetryPolicy
 from repro.sim import RandomStream
-from repro.supervision import WatchdogConfig
 
 NODES, LANES = 16, 4
 BURST = 8  # messages per node, offered simultaneously at t=0
@@ -44,7 +43,7 @@ def run_overload_point(label: str, limit, policy: str, seed: int = 11) -> dict:
     config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
                        admission_limit=limit, admission_policy=policy,
                        retry=RetryPolicy(delay=8.0))
-    ring = RMBRing(config, seed=seed, watchdog=WatchdogConfig())
+    ring = RMBRing(config, seed=seed, watchdog=True)
     rng = RandomStream(seed, name="burst")
     messages = []
     for node in range(NODES):

@@ -31,9 +31,9 @@ def hypercube_bisection(nodes: int, k: int) -> float:
     return nodes / 2.0
 
 
-def ehc_bisection(nodes: int, k: int, doubled_dimension_cut: bool = True) -> float:
-    """N/2 links, or N when the doubled dimension is the one cut."""
-    return float(nodes) if doubled_dimension_cut else nodes / 2.0
+def ehc_bisection(nodes: int, k: int) -> float:
+    """N links: the cut across the doubled dimension."""
+    return float(nodes)
 
 
 def fattree_bisection(nodes: int, k: int) -> float:

@@ -6,7 +6,8 @@ against the simulator in ``tests/analysis/test_latency_model.py``, which
 pins down the engine's timing semantics and guards against accidental
 off-by-one regressions in the hot path.
 
-With flit period ``T`` and clockwise span ``s`` (segments crossed):
+In flit ticks (one tick is one flit hop), with clockwise span ``s``
+(segments crossed):
 
 * **injection** — 1 flit tick (the HF enters the top lane);
 * **header transit** — ``s - 1`` further ticks to reach the destination;
@@ -71,8 +72,7 @@ class LatencyBreakdown:
         }
 
 
-def unloaded_latency(span: int, data_flits: int,
-                     flit_period: float = 1.0) -> LatencyBreakdown:
+def unloaded_latency(span: int, data_flits: int) -> LatencyBreakdown:
     """Phase breakdown for a lone message crossing ``span`` segments.
 
     Raises:
@@ -82,33 +82,31 @@ def unloaded_latency(span: int, data_flits: int,
         raise ConfigurationError(f"span must be >= 1, got {span}")
     if data_flits < 0:
         raise ConfigurationError("data_flits must be >= 0")
-    period = flit_period
     return LatencyBreakdown(
-        injection=1 * period,
-        header_transit=(span - 1) * period,
-        ack_return=span * period,
-        streaming=data_flits * period,
-        drain=span * period,
-        teardown=span * period,
+        injection=1.0,
+        header_transit=float(span - 1),
+        ack_return=float(span),
+        streaming=float(data_flits),
+        drain=float(span),
+        teardown=float(span),
     )
 
 
 def predict_message(config: RMBConfig, message: Message) -> LatencyBreakdown:
     """Unloaded breakdown for a concrete message on a concrete ring."""
     span = message.span(config.nodes)
-    return unloaded_latency(span, message.data_flits, config.flit_period)
+    return unloaded_latency(span, message.data_flits)
 
 
-def bandwidth_per_circuit(data_flits: int, span: int,
-                          flit_period: float = 1.0) -> float:
+def bandwidth_per_circuit(data_flits: int, span: int) -> float:
     """Sustained payload flits per tick of one repeating transfer.
 
     The circuit-switched overhead (setup + teardown round trips) is
-    amortised over the payload; long messages approach ``1 / T``, the
-    wire rate — quantifying the paper's advice that the RMB favours
-    streaming transfers.
+    amortised over the payload; long messages approach one flit per
+    tick, the wire rate — quantifying the paper's advice that the RMB
+    favours streaming transfers.
     """
-    breakdown = unloaded_latency(span, data_flits, flit_period)
+    breakdown = unloaded_latency(span, data_flits)
     return data_flits / breakdown.completion
 
 

@@ -2,7 +2,7 @@
 
 The event backend (:mod:`repro.core`) interprets the declarative
 lifecycle and handshake tables one heap event at a time.  This package
-compiles the same tables into dense integer transition/effect matrices
+compiles the lifecycle table into dense integer transition/effect matrices
 (:mod:`repro.batch.compile`), keeps all per-message / per-bus /
 per-segment state in parallel numpy arrays (:mod:`repro.batch.state`),
 and advances the whole network one tick at a time with masked array
@@ -15,21 +15,14 @@ See DESIGN.md §14 for the architecture and the feature subset the
 batch backend models.
 """
 
-from repro.batch.compile import (
-    CompiledHandshake,
-    CompiledLifecycle,
-    compile_handshake,
-    compile_lifecycle,
-)
+from repro.batch.compile import CompiledLifecycle, compile_lifecycle
 from repro.batch.engine import BatchRing, replay_on_batch
 from repro.batch.state import BatchState
 
 __all__ = [
     "BatchRing",
     "BatchState",
-    "CompiledHandshake",
     "CompiledLifecycle",
-    "compile_handshake",
     "compile_lifecycle",
     "replay_on_batch",
 ]

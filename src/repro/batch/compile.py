@@ -1,17 +1,14 @@
-"""Compile the declarative protocol tables into dense integer matrices.
+"""Compile the declarative lifecycle table into dense integer matrices.
 
-Two tables feed the batch backend:
-
-* the per-message lifecycle FSM (:data:`repro.protocol.lifecycle.LIFECYCLE`)
-  becomes a ``(states, events)`` transition matrix plus a parallel matrix
-  of *effect-program* indices — every declared arc appears exactly once,
-  and every undeclared ``(state, event)`` cell holds the :data:`TRAP`
-  sentinel so firing it raises :class:`~repro.errors.ProtocolError`, the
-  same conformance check the event backend's interpreter performs;
-* the odd/even handshake rules (:data:`repro.protocol.handshake.
-  HANDSHAKE_TABLE`) become per-phase guard/action vectors that
-  :meth:`CompiledHandshake.step` evaluates for *every* INC of a ring in
-  one set of masked array operations.
+The per-message lifecycle FSM (:data:`repro.protocol.lifecycle.LIFECYCLE`)
+becomes a ``(states, events)`` transition matrix plus a parallel matrix
+of *effect-program* indices — every declared arc appears exactly once,
+and every undeclared ``(state, event)`` cell holds the :data:`TRAP`
+sentinel so firing it raises :class:`~repro.errors.ProtocolError`, the
+same conformance check the event backend's interpreter performs.  The
+batch backend models synchronous rings only, so the odd/even handshake
+table has no compiled form; ``tests/protocol`` and the explorer check
+the scalar rules-1-to-5 table.
 
 Compilation happens once at engine startup; the matrices are plain data
 and every entry is traceable back to one table row (asserted by the
@@ -26,11 +23,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.protocol.handshake import (
-    HANDSHAKE_TABLE,
-    HandshakePhase,
-    HandshakeState,
-)
 from repro.protocol.lifecycle import (
     LIFECYCLE,
     TERMINAL_STATES,
@@ -106,136 +98,3 @@ def compile_lifecycle() -> CompiledLifecycle:
     transition.setflags(write=False)
     program.setflags(write=False)
     return CompiledLifecycle(transition, program, tuple(programs))
-
-
-# ---------------------------------------------------------------------------
-# Handshake
-# ---------------------------------------------------------------------------
-#: Handshake phases in enum-declaration order (row base of the vectors).
-PHASES: Tuple[HandshakePhase, ...] = tuple(HandshakePhase)
-PHASE_CODE = {phase: index for index, phase in enumerate(PHASES)}
-
-#: "Don't care" / "keep current bit" sentinel in the guard/action vectors.
-ANY: int = -1
-
-
-@dataclass(frozen=True)
-class CompiledHandshake:
-    """The rules-1-to-5 table as per-phase guard/action vectors.
-
-    Each vector is indexed by phase code.  Guards (``requires_od`` /
-    ``requires_oc``) and actions (``sets_od`` / ``sets_oc``) use
-    :data:`ANY` for "don't care" / "keep"; otherwise 0/1.
-    """
-
-    requires_od: np.ndarray
-    requires_oc: np.ndarray
-    sets_od: np.ndarray
-    sets_oc: np.ndarray
-    advances_cycle: np.ndarray
-    does_work: np.ndarray
-    next_phase: np.ndarray
-    rule_number: np.ndarray
-
-    def step(
-        self,
-        phase: np.ndarray,
-        od: np.ndarray,
-        oc: np.ndarray,
-        left_od: np.ndarray,
-        left_oc: np.ndarray,
-        right_od: np.ndarray,
-        right_oc: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One clock edge for an array of INCs, evaluated simultaneously.
-
-        Vector analogue of :func:`repro.protocol.handshake.handshake_step`
-        applied elementwise against the given neighbour-bit snapshots.
-        Returns ``(phase, od, oc, advanced, worked)``; the two boolean
-        vectors mark INCs whose rule advanced the cycle count / performed
-        the work step.
-        """
-        need_od = self.requires_od[phase]
-        need_oc = self.requires_oc[phase]
-        fired = ((need_od == ANY)
-                 | ((left_od == need_od) & (right_od == need_od)))
-        fired &= ((need_oc == ANY)
-                  | ((left_oc == need_oc) & (right_oc == need_oc)))
-        set_od = self.sets_od[phase]
-        set_oc = self.sets_oc[phase]
-        od = np.where(fired & (set_od != ANY), set_od, od)
-        oc = np.where(fired & (set_oc != ANY), set_oc, oc)
-        advanced = fired & self.advances_cycle[phase]
-        worked = fired & self.does_work[phase]
-        phase = np.where(fired, self.next_phase[phase], phase)
-        return phase, od, oc, advanced, worked
-
-
-def compile_handshake() -> CompiledHandshake:
-    """Build the per-phase guard/action vectors from the rule table."""
-
-    def encode(flag: bool | None) -> int:
-        return ANY if flag is None else int(flag)
-
-    count = len(PHASES)
-    requires_od = np.full(count, ANY, dtype=np.int8)
-    requires_oc = np.full(count, ANY, dtype=np.int8)
-    sets_od = np.full(count, ANY, dtype=np.int8)
-    sets_oc = np.full(count, ANY, dtype=np.int8)
-    advances = np.zeros(count, dtype=bool)
-    works = np.zeros(count, dtype=bool)
-    nxt = np.zeros(count, dtype=np.int8)
-    rule_number = np.zeros(count, dtype=np.int8)
-    for rule in HANDSHAKE_TABLE:
-        code = PHASE_CODE[rule.phase]
-        requires_od[code] = encode(rule.requires_od)
-        requires_oc[code] = encode(rule.requires_oc)
-        sets_od[code] = encode(rule.sets_od)
-        sets_oc[code] = encode(rule.sets_oc)
-        advances[code] = rule.advances_cycle
-        works[code] = rule.does_work
-        nxt[code] = PHASE_CODE[rule.next_phase]
-        rule_number[code] = rule.rule
-    for vector in (requires_od, requires_oc, sets_od, sets_oc, advances,
-                   works, nxt, rule_number):
-        vector.setflags(write=False)
-    return CompiledHandshake(requires_od, requires_oc, sets_od, sets_oc,
-                             advances, works, nxt, rule_number)
-
-
-def handshake_lockstep(
-    nodes: int, edges: int, compiled: CompiledHandshake | None = None,
-) -> tuple[np.ndarray, int]:
-    """Drive a ring of ``nodes`` INCs through ``edges`` simultaneous edges.
-
-    All INCs start from the reset state and evaluate each edge against a
-    snapshot of their neighbours' pre-edge bits (the zero-skew limit of
-    the asynchronous protocol).  Returns the per-INC cycle counts after
-    the last edge and the maximum neighbour skew observed across *all*
-    intermediate edges — Lemma 1 says the skew never exceeds one.
-    """
-    if compiled is None:
-        compiled = compile_handshake()
-    phase = np.full(nodes, PHASE_CODE[HandshakePhase.WORK], dtype=np.int8)
-    od = np.zeros(nodes, dtype=np.int8)
-    oc = np.zeros(nodes, dtype=np.int8)
-    cycles = np.zeros(nodes, dtype=np.int64)
-    max_skew = 0
-    for _ in range(edges):
-        left_od = np.roll(od, 1)     # left neighbour of INC i is i-1
-        left_oc = np.roll(oc, 1)
-        right_od = np.roll(od, -1)   # right neighbour is i+1
-        right_oc = np.roll(oc, -1)
-        phase, od, oc, advanced, _ = compiled.step(
-            phase, od, oc, left_od, left_oc, right_od, right_oc)
-        cycles += advanced
-        skew = int(np.max(np.abs(cycles - np.roll(cycles, 1))))
-        max_skew = max(max_skew, skew)
-    return cycles, max_skew
-
-
-def state_of(phase: np.ndarray, od: np.ndarray, oc: np.ndarray,
-             index: int) -> HandshakeState:
-    """One INC's vector state as a pure :class:`HandshakeState` (tests)."""
-    return HandshakeState(PHASES[int(phase[index])],
-                          bool(od[index]), bool(oc[index]))

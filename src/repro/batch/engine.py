@@ -145,11 +145,6 @@ class BatchRing:
                 "batch backend models synchronous rings only "
                 "(config.synchronous=False needs the event backend)"
             )
-        if float(config.flit_period) != 1.0:
-            raise BatchUnsupported(
-                f"batch backend requires flit_period == 1.0 "
-                f"(got {config.flit_period})"
-            )
         cycle_period = float(config.cycle_period)
         if cycle_period < 1.0 or cycle_period != int(cycle_period):
             raise BatchUnsupported(
@@ -359,7 +354,7 @@ class BatchRing:
     def drain(self, max_ticks: float = 1_000_000.0) -> float:
         """Run until every submitted message reaches a terminal state."""
         start = self._now
-        chunk = max(self.config.cycle_period, self.config.flit_period) * 16
+        chunk = max(self.config.cycle_period, 1.0) * 16
         while self.pending() > 0:
             if self._now - start > max_ticks:
                 raise ProtocolError(
@@ -436,7 +431,7 @@ class BatchRing:
         as the work numerator for backend-comparable events/s rates.
         """
         now = self._now
-        count = int(now // self.config.flit_period)
+        count = int(now)
         count += int(now // self.config.cycle_period)
         if self._probe_period is not None:
             count += int(now // self._probe_period)

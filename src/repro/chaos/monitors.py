@@ -11,8 +11,8 @@ they watch end-to-end properties the structural checks cannot see:
   in flight.  ``completed + abandoned + shed + pending == offered``,
   continuously, not just at drain time.
 * :class:`StuckBusMonitor` — no live virtual bus may sit in the same
-  protocol state without progress beyond a window (the watchdog's
-  progress-signature idea, promoted to a hard invariant).
+  protocol state without progress beyond :data:`STUCK_WINDOW` ticks (the
+  watchdog's progress-signature idea, promoted to a hard invariant).
 * :class:`SkewMonitor` — Lemma 1 under faults: neighbouring cycle
   counters differ by at most one, skipping INCs the fault layer has
   parked (their controllers legitimately freeze mid-handshake).
@@ -27,6 +27,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvariantViolation
+
+#: Ticks a live bus may show zero progress before the stuck-bus monitor
+#: reports it.
+STUCK_WINDOW = 800.0
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.cycles import CycleController
@@ -84,7 +88,7 @@ class ConservationMonitor:
 
 
 class StuckBusMonitor:
-    """No live bus may show zero progress for longer than ``window``.
+    """No live bus may show zero progress for :data:`STUCK_WINDOW` ticks.
 
     Progress is a state signature — protocol phase, hops drawn, signal
     position, release watermark — the same notion the watchdog uses for
@@ -95,11 +99,8 @@ class StuckBusMonitor:
 
     name = "stuck_bus"
 
-    def __init__(self, routing: "RoutingEngine", window: float) -> None:
-        if window <= 0:
-            raise ValueError(f"stuck-bus window must be positive: {window}")
+    def __init__(self, routing: "RoutingEngine") -> None:
         self._routing = routing
-        self.window = window
         #: bus_id -> (signature, first seen with that signature)
         self._marks: Dict[int, Tuple[tuple, float]] = {}
 
@@ -115,7 +116,7 @@ class StuckBusMonitor:
                 self._marks[bus.bus_id] = (signature, now)
                 continue
             age = now - mark[1]
-            if age >= self.window and \
+            if age >= STUCK_WINDOW and \
                     (worst is None or age > worst[0]):
                 worst = (age, bus.bus_id)
         for bus_id in list(self._marks):
@@ -178,12 +179,11 @@ class MonitorSuite:
     :class:`~repro.core.invariants.InvariantMonitor` — soak runs arm both.
     """
 
-    def __init__(self, ring: "RMBRing",
-                 stuck_window: float = 800.0) -> None:
+    def __init__(self, ring: "RMBRing") -> None:
         self._ring = ring
         self.monitors: List = [
             ConservationMonitor(ring.routing),
-            StuckBusMonitor(ring.routing, window=stuck_window),
+            StuckBusMonitor(ring.routing),
         ]
         if ring.controllers is not None:
             dropped = (ring.compaction.dropped_incs

@@ -24,7 +24,7 @@ its spec and seed alone.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.chaos.monitors import MonitorSuite, Violation
@@ -33,12 +33,15 @@ from repro.core.config import RMBConfig
 from repro.core.network import RMBRing
 from repro.errors import ConfigurationError, ProtocolError
 from repro.faults.plan import FaultPlan, total_failed_segments
-from repro.resilience.recovery import RecoveryConfig
 from repro.sim.kernel import every
 from repro.sim.rng import RandomStream
 from repro.traffic import bernoulli_schedule, replay_on_ring
 
 __all__ = ["SoakConfig", "SoakResult", "run_soak", "build_soak_ring"]
+
+#: Post-horizon drain budget (ticks); running out is itself a recorded
+#: violation, not an exception.
+DRAIN_TICKS = 400_000.0
 
 
 @dataclass(frozen=True)
@@ -54,14 +57,11 @@ class SoakConfig:
         seed: root seed for the ring, the chaos plan, and the traffic.
         spec: chaos-schedule spec (see
             :func:`~repro.chaos.schedules.parse_chaos_spec`).
-        recovery: recovery-manager config for the chaos ring; ``None``
+        recovery: arm the recovery manager on the chaos ring; False
             soaks with the loop open (faults only).
         asynchronous: run per-INC handshake cycle control instead of the
             global driver (arms the Lemma 1 skew monitor).
         monitor_period: ticks between invariant sweeps.
-        stuck_window: no-progress window for the stuck-bus monitor.
-        drain_ticks: post-horizon drain budget; running out is itself a
-            recorded violation, not an exception.
     """
 
     nodes: int = 16
@@ -71,12 +71,9 @@ class SoakConfig:
     data_flits: int = 8
     seed: int = 0
     spec: str = "storm:0.3@500+2000"
-    recovery: Optional[RecoveryConfig] = field(
-        default_factory=RecoveryConfig)
+    recovery: bool = True
     asynchronous: bool = False
     monitor_period: float = 50.0
-    stuck_window: float = 800.0
-    drain_ticks: float = 400_000.0
 
     def __post_init__(self) -> None:
         if self.ticks <= 0:
@@ -87,8 +84,6 @@ class SoakConfig:
                 f"soak rate must be in (0, 1], got {self.rate}")
         if self.monitor_period <= 0:
             raise ConfigurationError("monitor_period must be positive")
-        if self.drain_ticks <= 0:
-            raise ConfigurationError("drain_ticks must be positive")
 
 
 @dataclass
@@ -184,7 +179,6 @@ class SoakResult:
 def build_soak_ring(
     config: SoakConfig,
     plan: Optional[FaultPlan] = None,
-    with_recovery: bool = True,
 ) -> RMBRing:
     """The ring a soak runs on; ``plan=None`` builds the healthy twin."""
     rmb = RMBConfig(
@@ -197,17 +191,15 @@ def build_soak_ring(
         rmb,
         seed=config.seed,
         fault_plan=plan,
-        recovery=(config.recovery
-                  if with_recovery and plan is not None else None),
+        recovery=config.recovery and plan is not None,
         name="soak",
     )
 
 
-def _settle(ring: RMBRing, suite: Optional[MonitorSuite],
-            drain_ticks: float) -> None:
+def _settle(ring: RMBRing, suite: Optional[MonitorSuite]) -> None:
     """Drain the ring, folding a drain failure into the violation log."""
     try:
-        ring.drain(max_ticks=drain_ticks)
+        ring.drain(max_ticks=DRAIN_TICKS)
     except ProtocolError as exc:
         if suite is None:
             raise
@@ -257,11 +249,11 @@ def run_soak(config: SoakConfig,
     )
 
     ring = build_soak_ring(config, plan=plan)
-    suite = MonitorSuite(ring, stuck_window=config.stuck_window)
+    suite = MonitorSuite(ring)
     every(ring.sim, config.monitor_period, suite.check, label="soak.monitor")
     replay_on_ring(ring, schedule)
     ring.run(config.ticks)
-    _settle(ring, suite, config.drain_ticks)
+    _settle(ring, suite)
     suite.check()
     suite.check_structural()
 
@@ -282,7 +274,7 @@ def run_soak(config: SoakConfig,
         twin = build_soak_ring(config, plan=None)
         replay_on_ring(twin, schedule)
         twin.run(config.ticks)
-        _settle(twin, None, config.drain_ticks)
+        _settle(twin, None)
         twin_duration = twin.sim.now
         healthy_goodput = (twin.stats().completed / twin_duration
                            if twin_duration > 0 else 0.0)

@@ -146,10 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "passive, results are identical at all levels)")
     run.add_argument("--metrics-out", default=None, metavar="PATH",
                      help="write metrics in Prometheus text format "
-                          "(implies --obs-level full unless set)")
+                          "(raises --obs-level off to full)")
     run.add_argument("--spans-out", default=None, metavar="PATH",
                      help="write per-message span events as JSONL "
-                          "(implies --obs-level full unless set)")
+                          "(raises --obs-level off to full)")
 
     race = commands.add_parser(
         "race", help="race one permutation across all networks")
@@ -361,15 +361,11 @@ def command_run(args: argparse.Namespace) -> int:
                        admission_policy=args.admission_policy,
                        check_level=args.check_level,
                        synchronous=not args.asynchronous)
-    watchdog = None
-    if args.watchdog:
-        from repro.supervision import WatchdogConfig
-        watchdog = WatchdogConfig()
     obs = _build_obs(args)
     try:
         network = build_rmb(config, args.backend, args.topology, args.seed,
-                            fault_plan=fault_plan, watchdog=watchdog,
-                            recovery=_recovery(args), obs=obs,
+                            fault_plan=fault_plan, watchdog=args.watchdog,
+                            recovery=args.recovery, obs=obs,
                             checkpoint_every=args.checkpoint_every)
     except ProtocolError as exc:
         raise _Abort(str(exc)) from None
@@ -412,14 +408,6 @@ def command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recovery(args: argparse.Namespace):
-    """The ``--recovery`` manager's config, or ``None`` when not armed."""
-    if not args.recovery:
-        return None
-    from repro.resilience import RecoveryConfig
-    return RecoveryConfig()
-
-
 def _fault_plan(args: argparse.Namespace):
     """The parsed ``--fault-plan``, or ``None`` when it is not given."""
     if not args.fault_plan:
@@ -446,15 +434,16 @@ def _write_json(path: Optional[str], payload) -> None:
 def _build_obs(args: argparse.Namespace):
     """The run's observability bundle, or ``None`` when nothing asked.
 
-    Returning ``None`` (rather than an ``off`` bundle) keeps an
-    unobserved run's construction byte-for-byte what it was before the
-    observability layer existed.
+    ``--obs-level off`` (the default) builds no bundle, so an unobserved
+    run's construction is byte-for-byte what it was before the
+    observability layer existed; ``--metrics-out`` or ``--spans-out``
+    raise it to ``full``.
     """
     level = args.obs_level
-    if level == "off" and (args.metrics_out or args.spans_out):
+    if level == "off":
+        if not (args.metrics_out or args.spans_out):
+            return None
         level = "full"
-    if level == "off" and not (args.metrics_out or args.spans_out):
-        return None
     from repro.obs import Observability
     return Observability(level)
 
@@ -548,7 +537,6 @@ def _report_fabric(network, title: str, stats_json: Optional[str]) -> None:
 def command_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import SoakConfig, parse_chaos_spec, run_soak
     from repro.errors import ConfigurationError, FaultError
-    from repro.resilience import RecoveryConfig
     try:
         soak = SoakConfig(
             nodes=args.nodes,
@@ -558,7 +546,7 @@ def command_chaos(args: argparse.Namespace) -> int:
             data_flits=args.flits,
             seed=args.seed,
             spec=args.spec,
-            recovery=None if args.no_recovery else RecoveryConfig(),
+            recovery=not args.no_recovery,
             asynchronous=args.asynchronous,
             monitor_period=args.monitor_period,
         )
@@ -641,7 +629,7 @@ def command_saturate(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         rate_floor=args.rate_floor, rate_ceiling=args.rate_ceiling,
         fault_plan=_fault_plan(args), admission_limit=args.admission_limit,
-        admission_policy=args.admission_policy, recovery=_recovery(args))
+        admission_policy=args.admission_policy, recovery=args.recovery)
     try:
         pattern = make_pattern(args.pattern, args.nodes, k=args.lanes,
                                seed=args.seed)

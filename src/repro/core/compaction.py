@@ -117,7 +117,7 @@ class CompactionEngine(DerivedState):
         # One-branch obs discipline (see repro.obs): lane moves attach to
         # the migrating message's span only when observability is armed.
         self.obs = obs
-        self._obs_on = obs is not None and obs.enabled
+        self._obs_on = obs is not None
         self.stats = CompactionStats()
         #: INCs whose switching logic has dropped out (fault model): they
         #: perform no compaction work on their output segments.  Shared

@@ -82,11 +82,10 @@ class RMBConfig:
         lanes: number of physical bus segments ``k`` between adjacent INCs.
             The paper calls this the design parameter chosen from system
             size, tolerable bus length, and target applications.
-        flit_period: simulation ticks for a flit (or ack signal) to cross
-            one segment.
-        cycle_period: nominal ticks per odd/even compaction cycle.  The two
-            periods are independent knobs, reflecting the paper's decoupling
-            of routing and compaction synchronisation.
+        cycle_period: nominal ticks per odd/even compaction cycle.  One
+            tick is one flit (or ack signal) crossing one segment, so the
+            cycle period is independent of routing, reflecting the paper's
+            decoupling of routing and compaction synchronisation.
         synchronous: if True, all INCs share one global cycle counter (fast
             mode); if False, each INC runs the rules-1-to-5 handshake off an
             independent skewed clock.
@@ -142,7 +141,6 @@ class RMBConfig:
 
     nodes: int
     lanes: int
-    flit_period: float = 1.0
     cycle_period: float = 4.0
     synchronous: bool = True
     clock_drift: float = 0.03
@@ -169,8 +167,6 @@ class RMBConfig:
             )
         if self.lanes < 1:
             raise ConfigurationError(f"need at least 1 lane, got {self.lanes}")
-        if self.flit_period <= 0:
-            raise ConfigurationError("flit_period must be positive")
         if self.cycle_period <= 0:
             raise ConfigurationError("cycle_period must be positive")
         if not 0.0 <= self.clock_drift < 0.5:

@@ -26,12 +26,12 @@ from repro.sim.kernel import SimClock, SimScheduler, Simulator, every
 from repro.sim.monitor import RateMeter, TimeSeries
 from repro.sim.rng import SeedSequence
 from repro.sim.trace import TraceRecorder
-from repro.supervision.watchdog import Watchdog, WatchdogConfig
+from repro.supervision.watchdog import Watchdog
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> faults cycle
     from repro.faults.plan import FaultPlan
     from repro.obs.wiring import Observability
-    from repro.resilience.recovery import RecoveryConfig, RecoveryManager
+    from repro.resilience.recovery import RecoveryManager
 
 
 class RMBRing:
@@ -53,17 +53,16 @@ class RMBRing:
         fault_plan: optional :class:`~repro.faults.plan.FaultPlan`; when
             given, a :class:`~repro.faults.inject.FaultManager` is built
             and armed so the plan's outages fire during the run.
-        watchdog: optional :class:`~repro.supervision.watchdog.
-            WatchdogConfig`; when given, a no-progress watchdog is armed
-            on the run's simulator and its incidents flow into
-            :meth:`stats`.
-        recovery: optional :class:`~repro.resilience.recovery.
-            RecoveryConfig`; when given, a
+        watchdog: when True, a no-progress
+            :class:`~repro.supervision.watchdog.Watchdog` is armed on the
+            run's simulator and its incidents flow into :meth:`stats`.
+        recovery: when True, a
             :class:`~repro.resilience.recovery.RecoveryManager` is armed —
             circuit breakers quarantine flapping segments, wedged buses
-            are force-evacuated, and fault storms tighten admission
-            (degraded mode).  Off by default: without it, results are
-            bit-identical to the pre-recovery tree.
+            are force-evacuated, fault storms tighten admission (degraded
+            mode), and the watchdog's retry storms get their backoff
+            reset.  Off by default: without it, results are bit-identical
+            to the pre-recovery tree.
         name: label prefix for trace subjects and clock names.
         obs_ring_label: set by a :class:`~repro.hier.fabric.RingFabric`
             when this ring is a fabric member: the ring's state
@@ -83,8 +82,8 @@ class RMBRing:
         trace_kinds: Optional[AbstractSet[str]] = frozenset(),
         probe_period: Optional[float] = None,
         fault_plan: Optional["FaultPlan"] = None,
-        watchdog: Optional[WatchdogConfig] = None,
-        recovery: Optional["RecoveryConfig"] = None,
+        watchdog: bool = False,
+        recovery: bool = False,
         obs: Optional["Observability"] = None,
         name: str = "rmb",
         obs_ring_label: Optional[str] = None,
@@ -118,8 +117,7 @@ class RMBRing:
         self._global_driver: Optional[GlobalCycleDriver] = None
         self._build_cycle_machinery()
         self._stop_flit = every(
-            self.sim, config.flit_period, self.routing.flit_tick,
-            label=f"{name}.flit",
+            self.sim, 1.0, self.routing.flit_tick, label=f"{name}.flit",
         )
         level = config.check_level
         self.monitor: Optional[InvariantMonitor] = None
@@ -159,21 +157,18 @@ class RMBRing:
                     name=f"{name}.throughput",
                 )
         self.watchdog: Optional[Watchdog] = None
-        if watchdog is not None:
+        if watchdog:
             self.watchdog = Watchdog(
-                self.sim, self.routing, config=watchdog,
-                controllers=self.controllers, name=f"{name}.watchdog",
-                obs=obs,
+                self.sim, self.routing, controllers=self.controllers,
+                name=f"{name}.watchdog", obs=obs,
             )
         self.recovery: Optional["RecoveryManager"] = None
-        if recovery is not None:
+        if recovery:
             from repro.resilience.recovery import RecoveryManager
             self.recovery = RecoveryManager(
                 self.sim,
                 self.grid,
                 self.routing,
-                config=recovery,
-                compaction=self.compaction,
                 monitor=self.monitor,
                 watchdog=self.watchdog,
                 faults=self.faults,
@@ -183,8 +178,7 @@ class RMBRing:
             )
         if obs is not None:
             # Pull collectors run only at export/report time (zero
-            # run-time cost), so they are registered even at level "off":
-            # a run that records nothing still exports its final counts.
+            # run-time cost).
             from repro.obs.wiring import (
                 CompactionCollector,
                 KernelCollector,
@@ -264,7 +258,7 @@ class RMBRing:
                 when capacity exists and retries are unlimited).
         """
         start = self.sim.now
-        chunk = max(self.config.cycle_period, self.config.flit_period) * 16
+        chunk = max(self.config.cycle_period, 1.0) * 16
         while self.routing.pending() > 0:
             if self.sim.now - start > max_ticks:
                 raise ProtocolError(

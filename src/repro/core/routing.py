@@ -5,14 +5,14 @@ Drives the full message lifecycle on one ring:
 1. **Admission** — a node's pending request is injected only when its
    transmit interface is idle *and* the top-lane segment at its INC is
    free (the paper's top-bus-only insertion rule).
-2. **Extension** — each flit period the header flit advances one segment,
+2. **Extension** — each flit tick the header flit advances one segment,
    entering the next INC on its current lane and leaving on the lowest
    free reachable lane (``l-1`` preferred, then ``l``, then ``l+1``).  A
    blocked header waits in place, holding its partial virtual bus, while
    compaction keeps packing it downward.
 3. **Acceptance** — at the destination, the request is accepted iff the
    INC/PE receive port is free; the Hack (or Nack) walks back along the
-   virtual bus one segment per flit period.
+   virtual bus one segment per flit tick.
 4. **Streaming** — data flits flow only after the Hack reaches the source
    (the paper's stated departure from classic wormhole routing: no
    intermediate buffering, so Dacks never have to stall the pipeline).
@@ -151,7 +151,7 @@ class RoutingEngine(DerivedState):
         # plain attributes.  Observation is passive (no RNG, no
         # scheduling), so attaching it never changes simulation results.
         self.obs = obs
-        self._obs_on = obs is not None and obs.enabled
+        self._obs_on = obs is not None
         if self._obs_on:
             registry = obs.registry
             self._spans = obs.spans
@@ -513,7 +513,7 @@ class RoutingEngine(DerivedState):
         )
 
     def flit_tick(self) -> None:
-        """Advance the protocol by one flit period.
+        """Advance the protocol by one flit tick.
 
         Processing order within a tick is fixed for determinism: reverse
         signals first (they free resources), then data movement, then
@@ -747,8 +747,7 @@ class RoutingEngine(DerivedState):
         stalls = self._stall_ticks.get(bus.bus_id, 0) + 1
         self._stall_ticks[bus.bus_id] = stalls
         timeout = self.config.retry.header_timeout
-        if timeout is not None and \
-                stalls * self.config.flit_period >= timeout:
+        if timeout is not None and stalls >= timeout:
             self._record("header_timeout", bus.message, bus=bus.bus_id,
                          hops=len(bus.hops))
             if self._obs_on:
@@ -762,13 +761,7 @@ class RoutingEngine(DerivedState):
         timeout = self.config.retry.header_timeout
         if timeout is None:
             return math.inf
-        period = self.config.flit_period
-        total = max(stalls + 1, math.ceil(timeout / period))
-        while total > stalls + 1 and (total - 1) * period >= timeout:
-            total -= 1
-        while total * period < timeout:
-            total += 1
-        return total - stalls
+        return max(stalls + 1, math.ceil(timeout)) - stalls
 
     def _settle(self, bus: VirtualBus, ticks: int) -> None:
         """Count ``ticks`` stall ticks a parked header waited unvisited."""
@@ -924,7 +917,7 @@ class RoutingEngine(DerivedState):
         """A DEAD segment caught ``bus_id`` still holding it: tear down now.
 
         The failing hardware cannot carry reverse signals, so the release
-        walk is performed immediately rather than one hop per flit period
+        walk is performed immediately rather than one hop per flit tick
         (the INCs detect loss of carrier and free their ports locally).
         The outcome depends on how far the message got:
 

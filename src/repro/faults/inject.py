@@ -105,7 +105,7 @@ class FaultManager:
         # Health transitions as first-class metrics: one kind-labelled
         # counter per applied transition when observability is armed.
         self.obs = obs
-        self._obs_on = obs is not None and obs.enabled
+        self._obs_on = obs is not None
         self.stats = FaultStats()
         self._epoch: dict[tuple[int, int], int] = {}
         self._armed = False
@@ -122,12 +122,10 @@ class FaultManager:
         per *applied* transition (announcements that lose to first-wins
         or stale epoch rules are not reported).
         """
-        if not hasattr(self, "_listeners"):  # checkpoint from before PR 7
-            self._listeners = []
         self._listeners.append(listener)
 
     def _notify(self, kind: str, segment: int, lane: int) -> None:
-        for listener in getattr(self, "_listeners", ()):
+        for listener in self._listeners:
             listener.on_fault_transition(kind, segment, lane)
 
     # ------------------------------------------------------------------

@@ -374,10 +374,8 @@ class RingFabric:
         return sum(ring.routing.pending() for ring in self.rings.values())
 
     def _drain_chunk(self) -> float:
-        return max(
-            max(ring.config.cycle_period, ring.config.flit_period)
-            for ring in self.rings.values()
-        ) * 16
+        return max(1.0, *(ring.config.cycle_period
+                          for ring in self.rings.values())) * 16
 
     def drain(self, max_ticks: float = 1_000_000.0) -> float:
         """Run until all submitted traffic completes; return elapsed ticks.

@@ -16,15 +16,14 @@ from repro.core.flits import Message
 from repro.errors import ProtocolError
 from repro.networks.base import BatchResult, ComparisonNetwork
 
+#: Extra ticks a transfer pays at the ports on top of its flits.
+PORT_LATENCY = 1.0
+
 
 class CrossbarNetwork(ComparisonNetwork):
     """An ``N x N`` non-blocking crossbar with single-port nodes."""
 
     name = "crossbar"
-
-    def __init__(self, nodes: int, port_latency: float = 1.0) -> None:
-        super().__init__(nodes)
-        self.port_latency = port_latency
 
     def route_batch(self, messages: Sequence[Message],
                     max_ticks: float = 1_000_000.0) -> BatchResult:
@@ -50,7 +49,7 @@ class CrossbarNetwork(ComparisonNetwork):
                     continue
                 queue.popleft()
                 remaining -= 1
-                finish = now + head.total_flits + self.port_latency
+                finish = now + head.total_flits + PORT_LATENCY
                 tx_free_at[source] = finish
                 rx_free_at[head.destination] = finish
                 result.delivered += 1

@@ -5,9 +5,10 @@ as the Enhanced Hyper Cube.  An n-dimensional EHC has 2^n nodes and each
 node has n + 1 links.  The GFC and EHC networks can embed any arbitrary
 permutation in circuit switching mode."
 
-Behaviourally we model the EHC as a hypercube whose chosen dimension has
-link multiplicity 2; e-cube routing is unchanged and a blocked head may
-take either duplicate of the doubled dimension.  (The constructive
+Behaviourally we model the EHC as a hypercube whose dimension 0
+(:data:`DOUBLED_DIMENSION`) has link multiplicity 2; e-cube routing is
+unchanged and a blocked head may take either duplicate of the doubled
+dimension.  (The constructive
 permutation-embedding algorithm of [4] needs global precomputation; our
 simulator exercises the same hardware under on-line routing, which is the
 regime the RMB paper compares against.)
@@ -23,26 +24,24 @@ from repro.networks.hypercube import (
 )
 from repro.networks.wormhole import WormholeEngine
 
+#: The dimension whose links are duplicated.
+DOUBLED_DIMENSION = 0
+
 
 class EnhancedHypercubeNetwork(WormholeEngine):
     """Hypercube with one doubled dimension (degree ``n + 1`` per node)."""
 
-    def __init__(self, nodes: int, doubled_dimension: int = 0) -> None:
-        if not is_power_of_two(nodes):
+    def __init__(self, nodes: int) -> None:
+        if not is_power_of_two(nodes) or nodes < 2:
             raise TopologyError(
-                f"EHC size must be a power of two, got {nodes}"
+                f"EHC size must be a power of two >= 2, got {nodes}"
             )
         dimension = nodes.bit_length() - 1
-        if not 0 <= doubled_dimension < dimension:
-            raise TopologyError(
-                f"doubled dimension {doubled_dimension} outside 0..{dimension - 1}"
-            )
         channels = hypercube_channels(
-            dimension, multiplicities={doubled_dimension: 2}
+            dimension, multiplicities={DOUBLED_DIMENSION: 2}
         )
         super().__init__(nodes, channels, ecube_route, name="ehc")
         self.dimension = dimension
-        self.doubled_dimension = doubled_dimension
 
     def links_per_node(self) -> int:
         """Degree including the duplicate pair: ``n + 1``."""

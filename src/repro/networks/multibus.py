@@ -21,6 +21,12 @@ from repro.core.flits import Message
 from repro.errors import ProtocolError, TopologyError
 from repro.networks.base import BatchResult, ComparisonNetwork
 
+#: Extra ticks per transaction for arbitration plus end-to-end
+#: propagation on the long global wire.  The RMB paper's VLSI argument is
+#: precisely that global buses are long; one tick is the most charitable
+#: charge.
+BUS_LATENCY = 1.0
+
 
 class MultiBusNetwork(ComparisonNetwork):
     """``k`` arbitrated global buses.
@@ -29,22 +35,17 @@ class MultiBusNetwork(ComparisonNetwork):
         nodes: node count (affects only validation and reporting; a global
             bus reaches every node in one bus transaction).
         buses: number of parallel global buses ``k``.
-        bus_latency: extra ticks per transaction for arbitration plus
-            end-to-end propagation on the long global wire.  The RMB
-            paper's VLSI argument is precisely that global buses are long;
-            the default charges one tick, the most charitable choice.
+
+    Each transaction pays :data:`BUS_LATENCY` extra ticks.
     """
 
     name = "multibus"
 
-    def __init__(self, nodes: int, buses: int, bus_latency: float = 1.0) -> None:
+    def __init__(self, nodes: int, buses: int) -> None:
         super().__init__(nodes)
         if buses < 1:
             raise TopologyError(f"need >= 1 bus, got {buses}")
-        if bus_latency < 0:
-            raise TopologyError("bus_latency must be >= 0")
         self.buses = buses
-        self.bus_latency = bus_latency
 
     def route_batch(self, messages: Sequence[Message],
                     max_ticks: float = 1_000_000.0) -> BatchResult:
@@ -73,7 +74,7 @@ class MultiBusNetwork(ComparisonNetwork):
                 if head.source in tx_busy or head.destination in rx_busy:
                     break
                 queue.popleft()
-                duration = head.total_flits + self.bus_latency
+                duration = head.total_flits + BUS_LATENCY
                 finish = now + duration
                 busy.append((finish, head.source, head.destination))
                 tx_busy.add(head.source)

@@ -69,6 +69,12 @@ class Channel:
 #: routers may inspect channel owners through the engine.
 RouteFn = Callable[["WormholeEngine", Message, int], int]
 
+#: Concurrent worms per source node: a single network interface, matching
+#: the RMB's one-TX rule.
+INJECTION_LIMIT = 1
+#: Concurrent worms draining per destination, matching the one-RX rule.
+EJECTION_LIMIT = 1
+
 
 @dataclass
 class _Worm:
@@ -97,10 +103,9 @@ class WormholeEngine(ComparisonNetwork):
         channels: channel list (indices assigned in order).
         route: next-channel chooser.
         name: reported network name.
-        injection_limit: max concurrent worms per source node (1 models a
-            single network interface, matching the RMB's one-TX rule).
-        ejection_limit: max concurrent worms draining per destination
-            (1 matches the RMB's one-RX rule).
+
+    Each node injects one worm at a time and drains one at a time
+    (:data:`INJECTION_LIMIT`, :data:`EJECTION_LIMIT`).
     """
 
     def __init__(
@@ -109,8 +114,6 @@ class WormholeEngine(ComparisonNetwork):
         channels: Sequence[Channel],
         route: RouteFn,
         name: str = "wormhole",
-        injection_limit: int = 1,
-        ejection_limit: int = 1,
     ) -> None:
         super().__init__(nodes)
         self.name = name
@@ -118,8 +121,6 @@ class WormholeEngine(ComparisonNetwork):
         for index, channel in enumerate(self.channels):
             channel.index = index
         self.route = route
-        self.injection_limit = injection_limit
-        self.ejection_limit = ejection_limit
         self.outgoing: dict[int, list[int]] = {n: [] for n in range(nodes)}
         for channel in self.channels:
             self.outgoing[channel.source].append(channel.index)
@@ -184,7 +185,7 @@ class WormholeEngine(ComparisonNetwork):
         still_waiting = []
         for message in waiting:
             active = self._active_tx.get(message.source, 0)
-            if active >= self.injection_limit:
+            if active >= INJECTION_LIMIT:
                 still_waiting.append(message)
                 continue
             worm = _Worm(message=message, start_time=self.now,
@@ -248,7 +249,7 @@ class WormholeEngine(ComparisonNetwork):
     def _try_start_ejection(self, worm: _Worm) -> bool:
         destination = worm.message.destination
         active = self._active_rx.get(destination, 0)
-        if active >= self.ejection_limit:
+        if active >= EJECTION_LIMIT:
             return False
         self._active_rx[destination] = active + 1
         return True

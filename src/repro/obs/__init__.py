@@ -16,9 +16,9 @@ one consistent instrumentation API:
   ``obs report`` summary.
 
 Instrumentation follows the same one-branch discipline as the PR 3
-trace flag: every engine caches ``obs is not None and obs.enabled`` at
-construction, so a run built without observability (or with
-``level="off"``) pays one predictable branch per site and nothing else.
+trace flag: every engine caches ``obs is not None`` at construction, so
+a run built without observability pays one predictable branch per site
+and nothing else.
 Observation is strictly passive — no RNG draws, no scheduling — so
 enabling it never changes simulation results (property-tested in
 ``tests/integration/test_obs_equivalence.py``).

@@ -182,18 +182,9 @@ _TYPE_OF = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
 
 
 class MetricsRegistry:
-    """Owns every instrument of one run and hands them out idempotently.
+    """Owns every instrument of one run and hands them out idempotently."""
 
-    Args:
-        enabled: the push-side switch.  A disabled registry still creates
-            and exports instruments (so pull collectors and report code
-            work identically), but engines built against it cache
-            ``enabled`` into their one-branch obs flag and skip their
-            instrumentation points entirely.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: dict[tuple[str, LabelItems], Instrument] = {}
         self._help: dict[str, str] = {}
         self._types: dict[str, type] = {}

@@ -4,15 +4,14 @@
 :class:`~repro.obs.metrics.MetricsRegistry`, one
 :class:`~repro.obs.spans.SpanCollector`, and the level that decides how
 much the engines record.  Engines accept ``obs: Optional[Observability]``
-and cache ``obs is not None and obs.enabled`` into a one-branch flag at
-construction — exactly the trace-flag discipline — so a run built
-without observability pays one predictable branch per site.
+and cache ``obs is not None`` into a one-branch flag at construction —
+exactly the trace-flag discipline — so a run built without observability
+pays one predictable branch per site.
 
 The collector classes scrape engine-owned state (kernel counters, grid
 occupancy, routing aggregates, compaction stats) into gauges *at export
 time only*.  This is the pull half of the registry: it costs nothing
-during the run, so a run at ``level="off"`` still exports its final
-counts.
+during the run.
 Collectors are plain class instances — never closures — so a ring
 carrying an armed registry still checkpoints (the
 :class:`~repro.sim.kernel.SimClock` pickling rule).
@@ -38,11 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only (core imports us)
     from repro.core.segments import SegmentGrid
     from repro.sim.kernel import Simulator
 
-#: Recording levels, least to most detailed.  ``off`` arms nothing (the
-#: registry still exists so pull collectors and report code work
-#: identically); ``sampled`` records all metrics but only 1-in-N spans;
-#: ``full`` records everything.
-OBS_LEVELS = ("off", "sampled", "full")
+#: Recording levels, least to most detailed.  ``sampled`` records all
+#: metrics but only 1-in-N spans; ``full`` records everything.  A run that
+#: observes nothing carries no bundle at all.
+OBS_LEVELS = ("sampled", "full")
 
 #: Span sampling ratio at level ``sampled``: record messages whose id is
 #: divisible by this.
@@ -53,25 +51,21 @@ class Observability:
     """The observability bundle one run carries.
 
     Args:
-        level: one of :data:`OBS_LEVELS`.
-        span_sample_every: span sampling ratio at level ``sampled``
-            (ignored at the other levels: ``full`` records every message,
-            ``off`` records none).
+        level: one of :data:`OBS_LEVELS`; ``sampled`` records the spans
+            of one message in :data:`SAMPLED_SPAN_EVERY`.
 
     Observation is strictly passive — no RNG draws, no scheduling — so
     attaching a bundle at any level never changes simulation results.
     """
 
-    def __init__(self, level: str = "full",
-                 span_sample_every: int = SAMPLED_SPAN_EVERY) -> None:
+    def __init__(self, level: str = "full") -> None:
         if level not in OBS_LEVELS:
             raise ConfigurationError(
                 f"obs level must be one of {OBS_LEVELS}, got {level!r}")
         self.level = level
-        self.enabled = level != "off"
-        self.registry = MetricsRegistry(enabled=self.enabled)
+        self.registry = MetricsRegistry()
         self.spans = SpanCollector(
-            sample_every=1 if level != "sampled" else span_sample_every)
+            sample_every=SAMPLED_SPAN_EVERY if level == "sampled" else 1)
 
     # ------------------------------------------------------------------
     # Export conveniences (thin wrappers over repro.obs.exporters)

@@ -15,20 +15,18 @@ repaired only on a pre-scripted plan.  This package closes it:
   control during fault storms (degraded mode) so retry storms cannot
   amplify an outage.
 
-Everything here is **off by default**: a ring built without a
-:class:`RecoveryConfig` constructs none of this machinery, and a run's
-results are bit-identical to the pre-recovery tree.
+Everything here is **off by default**: a ring built without
+``recovery=True`` constructs none of this machinery, and a run's results
+are bit-identical to the pre-recovery tree.
 """
 
 from repro.resilience.breaker import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    BreakerConfig,
     CircuitBreaker,
 )
 from repro.resilience.recovery import (
-    RecoveryConfig,
     RecoveryManager,
     RecoveryStats,
 )
@@ -37,9 +35,7 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
-    "BreakerConfig",
     "CircuitBreaker",
-    "RecoveryConfig",
     "RecoveryManager",
     "RecoveryStats",
 ]

@@ -11,14 +11,14 @@ fail again, converting each flap into fresh teardowns and retry load.
 
 * **closed** — healthy operation; failures are counted in a sliding
   window.
-* **open** — the target tripped (``failure_threshold`` failures within
-  ``window`` ticks): it is *quarantined*.  The owning
+* **open** — the target tripped (:data:`FAILURE_THRESHOLD` failures
+  within :data:`FAILURE_WINDOW` ticks): it is *quarantined*.  The owning
   :class:`~repro.resilience.recovery.RecoveryManager` holds the segment
   at DYING even across plan repairs, so no new virtual bus touches it.
 * **half-open** — the quarantine timer expired: the segment is readmitted
-  *on probation*.  One more failure within ``probe_ticks`` re-opens the
-  breaker with its timeout doubled (up to ``max_open_ticks``); a quiet
-  probation closes it and the failure history is forgiven.
+  *on probation*.  One more failure within :data:`PROBE_TICKS` re-opens
+  the breaker with its timeout doubled (up to :data:`MAX_OPEN_TICKS`); a
+  quiet probation closes it and the failure history is forgiven.
 
 The breaker is pure bookkeeping over ``(event, now)`` pairs — it touches
 no grid state itself, which keeps it trivially picklable and unit-testable;
@@ -27,70 +27,40 @@ acting on its verdicts is the recovery manager's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
-
-from repro.errors import ConfigurationError
 
 #: Breaker states.
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Tuning knobs shared by every breaker of one recovery manager.
-
-    Attributes:
-        failure_threshold: failures within ``window`` that trip a closed
-            breaker.  1 quarantines on the first failure; the default 3
-            tolerates isolated outages and trips only on flapping.
-        window: sliding-window width (ticks) for counting failures.
-        open_ticks: quarantine duration after the first trip; each
-            re-trip from half-open multiplies it by ``backoff``.
-        probe_ticks: probation length after readmission — a failure
-            inside it re-opens, a quiet probation closes.
-        backoff: open-duration multiplier per consecutive re-trip.
-        max_open_ticks: cap on the backed-off quarantine duration.
-    """
-
-    failure_threshold: int = 3
-    window: float = 400.0
-    open_ticks: float = 256.0
-    probe_ticks: float = 256.0
-    backoff: float = 2.0
-    max_open_ticks: float = 4096.0
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}")
-        if self.window <= 0:
-            raise ConfigurationError("breaker window must be positive")
-        if self.open_ticks <= 0:
-            raise ConfigurationError("open_ticks must be positive")
-        if self.probe_ticks <= 0:
-            raise ConfigurationError("probe_ticks must be positive")
-        if self.backoff < 1.0:
-            raise ConfigurationError("breaker backoff must be >= 1.0")
-        if self.max_open_ticks < self.open_ticks:
-            raise ConfigurationError(
-                "max_open_ticks must be >= open_ticks")
+#: Failures within :data:`FAILURE_WINDOW` that trip a closed breaker: an
+#: isolated outage is tolerated, flapping trips it.
+FAILURE_THRESHOLD = 3
+#: Sliding-window width (ticks) for counting failures.
+FAILURE_WINDOW = 400.0
+#: Quarantine duration after the first trip.
+OPEN_TICKS = 256.0
+#: Probation length after readmission: a failure inside it re-opens, a
+#: quiet probation closes.
+PROBE_TICKS = 256.0
+#: Open-duration multiplier per consecutive re-trip.
+OPEN_BACKOFF = 2.0
+#: Cap on the backed-off quarantine duration.
+MAX_OPEN_TICKS = 4096.0
 
 
 class CircuitBreaker:
     """Failure accounting and state machine for one quarantine target."""
 
-    __slots__ = ("config", "state", "failures", "opened_at",
-                 "current_open_ticks", "probation_until", "trips")
+    __slots__ = ("state", "failures", "opened_at", "current_open_ticks",
+                 "probation_until", "trips")
 
-    def __init__(self, config: BreakerConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.state = BREAKER_CLOSED
         self.failures: List[float] = []   # failure times inside the window
         self.opened_at = 0.0
-        self.current_open_ticks = config.open_ticks
+        self.current_open_ticks = OPEN_TICKS
         self.probation_until = 0.0
         self.trips = 0                    # lifetime open transitions
 
@@ -111,7 +81,7 @@ class CircuitBreaker:
             return True
         self.failures.append(now)
         self._prune(now)
-        if len(self.failures) >= self.config.failure_threshold:
+        if len(self.failures) >= FAILURE_THRESHOLD:
             self._open(now, backoff=False)
             return True
         return False
@@ -125,7 +95,7 @@ class CircuitBreaker:
         """Open → half-open: the target is readmitted on probation."""
         assert self.state == BREAKER_OPEN
         self.state = BREAKER_HALF_OPEN
-        self.probation_until = now + self.config.probe_ticks
+        self.probation_until = now + PROBE_TICKS
 
     def probation_expired(self, now: float) -> bool:
         """True when a half-open breaker survived its whole probation."""
@@ -136,7 +106,7 @@ class CircuitBreaker:
         assert self.state == BREAKER_HALF_OPEN
         self.state = BREAKER_CLOSED
         self.failures.clear()
-        self.current_open_ticks = self.config.open_ticks
+        self.current_open_ticks = OPEN_TICKS
 
     # ------------------------------------------------------------------
     # Internals
@@ -144,16 +114,14 @@ class CircuitBreaker:
     def _open(self, now: float, backoff: bool) -> None:
         if backoff:
             self.current_open_ticks = min(
-                self.current_open_ticks * self.config.backoff,
-                self.config.max_open_ticks,
-            )
+                self.current_open_ticks * OPEN_BACKOFF, MAX_OPEN_TICKS)
         self.state = BREAKER_OPEN
         self.opened_at = now
         self.trips += 1
         self.failures.clear()
 
     def _prune(self, now: float) -> None:
-        cutoff = now - self.config.window
+        cutoff = now - FAILURE_WINDOW
         if self.failures and self.failures[0] < cutoff:
             self.failures = [t for t in self.failures if t >= cutoff]
 

@@ -23,39 +23,38 @@ sources and three actuators:
   open window it is readmitted on probation (half-open) and only a quiet
   probation returns it to service.  See :mod:`repro.resilience.breaker`.
 * *forced evacuation*: a bus that has sat on a DYING hop for longer than
-  ``evacuation_patience`` (compaction's make-before-break escape has
+  :data:`EVACUATION_PATIENCE` (compaction's make-before-break escape has
   clearly failed — usually because every alternative lane is packed) is
   torn down through the watchdog's FORCE_TEARDOWN arc, so the message
   retries on a fresh path that cannot include the dying segment.
 * *degraded mode*: when fault transitions arrive faster than
-  ``storm_threshold`` per ``storm_window``, the manager tightens the
-  ring's admission cap to ``degraded_admission_limit`` so retry storms
-  cannot amplify the outage; a calm window restores the configured cap
-  (and flushes any requests the temporary cap deferred).
+  :data:`STORM_THRESHOLD` per :data:`STORM_WINDOW`, the manager tightens
+  the ring's admission cap to :data:`DEGRADED_ADMISSION_LIMIT` so retry
+  storms cannot amplify the outage; a calm window restores the
+  configured cap (and flushes any requests the temporary cap deferred).
+* *backoff reset*: a message the watchdog reports in a retry storm gets
+  its exponential backoff forgiven, so its next attempt comes quickly.
 
 Everything is deterministic (no RNG), picklable (bound methods and plain
 instances only — the checkpoint rule), and **strictly optional**: a ring
-built without a :class:`RecoveryConfig` constructs none of it.
+built without ``recovery=True`` constructs none of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.faults.transitions import fail_target, repair_target
 from repro.resilience.breaker import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    BreakerConfig,
     CircuitBreaker,
 )
 from repro.sim.kernel import Periodic, Simulator
 from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.compaction import CompactionEngine
     from repro.core.invariants import InvariantMonitor
     from repro.core.routing import RoutingEngine
     from repro.core.segments import SegmentGrid
@@ -65,56 +64,21 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.supervision.watchdog import Watchdog
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Tuning knobs for one :class:`RecoveryManager`.
-
-    Attributes:
-        period: ticks between recovery probes.
-        breaker: circuit-breaker policy shared by all segment breakers.
-        evacuation_patience: ticks a live bus may hold a DYING segment
-            before the manager force-tears it down (give compaction's
-            make-before-break evacuation a fair chance first; several
-            cycle periods is a sane floor).
-        storm_threshold: fault transitions within ``storm_window`` that
-            enter degraded mode.
-        storm_window: sliding window (ticks) for storm detection.
-        calm_window: ticks without a fault transition before degraded
-            mode exits.
-        degraded_admission_limit: per-INC outstanding-request cap
-            enforced while degraded (composes with a configured cap by
-            taking the minimum).
-        act_on_incidents: when True, watchdog incidents whose configured
-            action was ``report`` are *acted on*: still-stalled buses are
-            torn down and storm-flagged messages get their backoff
-            forgiven.  The closed-loop upgrade of a report-only watchdog.
-    """
-
-    period: float = 25.0
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    evacuation_patience: float = 64.0
-    storm_threshold: int = 6
-    storm_window: float = 200.0
-    calm_window: float = 400.0
-    degraded_admission_limit: int = 2
-    act_on_incidents: bool = True
-
-    def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ConfigurationError(
-                f"recovery period must be positive, got {self.period!r}")
-        if self.evacuation_patience <= 0:
-            raise ConfigurationError("evacuation_patience must be positive")
-        if self.storm_threshold < 1:
-            raise ConfigurationError(
-                f"storm_threshold must be >= 1, got {self.storm_threshold}")
-        if self.storm_window <= 0:
-            raise ConfigurationError("storm_window must be positive")
-        if self.calm_window <= 0:
-            raise ConfigurationError("calm_window must be positive")
-        if self.degraded_admission_limit < 1:
-            raise ConfigurationError(
-                "degraded_admission_limit must be >= 1")
+#: Ticks between recovery probes.
+PROBE_PERIOD = 25.0
+#: Ticks a live bus may hold a DYING segment before the manager
+#: force-tears it down: compaction's make-before-break evacuation gets a
+#: fair chance first.
+EVACUATION_PATIENCE = 64.0
+#: Fault transitions within :data:`STORM_WINDOW` that enter degraded mode.
+STORM_THRESHOLD = 6
+#: Sliding window (ticks) for storm detection.
+STORM_WINDOW = 200.0
+#: Ticks without a fault transition before degraded mode exits.
+CALM_WINDOW = 400.0
+#: Per-INC outstanding-request cap enforced while degraded (composes with
+#: a configured cap by taking the minimum).
+DEGRADED_ADMISSION_LIMIT = 2
 
 
 @dataclass
@@ -129,7 +93,7 @@ class RecoveryStats:
     degraded_entries: int = 0
     degraded_exits: int = 0
     deferred_flushed: int = 0      # requests released on degraded exit
-    incidents_acted_on: int = 0    # report-only incidents upgraded to action
+    incidents_acted_on: int = 0    # retry storms whose backoff was reset
 
     def summary(self) -> dict[str, int]:
         return {
@@ -153,9 +117,6 @@ class RecoveryManager:
         grid: the ring's segment grid (quarantine target).
         routing: the ring's routing engine (teardown / backoff / admission
             actuators).
-        config: detection windows and policies.
-        compaction: optional compaction engine (its ``dropped_incs`` are
-            left alone; present for future INC-level recovery).
         monitor: optional invariant monitor; its monotonicity tracker is
             re-armed whenever the manager readmits a segment (same rule
             as a plan repair).
@@ -173,8 +134,6 @@ class RecoveryManager:
         sim: Simulator,
         grid: "SegmentGrid",
         routing: "RoutingEngine",
-        config: Optional[RecoveryConfig] = None,
-        compaction: Optional["CompactionEngine"] = None,
         monitor: Optional["InvariantMonitor"] = None,
         watchdog: Optional["Watchdog"] = None,
         faults: Optional["FaultManager"] = None,
@@ -182,17 +141,15 @@ class RecoveryManager:
         obs: Optional["Observability"] = None,
         name: str = "recovery",
     ) -> None:
-        self.config = config if config is not None else RecoveryConfig()
         self.stats = RecoveryStats()
         self._sim = sim
         self._grid = grid
         self._routing = routing
-        self._compaction = compaction
         self._monitor = monitor
         self._watchdog = watchdog
         self.trace = trace
         self.obs = obs
-        self._obs_on = obs is not None and obs.enabled
+        self._obs_on = obs is not None
         #: (segment, lane) -> breaker; created lazily on first failure.
         self.breakers: Dict[Tuple[int, int], CircuitBreaker] = {}
         #: bus_id -> time its oldest still-DYING hop was first seen.
@@ -206,7 +163,7 @@ class RecoveryManager:
         if faults is not None:
             faults.add_listener(self)
         self._periodic = Periodic(
-            sim, self.config.period, self._probe, label=f"{name}.probe")
+            sim, PROBE_PERIOD, self._probe, label=f"{name}.probe")
 
     def stop(self) -> None:
         """Disarm the manager (pending probe is cancelled)."""
@@ -242,7 +199,7 @@ class RecoveryManager:
             return
         breaker = self.breakers.get((segment, lane))
         if breaker is None:
-            breaker = CircuitBreaker(self.config.breaker)
+            breaker = CircuitBreaker()
             self.breakers[(segment, lane)] = breaker
         if breaker.record_failure(now):
             self.stats.breakers_opened += 1
@@ -258,8 +215,8 @@ class RecoveryManager:
         self._tend_breakers(now)
         self._evacuate_wedged(now)
         self._tend_degraded_mode(now)
-        if self.config.act_on_incidents and self._watchdog is not None:
-            self._act_on_incidents(now)
+        if self._watchdog is not None:
+            self._consume_incidents()
 
     # -- breakers -------------------------------------------------------
     def _tend_breakers(self, now: float) -> None:
@@ -288,7 +245,6 @@ class RecoveryManager:
     # -- forced evacuation ---------------------------------------------
     def _evacuate_wedged(self, now: float) -> None:
         from repro.core.status import PortHealth  # local: avoids a cycle
-        patience = self.config.evacuation_patience
         live: set[int] = set()
         for bus in list(self._routing.buses.values()):
             on_dying = any(
@@ -301,7 +257,7 @@ class RecoveryManager:
                 continue
             live.add(bus.bus_id)
             first_seen = self._wedged_since.setdefault(bus.bus_id, now)
-            if now - first_seen < patience:
+            if now - first_seen < EVACUATION_PATIENCE:
                 continue
             if self._routing.force_teardown(bus.bus_id):
                 self.stats.evacuations_forced += 1
@@ -316,17 +272,17 @@ class RecoveryManager:
     # -- degraded mode --------------------------------------------------
     def _note_storm_event(self, now: float) -> None:
         self._last_fault_at = now
-        cutoff = now - self.config.storm_window
+        cutoff = now - STORM_WINDOW
         times = self._storm_times
         times.append(now)
         if times and times[0] < cutoff:
             self._storm_times = times = [t for t in times if t >= cutoff]
-        if not self.degraded and len(times) >= self.config.storm_threshold:
+        if not self.degraded and len(times) >= STORM_THRESHOLD:
             self._enter_degraded(now)
 
     def _tend_degraded_mode(self, now: float) -> None:
         if self.degraded and \
-                now - self._last_fault_at >= self.config.calm_window:
+                now - self._last_fault_at >= CALM_WINDOW:
             self._exit_degraded(now)
 
     def _enter_degraded(self, now: float) -> None:
@@ -334,9 +290,10 @@ class RecoveryManager:
         self.stats.degraded_entries += 1
         admission = self._routing.admission
         self._saved_admission_limit = admission.limit
-        cap = self.config.degraded_admission_limit
-        admission.limit = cap if admission.limit is None \
-            else min(admission.limit, cap)
+        admission.limit = (DEGRADED_ADMISSION_LIMIT
+                           if admission.limit is None
+                           else min(admission.limit,
+                                    DEGRADED_ADMISSION_LIMIT))
         self._record("degraded_enter", "admission",
                      limit=admission.limit)
         self._count("degraded_enter")
@@ -356,31 +313,24 @@ class RecoveryManager:
         self._count("degraded_exit")
 
     # -- incident consumption ------------------------------------------
-    def _act_on_incidents(self, now: float) -> None:
+    def _consume_incidents(self) -> None:
+        # The watchdog tears stalled buses down itself, and a handshake
+        # stall has no actuator; a retry storm is only reported, so its
+        # backoff is reset here.
         entries = self._watchdog.incidents.entries
         for incident in entries[self._incident_cursor:]:
-            if incident.action != "report":
-                continue  # the watchdog already acted; nothing to close
-            if incident.condition == "stalled_bus":
-                bus_id = _parse_id(incident.subject, "bus#")
-                if bus_id is not None and \
-                        self._routing.force_teardown(bus_id):
-                    self.stats.incidents_acted_on += 1
-                    self._record("incident_action", incident.subject,
-                                 condition=incident.condition)
-                    self._count("incident_action")
-            elif incident.condition == "retry_storm":
-                message_id = _parse_id(incident.subject, "msg")
-                if message_id is not None and \
-                        message_id in self._routing.records:
-                    record = self._routing.records[message_id]
-                    if not (record.finished or record.abandoned
-                            or record.shed):
-                        self._routing.reset_backoff(message_id)
-                        self.stats.incidents_acted_on += 1
-                        self._record("incident_action", incident.subject,
-                                     condition=incident.condition)
-                        self._count("incident_action")
+            if incident.condition != "retry_storm":
+                continue
+            message_id = int(incident.subject.removeprefix("msg"))
+            record = self._routing.records.get(message_id)
+            if record is not None and not (record.finished
+                                           or record.abandoned
+                                           or record.shed):
+                self._routing.reset_backoff(message_id)
+                self.stats.incidents_acted_on += 1
+                self._record("incident_action", incident.subject,
+                             condition=incident.condition)
+                self._count("incident_action")
         self._incident_cursor = len(entries)
 
     # ------------------------------------------------------------------
@@ -453,13 +403,3 @@ class RecoveryCollector:
         self._half_open.set(float(self._recovery.half_open_breakers()))
         for key, value in self._recovery.stats.summary().items():
             self._gauges[key].set(float(value))
-
-
-def _parse_id(subject: str, prefix: str) -> Optional[int]:
-    """``"bus#12"`` → 12 (with ``prefix="bus#"``); None when malformed."""
-    if not subject.startswith(prefix):
-        return None
-    try:
-        return int(subject[len(prefix):])
-    except ValueError:
-        return None

@@ -6,13 +6,7 @@ streams, tracing, and measurement accumulators.
 """
 
 from repro.sim.clock import ClockDomain, homogeneous_domains, skewed_domains
-from repro.sim.events import (
-    Event,
-    EventQueue,
-    PRIORITY_EARLY,
-    PRIORITY_LATE,
-    PRIORITY_NORMAL,
-)
+from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator, every
 from repro.sim.monitor import Tally, TimeSeries, percentile
 from repro.sim.rng import RandomStream, SeedSequence
@@ -22,9 +16,6 @@ __all__ = [
     "ClockDomain",
     "Event",
     "EventQueue",
-    "PRIORITY_EARLY",
-    "PRIORITY_LATE",
-    "PRIORITY_NORMAL",
     "RandomStream",
     "SeedSequence",
     "Simulator",

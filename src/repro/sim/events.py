@@ -1,14 +1,13 @@
 """Event primitives for the discrete-event kernel.
 
 An :class:`Event` is a callback bound to a simulation time.  Events are
-totally ordered by ``(time, priority, sequence)`` so that simultaneous
-events execute in a deterministic order: lower priority value first, then
-insertion order.  Determinism matters for reproducibility of every
-experiment in this repository — two runs with the same seed must produce
-identical traces.
+totally ordered by ``(time, sequence)`` so that simultaneous events
+execute in insertion order.  Determinism matters for reproducibility of
+every experiment in this repository — two runs with the same seed must
+produce identical traces.
 
-The queue stores ``(time, priority, seq, event)`` tuples rather than the
-events themselves: tuple comparison runs entirely in C, so heap sifts
+The queue stores ``(time, seq, event)`` tuples rather than the events
+themselves: tuple comparison runs entirely in C, so heap sifts
 never re-enter the interpreter.  With millions of events per run the
 ordering comparisons are the dominant heap cost, and the tuple layout
 cuts them to near the floor of what ``heapq`` can do.
@@ -21,13 +20,6 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import SchedulingError
 
-#: Priority used for ordinary events.
-PRIORITY_NORMAL = 0
-#: Priority for bookkeeping that must run before normal events at a tick.
-PRIORITY_EARLY = -10
-#: Priority for monitors that must observe the post-update state of a tick.
-PRIORITY_LATE = 10
-
 
 class Event:
     """A scheduled callback.
@@ -35,21 +27,19 @@ class Event:
     Instances are created through :meth:`repro.sim.kernel.Simulator.schedule`
     rather than directly.  Ordering lives in the queue's heap entries, not
     here; events themselves compare by identity.  ``__slots__`` keeps the
-    per-event footprint to the six fields — no ``__dict__`` allocation.
+    per-event footprint to the five fields — no ``__dict__`` allocation.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled")
+    __slots__ = ("time", "seq", "callback", "label", "cancelled")
 
     def __init__(
         self,
         time: float,
-        priority: int,
         seq: int,
         callback: Callable[[], Any],
         label: str = "",
     ) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.callback = callback
         self.label = label
@@ -60,17 +50,17 @@ class Event:
         self.cancelled = True
 
     def __getstate__(self) -> tuple:
-        return (self.time, self.priority, self.seq, self.callback,
-                self.label, self.cancelled)
+        return (self.time, self.seq, self.callback, self.label,
+                self.cancelled)
 
     def __setstate__(self, state: tuple) -> None:
-        (self.time, self.priority, self.seq, self.callback,
-         self.label, self.cancelled) = state
+        (self.time, self.seq, self.callback, self.label,
+         self.cancelled) = state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self.cancelled else ""
-        return (f"Event(time={self.time!r}, priority={self.priority}, "
-                f"seq={self.seq}, label={self.label!r}{flag})")
+        return (f"Event(time={self.time!r}, seq={self.seq}, "
+                f"label={self.label!r}{flag})")
 
 
 class EventQueue:
@@ -83,9 +73,9 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        # Heap entries are (time, priority, seq, event): seq is unique, so
+        # Heap entries are (time, seq, event): seq is unique, so
         # comparisons never reach the event and stay in C.
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         # A plain integer sequence rather than itertools.count: the queue
         # is part of a run's checkpointable state, and the counter must
         # survive pickling with its exact value so post-restore pushes get
@@ -103,14 +93,13 @@ class EventQueue:
         self,
         time: float,
         callback: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
         label: str = "",
     ) -> Event:
         """Insert a callback at ``time`` and return its :class:`Event`."""
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(time, priority, seq, callback, label)
-        heapq.heappush(self._heap, (time, priority, seq, event))
+        event = Event(time, seq, callback, label)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -122,7 +111,7 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[3]
+            event = heapq.heappop(heap)[2]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -144,8 +133,8 @@ class EventQueue:
         trips, the labels of the imminent events usually identify the
         component that is rescheduling itself forever.
         """
-        live = [entry for entry in self._heap if not entry[3].cancelled]
-        return [entry[3] for entry in heapq.nsmallest(count, live)]
+        live = [entry for entry in self._heap if not entry[2].cancelled]
+        return [entry[2] for entry in heapq.nsmallest(count, live)]
 
     def drain(self) -> Iterator[Event]:
         """Yield and remove all live events in order (for shutdown/tests)."""

@@ -25,7 +25,7 @@ import heapq
 from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import Event, EventQueue, PRIORITY_NORMAL
+from repro.sim.events import Event, EventQueue
 
 
 class Simulator:
@@ -44,7 +44,6 @@ class Simulator:
         self._now = 0.0
         self._queue = EventQueue()
         self._running = False
-        self._finished = False
         self.events_executed = 0
         # Model-level diagnostics providers (picklable callables returning
         # a one-line description) appended to livelock error messages so
@@ -90,19 +89,17 @@ class Simulator:
         self,
         delay: float,
         callback: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
         label: str = "",
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SchedulingError(f"negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, callback, priority, label)
+        return self.schedule_at(self._now + delay, callback, label)
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
         label: str = "",
     ) -> Event:
         """Schedule ``callback`` at absolute time ``time``."""
@@ -110,13 +107,12 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at {time!r}, current time is {self._now!r}"
             )
-        return self._queue.push(time, callback, priority, label)
+        return self._queue.push(time, callback, label)
 
     def _schedule_trusted(
         self,
         delay: float,
         callback: Callable[[], Any],
-        priority: int,
         label: str,
     ) -> Event:
         """Fast lane for built-in periodic machinery.
@@ -125,7 +121,7 @@ class Simulator:
         minus the re-validation: callers on this path are kernel-owned
         machinery whose delays were validated at construction time.
         """
-        return self._queue.push(self._now + delay, callback, priority, label)
+        return self._queue.push(self._now + delay, callback, label)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -169,7 +165,7 @@ class Simulator:
         try:
             while heap:
                 entry = heap[0]
-                event = entry[3]
+                event = entry[2]
                 if event.cancelled:
                     heappop(heap)
                     continue
@@ -271,8 +267,6 @@ class Periodic:
         sim: Simulator,
         period: float,
         callback: Callable[[], Any],
-        start: Optional[float] = None,
-        priority: int = PRIORITY_NORMAL,
         label: str = "",
         reschedule_first: bool = False,
     ) -> None:
@@ -281,13 +275,11 @@ class Periodic:
         self._sim = sim
         self._period = period
         self._callback = callback
-        self._priority = priority
         self._label = label
         self._reschedule_first = reschedule_first
         self._stopped = False
-        first = period if start is None else max(0.0, start - sim.now)
         self._event: Optional[Event] = sim._schedule_trusted(
-            first, self._fire, priority, label
+            period, self._fire, label
         )
 
     def _fire(self) -> None:
@@ -295,14 +287,14 @@ class Periodic:
             return
         if self._reschedule_first:
             self._event = self._sim._schedule_trusted(
-                self._period, self._fire, self._priority, self._label
+                self._period, self._fire, self._label
             )
             self._callback()
             return
         self._callback()
         if not self._stopped:
             self._event = self._sim._schedule_trusted(
-                self._period, self._fire, self._priority, self._label
+                self._period, self._fire, self._label
             )
 
     def stop(self) -> None:
@@ -321,15 +313,13 @@ def every(
     sim: Simulator,
     period: float,
     callback: Callable[[], Any],
-    start: Optional[float] = None,
-    priority: int = PRIORITY_NORMAL,
     label: str = "",
 ) -> Periodic:
     """Schedule ``callback`` periodically; return a canceller.
 
     Used by the RMB tick engines and by monitors.  The callback runs first
-    at ``start`` (default: one period from now) and then every ``period``
-    units until the returned canceller is invoked (either call it, or call
-    its :meth:`Periodic.stop`).
+    one period from now and then every ``period`` units until the
+    returned canceller is invoked (either call it, or call its
+    :meth:`Periodic.stop`).
     """
-    return Periodic(sim, period, callback, start, priority, label)
+    return Periodic(sim, period, callback, label)

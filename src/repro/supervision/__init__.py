@@ -3,9 +3,9 @@
 PR 1 taught the simulator to survive *hardware* faults; this package
 addresses *runtime* failure of the run itself:
 
-* :mod:`repro.supervision.watchdog` — a periodic no-progress probe with
-  configurable recovery actions (force-teardown, backoff reset, or a
-  structured :class:`~repro.supervision.incidents.Incident` report);
+* :mod:`repro.supervision.watchdog` — a periodic no-progress probe that
+  tears down stalled buses and records every detection as a structured
+  :class:`~repro.supervision.incidents.Incident`;
 * :mod:`repro.supervision.admission` — per-INC admission control with
   shed-or-defer overload policy (wired through
   :class:`~repro.core.routing.RoutingEngine`);
@@ -26,7 +26,7 @@ from repro.supervision.checkpoint import (
     resume_run,
 )
 from repro.supervision.incidents import Incident, IncidentLog
-from repro.supervision.watchdog import Watchdog, WatchdogConfig
+from repro.supervision.watchdog import Watchdog
 
 __all__ = [
     "AdmissionController",
@@ -35,7 +35,6 @@ __all__ = [
     "PeriodicCheckpointer",
     "SNAPSHOT_VERSION",
     "Watchdog",
-    "WatchdogConfig",
     "describe_snapshot",
     "load_snapshot",
     "load_snapshot_bytes",

@@ -55,8 +55,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
 #: pending columns, and the compaction engine and every cycle controller
 #: carry their cached trace flag.  Version 9: the simulator carries no
 #: trace, a trace recorder no capacity or drop count, and the compaction
-#: engine no move log.
-SNAPSHOT_VERSION = 9
+#: engine no move log.  Version 10: events and heap entries carry no
+#: priority, the simulator no finished flag, ``RMBConfig`` no flit
+#: period, and the watchdog, recovery manager and circuit breakers no
+#: config.
+SNAPSHOT_VERSION = 10
 
 _FORMAT = "rmb-snapshot"
 

@@ -6,41 +6,38 @@ by fault plans that eat a whole column, by adversarial workloads that pin
 every lane, or simply by bugs in an experimental change.  The
 :class:`Watchdog` is the supervision layer's detector: a periodic probe
 (one :class:`~repro.sim.kernel.Periodic` on the run's own simulator, so
-checkpoints capture it like any other machinery) that watches for three
-no-progress conditions and applies a configurable recovery action to
-each:
+checkpoints capture it like any other machinery) that runs every
+:data:`PROBE_PERIOD` ticks and watches for three no-progress conditions:
 
 ``stalled_bus``
     A live virtual bus whose observable state — phase, hop count, reverse
     signal position, data flits sent — has not changed for
-    ``stall_window`` ticks.  Recovery ``force_teardown`` Nacks the oldest
-    stalled bus back to its source (the message retries; resources free);
-    ``report`` records the incident and touches nothing.
+    :data:`STALL_WINDOW` ticks.  The watchdog tears the oldest stalled
+    bus down (``force_teardown``): it is Nacked back to its source, the
+    message retries and its resources free.
 
 ``retry_storm``
-    A message that has accumulated ``retry_threshold`` retries since the
-    watchdog last intervened.  Recovery ``reset_backoff`` forgives the
-    exponential backoff so the message's next attempt comes quickly
-    (useful after a repair removes the cause); ``report`` only records.
+    A message that has accumulated :data:`RETRY_THRESHOLD` retries since
+    the watchdog last reported it.  The watchdog only reports it; an armed
+    :class:`~repro.resilience.recovery.RecoveryManager` acts on the
+    report by forgiving the message's backoff.
 
 ``handshake_stall``
     The asynchronous odd/even handshake (paper Section 2.5) has made no
-    cycle transition anywhere on the ring for ``handshake_window`` ticks.
-    A healthy ring transitions continuously even when idle, so this
-    always indicates a broken controller mesh; the only action is
+    cycle transition anywhere on the ring for :data:`HANDSHAKE_WINDOW`
+    ticks.  A healthy ring transitions continuously even when idle, so
+    this always indicates a broken controller mesh; the only action is
     ``report``.
 
 Every detection is recorded as an :class:`~repro.supervision.incidents.
-Incident` regardless of the action taken, so run reports show what
-happened and what was done about it.
+Incident` with the action taken, so run reports show what happened and
+what was done about it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.errors import ConfigurationError
 from repro.protocol.lifecycle import lifecycle_name
 from repro.sim.kernel import Periodic, Simulator
 from repro.supervision.incidents import Incident, IncidentLog
@@ -50,62 +47,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.core.routing import RoutingEngine
     from repro.obs.wiring import Observability
 
-#: Recovery actions.
+#: Ticks between probes.
+PROBE_PERIOD = 50.0
+#: Ticks a bus may show zero observable progress before the
+#: ``stalled_bus`` condition trips.  It comfortably exceeds the longest
+#: legitimate stall (a header waiting out a busy column).
+STALL_WINDOW = 400.0
+#: Retries since the last report before the ``retry_storm`` condition
+#: trips.
+RETRY_THRESHOLD = 8
+#: Ticks without any cycle transition before the ``handshake_stall``
+#: condition trips (asynchronous mode only).
+HANDSHAKE_WINDOW = 800.0
+
+#: Incident actions.
 FORCE_TEARDOWN = "force_teardown"
-RESET_BACKOFF = "reset_backoff"
 REPORT = "report"
 
 
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Tuning knobs for one :class:`Watchdog`.
-
-    Attributes:
-        period: ticks between probes.
-        stall_window: ticks a bus may show zero observable progress before
-            the ``stalled_bus`` condition trips.  Must comfortably exceed
-            the longest legitimate stall (a header waiting out a busy
-            column); several ``cycle_period`` is a sane floor.
-        stalled_bus_action: ``"force_teardown"`` or ``"report"``.
-        retry_threshold: retries since the last intervention before the
-            ``retry_storm`` condition trips.
-        retry_storm_action: ``"reset_backoff"`` or ``"report"``.
-        handshake_window: ticks without any cycle transition before the
-            ``handshake_stall`` condition trips (asynchronous mode only).
-    """
-
-    period: float = 50.0
-    stall_window: float = 400.0
-    stalled_bus_action: str = FORCE_TEARDOWN
-    retry_threshold: int = 8
-    retry_storm_action: str = REPORT
-    handshake_window: float = 800.0
-
-    def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ConfigurationError(
-                f"watchdog period must be positive, got {self.period!r}")
-        if self.stall_window < self.period:
-            raise ConfigurationError(
-                "stall_window shorter than the probe period can never "
-                f"observe two probes ({self.stall_window} < {self.period})")
-        if self.stalled_bus_action not in (FORCE_TEARDOWN, REPORT):
-            raise ConfigurationError(
-                f"unknown stalled_bus_action {self.stalled_bus_action!r}")
-        if self.retry_threshold < 1:
-            raise ConfigurationError(
-                f"retry_threshold must be >= 1, got {self.retry_threshold}")
-        if self.retry_storm_action not in (RESET_BACKOFF, REPORT):
-            raise ConfigurationError(
-                f"unknown retry_storm_action {self.retry_storm_action!r}")
-        if self.handshake_window < self.period:
-            raise ConfigurationError(
-                "handshake_window shorter than the probe period can never "
-                f"observe two probes ({self.handshake_window} < {self.period})")
-
-
 class Watchdog:
-    """Periodic progress probe with per-condition recovery actions.
+    """Periodic progress probe with one action per condition.
 
     All state lives in plain attributes and the probe is a bound method,
     so a watchdog inside a checkpointed ring restores with its timers and
@@ -114,7 +75,6 @@ class Watchdog:
     Args:
         sim: the run's simulator (the probe rides its event queue).
         routing: the routing engine under supervision.
-        config: detection windows and recovery actions.
         controllers: the per-INC cycle controllers (asynchronous mode);
             ``None`` disables the handshake check.
         name: label prefix for the probe event.
@@ -124,27 +84,25 @@ class Watchdog:
         self,
         sim: Simulator,
         routing: "RoutingEngine",
-        config: Optional[WatchdogConfig] = None,
         controllers: Optional[Sequence["CycleController"]] = None,
         name: str = "watchdog",
         obs: Optional["Observability"] = None,
     ) -> None:
-        self.config = config if config is not None else WatchdogConfig()
         self.incidents = IncidentLog()
         # Incidents as first-class metrics: every detection increments a
         # (condition, action)-labelled counter when observability is armed.
         self.obs = obs
-        self._obs_on = obs is not None and obs.enabled
+        self._obs_on = obs is not None
         self._sim = sim
         self._routing = routing
         self._controllers = list(controllers) if controllers else None
         # bus_id -> (progress signature, time it was last seen changing)
         self._bus_progress: dict[int, tuple[tuple, float]] = {}
-        # message_id -> retries count at the last intervention/report
+        # message_id -> retries count at the last report
         self._retry_seen: dict[int, int] = {}
         self._handshake_mark: tuple[int, float] = (-1, sim.now)
         self._periodic: Periodic = Periodic(
-            sim, self.config.period, self._probe, label=f"{name}.probe"
+            sim, PROBE_PERIOD, self._probe, label=f"{name}.probe"
         )
 
     def stop(self) -> None:
@@ -159,7 +117,6 @@ class Watchdog:
         self._check_handshake(now)
 
     def _check_buses(self, now: float) -> None:
-        config = self.config
         live: set[int] = set()
         stalled: list[tuple[float, int]] = []   # (age, bus_id), oldest first
         for bus in list(self._routing.buses.values()):
@@ -171,61 +128,43 @@ class Watchdog:
                 self._bus_progress[bus.bus_id] = (signature, now)
                 continue
             age = now - previous[1]
-            if age >= config.stall_window:
+            if age >= STALL_WINDOW:
                 stalled.append((age, bus.bus_id))
         for bus_id in list(self._bus_progress):
             if bus_id not in live:
                 del self._bus_progress[bus_id]
         if not stalled:
             return
-        if config.stalled_bus_action == FORCE_TEARDOWN:
-            # One recovery per probe: tear down the *oldest* stalled bus
-            # (ties break on bus id for determinism).  Freeing its
-            # segments usually unwedges the rest; survivors are picked up
-            # by the next probe if not.
-            age, bus_id = max(stalled, key=lambda item: (item[0], -item[1]))
-            bus = self._routing.buses[bus_id]
-            # Incident details speak the lifecycle-FSM vocabulary
-            # (repro.protocol.lifecycle), same as drain errors and
-            # livelock diagnostics.
-            detail = (f"no progress for {age:g} ticks in state "
-                      f"{lifecycle_name(bus.phase)}")
-            if self._routing.force_teardown(bus_id):
-                self._report(now, "stalled_bus", f"bus#{bus_id}",
-                             FORCE_TEARDOWN, detail)
-            self._bus_progress.pop(bus_id, None)
-        else:
-            for age, bus_id in stalled:
-                bus = self._routing.buses[bus_id]
-                self._report(now, "stalled_bus", f"bus#{bus_id}", REPORT,
-                             f"no progress for {age:g} ticks in state "
-                             f"{lifecycle_name(bus.phase)}")
-                # restart the window so an ignored stall is re-reported
-                # once per stall_window, not once per probe
-                signature = self._bus_progress[bus_id][0]
-                self._bus_progress[bus_id] = (signature, now)
+        # One recovery per probe: tear down the *oldest* stalled bus (ties
+        # break on bus id for determinism).  Freeing its segments usually
+        # unwedges the rest; survivors are picked up by the next probe if
+        # not.
+        age, bus_id = max(stalled, key=lambda item: (item[0], -item[1]))
+        bus = self._routing.buses[bus_id]
+        # Incident details speak the lifecycle-FSM vocabulary
+        # (repro.protocol.lifecycle), same as drain errors and livelock
+        # diagnostics.
+        detail = (f"no progress for {age:g} ticks in state "
+                  f"{lifecycle_name(bus.phase)}")
+        if self._routing.force_teardown(bus_id):
+            self._report(now, "stalled_bus", f"bus#{bus_id}",
+                         FORCE_TEARDOWN, detail)
+        self._bus_progress.pop(bus_id, None)
 
     def _check_retries(self, now: float) -> None:
-        config = self.config
         for message_id, record in self._routing.records.items():
             if record.finished or record.abandoned or record.shed:
                 self._retry_seen.pop(message_id, None)
                 continue
             baseline = max(record.backoff_floor,
                            self._retry_seen.get(message_id, 0))
-            if record.retries - baseline < config.retry_threshold:
+            if record.retries - baseline < RETRY_THRESHOLD:
                 continue
-            detail = (f"{record.retries} retries "
-                      f"({record.nacks} nacks, {record.fault_nacks} fault "
-                      f"nacks, {record.fault_kills} kills)")
             self._retry_seen[message_id] = record.retries
-            if config.retry_storm_action == RESET_BACKOFF:
-                self._routing.reset_backoff(message_id)
-                self._report(now, "retry_storm", f"msg{message_id}",
-                             RESET_BACKOFF, detail)
-            else:
-                self._report(now, "retry_storm", f"msg{message_id}",
-                             REPORT, detail)
+            self._report(now, "retry_storm", f"msg{message_id}", REPORT,
+                         f"{record.retries} retries "
+                         f"({record.nacks} nacks, {record.fault_nacks} fault "
+                         f"nacks, {record.fault_kills} kills)")
 
     def _check_handshake(self, now: float) -> None:
         if self._controllers is None:
@@ -237,7 +176,7 @@ class Watchdog:
             self._handshake_mark = (total, now)
             return
         age = now - mark_time
-        if age >= self.config.handshake_window:
+        if age >= HANDSHAKE_WINDOW:
             laggard = min(self._controllers, key=lambda c: c.cycle)
             self._report(now, "handshake_stall", "cycle_control", REPORT,
                          f"no cycle transition for {age:g} ticks; "

@@ -17,16 +17,16 @@ guarantees the two backends agree point by point).
 
 Each point's network comes from :func:`build_rmb`, the builder
 ``repro run`` uses too.  On the flat event ring the engine composes with
-the resilience stack (fault plans, admission control, recovery, the
-watchdog); a feature the batch backend or a hier fabric does not model
-is refused by :func:`refuse_unsupported`, by field name and ``repro``
-flag (:data:`BATCH_REFUSES`, :data:`HIER_REFUSES`), before any point
-runs or is skipped as empty.
+the resilience stack (fault plans, admission control, recovery); a
+feature the batch backend or a hier fabric does not model is refused by
+:func:`refuse_unsupported`, by field name and ``repro`` flag
+(:data:`BATCH_REFUSES`, :data:`HIER_REFUSES`), before any point runs or
+is skipped as empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.core.config import RMBConfig, RetryPolicy
@@ -42,13 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.batch import BatchRing
     from repro.faults.plan import FaultPlan
     from repro.obs import Observability
-    from repro.resilience import RecoveryConfig
-    from repro.supervision import WatchdogConfig
 
 #: Saturated runs retry-storm; a bounded policy keeps every point's
 #: drain finite so instability shows up as lost completion, not a hang.
 BOUNDED_RETRY = RetryPolicy(delay=8.0, backoff=1.4, jitter=0.5,
                             max_retries=8)
+
+#: Ticks between utilisation probes on every network :func:`build_rmb`
+#: builds.
+PROBE_PERIOD = 8.0
 
 #: What the batch backend does not model: each run feature it refuses,
 #: by field name, with the ``repro`` flag that switches it on.
@@ -76,8 +78,8 @@ HIER_REFUSES: dict[str, str] = {
 def refuse_unsupported(config: RMBConfig, backend: str = "event",
                        topology: str = "ring", *,
                        fault_plan: Optional["FaultPlan"] = None,
-                       watchdog: Optional["WatchdogConfig"] = None,
-                       recovery: Optional["RecoveryConfig"] = None,
+                       watchdog: bool = False,
+                       recovery: bool = False,
                        obs: Optional["Observability"] = None,
                        checkpoint_every: Optional[float] = None) -> None:
     """Refuse what ``backend`` and ``topology`` do not model; build nothing.
@@ -97,8 +99,8 @@ def refuse_unsupported(config: RMBConfig, backend: str = "event",
     used = {
         "asynchronous": not config.synchronous,
         "fault_plan": fault_plan is not None,
-        "recovery": recovery is not None,
-        "watchdog": watchdog is not None,
+        "recovery": recovery,
+        "watchdog": watchdog,
         "admission_limit": config.admission_limit is not None,
         "checkpoint_every": checkpoint_every is not None,
         "obs": obs is not None,
@@ -123,11 +125,10 @@ def refuse_unsupported(config: RMBConfig, backend: str = "event",
 
 
 def build_rmb(config: RMBConfig, backend: str = "event",
-              topology: str = "ring", seed: int = 0,
-              probe_period: Optional[float] = 8.0, *,
+              topology: str = "ring", seed: int = 0, *,
               fault_plan: Optional["FaultPlan"] = None,
-              watchdog: Optional["WatchdogConfig"] = None,
-              recovery: Optional["RecoveryConfig"] = None,
+              watchdog: bool = False,
+              recovery: bool = False,
               obs: Optional["Observability"] = None,
               checkpoint_every: Optional[float] = None,
               ) -> Union[RMBRing, "BatchRing", HierRMB]:
@@ -146,16 +147,16 @@ def build_rmb(config: RMBConfig, backend: str = "event",
                        checkpoint_every=checkpoint_every)
     if backend == "batch":
         from repro.batch import BatchRing
-        return BatchRing(config, seed=seed, probe_period=probe_period)
+        return BatchRing(config, seed=seed, probe_period=PROBE_PERIOD)
     if topology == "ring":
-        return RMBRing(config, seed=seed, probe_period=probe_period,
+        return RMBRing(config, seed=seed, probe_period=PROBE_PERIOD,
                        fault_plan=fault_plan, watchdog=watchdog,
                        recovery=recovery, obs=obs)
     from repro.networks.registry import hier_shape
     locals_count, nodes_per_local = hier_shape(topology, config.nodes)
     return HierRMB(locals=locals_count, nodes_per_local=nodes_per_local,
                    lanes=config.lanes, seed=seed, config=config,
-                   probe_period=probe_period, obs=obs)
+                   probe_period=PROBE_PERIOD, obs=obs)
 
 
 @dataclass
@@ -174,9 +175,6 @@ class SaturationConfig:
     #: (journey-level completion and end-to-end latency) and load points
     #: carry per-ring delivery rates.  Event backend only.
     topology: str = "ring"
-    cycle_period: float = 2.0
-    probe_period: Optional[float] = 8.0
-    retry: RetryPolicy = field(default_factory=lambda: BOUNDED_RETRY)
     # --- stability criteria ------------------------------------------
     min_completion: float = 0.99
     latency_cap: Optional[float] = None     # None: 20 * (flits + nodes)
@@ -189,8 +187,7 @@ class SaturationConfig:
     fault_plan: Optional["FaultPlan"] = None
     admission_limit: Optional[int] = None
     admission_policy: str = "defer"
-    recovery: Optional["RecoveryConfig"] = None
-    watchdog: Optional["WatchdogConfig"] = None
+    recovery: bool = False
     obs: Optional["Observability"] = None
 
     def resolved_latency_cap(self) -> float:
@@ -288,15 +285,19 @@ class SaturationCurve:
 
 def run_point(cfg: SaturationConfig, pattern: TrafficPattern,
               rate: float) -> LoadPoint:
-    """Simulate one offered-load point and classify its stability."""
+    """Simulate one offered-load point and classify its stability.
+
+    Every point runs at cycle period 2 with :data:`BOUNDED_RETRY` and
+    probes every :data:`PROBE_PERIOD` ticks.
+    """
     config = RMBConfig(
-        nodes=cfg.nodes, lanes=cfg.lanes, cycle_period=cfg.cycle_period,
-        retry=cfg.retry, admission_limit=cfg.admission_limit,
+        nodes=cfg.nodes, lanes=cfg.lanes, cycle_period=2.0,
+        retry=BOUNDED_RETRY, admission_limit=cfg.admission_limit,
         admission_policy=cfg.admission_policy, check_level="sampled")
     # Refused before the empty shortcut, which builds no network.
     refuse_unsupported(config, cfg.backend, cfg.topology,
-                       fault_plan=cfg.fault_plan, watchdog=cfg.watchdog,
-                       recovery=cfg.recovery, obs=cfg.obs)
+                       fault_plan=cfg.fault_plan, recovery=cfg.recovery,
+                       obs=cfg.obs)
     schedule = pattern_schedule(
         pattern, duration=cfg.duration, rate=rate,
         data_flits=cfg.data_flits, seed=cfg.seed, arrival=cfg.arrival)
@@ -306,8 +307,7 @@ def run_point(cfg: SaturationConfig, pattern: TrafficPattern,
                          p95_latency=0.0, throughput=0.0, duration=0.0,
                          stable=True, reason="ok")
     ring = build_rmb(config, cfg.backend, cfg.topology, cfg.seed,
-                     cfg.probe_period, fault_plan=cfg.fault_plan,
-                     watchdog=cfg.watchdog, recovery=cfg.recovery,
+                     fault_plan=cfg.fault_plan, recovery=cfg.recovery,
                      obs=cfg.obs)
     if cfg.backend == "batch":
         from repro.batch import replay_on_batch
@@ -369,7 +369,7 @@ def _classify(cfg: SaturationConfig, rate: float, stats: RunStats,
 def _record_obs(cfg: SaturationConfig, pattern: TrafficPattern,
                 point: LoadPoint) -> None:
     """Count sweep activity in the run's metrics registry (passive)."""
-    if cfg.obs is None or not cfg.obs.registry.enabled:
+    if cfg.obs is None:
         return
     registry = cfg.obs.registry
     registry.counter("rmb_traffic_points_total",
@@ -422,7 +422,7 @@ def saturation_search(cfg: SaturationConfig,
     curve.points = list(points.values())
     curve.saturation_rate = low
     curve.unstable_rate = high
-    if cfg.obs is not None and cfg.obs.registry.enabled:
+    if cfg.obs is not None:
         cfg.obs.registry.gauge(
             "rmb_traffic_saturation_rate",
             help="highest stable per-node injection rate",

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.bisection import (
     dimension_half,
+    ehc_bisection,
     empirical_bisection,
     fattree_bisection,
     hypercube_bisection,
@@ -32,10 +33,10 @@ def test_hypercube_empirical_matches_analytic():
 
 
 def test_ehc_doubled_dimension_doubles_cut():
-    net = EnhancedHypercubeNetwork(16, doubled_dimension=3)
-    measured = empirical_bisection(net, dimension_half(3))
-    assert measured == 16.0  # N when cutting the doubled dimension
-    other_cut = empirical_bisection(net, dimension_half(0))
+    net = EnhancedHypercubeNetwork(16)
+    measured = empirical_bisection(net, dimension_half(0))
+    assert measured == 16.0 == ehc_bisection(16, 1)  # the doubled dimension
+    other_cut = empirical_bisection(net, dimension_half(3))
     assert other_cut == 8.0
 
 

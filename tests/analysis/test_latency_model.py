@@ -55,11 +55,6 @@ class TestModelStructure:
         assert breakdown.delivery == breakdown.setup + 10 + 4
         assert breakdown.completion == breakdown.delivery + 4
 
-    def test_flit_period_scales_everything(self):
-        base = unloaded_latency(3, 8, flit_period=1.0)
-        slow = unloaded_latency(3, 8, flit_period=2.0)
-        assert slow.completion == 2 * base.completion
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             unloaded_latency(0, 5)

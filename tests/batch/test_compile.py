@@ -1,11 +1,9 @@
 """Table-compiler unit tests: every matrix entry traces to one table row.
 
 The compiled matrices are only trustworthy if they are a *faithful*
-re-encoding of the declarative tables: every declared lifecycle arc
-must appear exactly once, every undeclared cell must hold the TRAP
-sentinel (and raise, like the event backend's interpreter), and the
-vectorized handshake step must agree with the pure scalar one on every
-reachable configuration.
+re-encoding of the lifecycle table: every declared arc must appear
+exactly once, and every undeclared cell must hold the TRAP sentinel (and
+raise, like the event backend's interpreter).
 """
 
 from __future__ import annotations
@@ -14,38 +12,21 @@ import numpy as np
 import pytest
 
 from repro.batch.compile import (
-    ANY,
     EVENT_CODE,
     EVENTS,
-    PHASE_CODE,
-    PHASES,
     STATE_CODE,
     STATES,
     TERMINAL_CODES,
     TRAP,
-    compile_handshake,
     compile_lifecycle,
-    handshake_lockstep,
-    state_of,
 )
 from repro.errors import ProtocolError
-from repro.protocol.handshake import (
-    HANDSHAKE_TABLE,
-    RESET_STATE,
-    NeighbourBits,
-    handshake_step,
-)
 from repro.protocol.lifecycle import LIFECYCLE, TERMINAL_STATES
 
 
 @pytest.fixture(scope="module")
 def lifecycle():
     return compile_lifecycle()
-
-
-@pytest.fixture(scope="module")
-def handshake():
-    return compile_handshake()
 
 
 # ---------------------------------------------------------------------------
@@ -111,62 +92,3 @@ class TestLifecycleMatrix:
         assert not lifecycle.program.flags.writeable
         with pytest.raises(ValueError):
             lifecycle.transition[0, 0] = 0
-
-
-# ---------------------------------------------------------------------------
-# Handshake vectors
-# ---------------------------------------------------------------------------
-def _encode(flag):
-    return ANY if flag is None else int(flag)
-
-
-class TestHandshakeVectors:
-    def test_vectors_match_table_rows(self, handshake):
-        assert len(HANDSHAKE_TABLE) == len(PHASES)
-        for rule in HANDSHAKE_TABLE:
-            code = PHASE_CODE[rule.phase]
-            assert handshake.requires_od[code] == _encode(rule.requires_od)
-            assert handshake.requires_oc[code] == _encode(rule.requires_oc)
-            assert handshake.sets_od[code] == _encode(rule.sets_od)
-            assert handshake.sets_oc[code] == _encode(rule.sets_oc)
-            assert handshake.advances_cycle[code] == rule.advances_cycle
-            assert handshake.does_work[code] == rule.does_work
-            assert handshake.next_phase[code] == PHASE_CODE[rule.next_phase]
-            assert handshake.rule_number[code] == rule.rule
-
-    def test_vector_step_matches_scalar_step(self, handshake):
-        """Drive a ring through many edges; at every edge, every INC's
-        vectorized successor must equal the pure ``handshake_step``."""
-        nodes = 7
-        phase = np.full(
-            nodes, PHASE_CODE[RESET_STATE.phase], dtype=np.int8)
-        od = np.zeros(nodes, dtype=np.int8)
-        oc = np.zeros(nodes, dtype=np.int8)
-        for _ in range(60):
-            left_od, left_oc = np.roll(od, 1), np.roll(oc, 1)
-            right_od, right_oc = np.roll(od, -1), np.roll(oc, -1)
-            expected = []
-            for i in range(nodes):
-                state = state_of(phase, od, oc, i)
-                left = NeighbourBits(bool(left_od[i]), bool(left_oc[i]))
-                right = NeighbourBits(bool(right_od[i]), bool(right_oc[i]))
-                nxt, fired = handshake_step(state, left, right)
-                expected.append((nxt, fired))
-            phase, od, oc, advanced, worked = handshake.step(
-                phase, od, oc, left_od, left_oc, right_od, right_oc)
-            for i, (nxt, fired) in enumerate(expected):
-                assert state_of(phase, od, oc, i) == nxt
-                assert bool(advanced[i]) == bool(
-                    fired is not None and fired.advances_cycle)
-                assert bool(worked[i]) == bool(
-                    fired is not None and fired.does_work)
-
-    @pytest.mark.parametrize("nodes,edges", [(4, 64), (6, 150), (9, 333)])
-    def test_lockstep_obeys_lemma_1(self, nodes, edges):
-        """Paper Lemma 1: neighbouring INC cycle counts never differ by
-        more than one, at any point in the run."""
-        cycles, max_skew = handshake_lockstep(nodes, edges)
-        assert max_skew <= 1
-        assert int(cycles.max()) - int(cycles.min()) <= 1
-        if edges >= 5 * len(HANDSHAKE_TABLE):
-            assert int(cycles.min()) > 0

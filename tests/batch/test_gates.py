@@ -26,12 +26,6 @@ def test_rejects_asynchronous_rings():
         BatchRing(config)
 
 
-def test_rejects_non_unit_flit_period():
-    config = RMBConfig(nodes=8, lanes=2, flit_period=2.0)
-    with pytest.raises(BatchUnsupported, match="flit_period"):
-        BatchRing(config)
-
-
 def test_rejects_fractional_cycle_period():
     config = RMBConfig(nodes=8, lanes=2, cycle_period=1.5)
     with pytest.raises(BatchUnsupported, match="cycle_period"):

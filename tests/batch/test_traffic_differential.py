@@ -107,12 +107,14 @@ class TestBatchRefusalsByName:
         assert "fault_plan" in self.refused(fault_plan=plan)
 
     def test_recovery_refused_by_name(self):
-        from repro.resilience import RecoveryConfig
-        assert "recovery" in self.refused(recovery=RecoveryConfig())
+        assert "recovery" in self.refused(recovery=True)
 
     def test_watchdog_refused_by_name(self):
-        from repro.supervision import WatchdogConfig
-        assert "watchdog" in self.refused(watchdog=WatchdogConfig())
+        # A sweep arms no watchdog; ``repro run`` does, through the same
+        # builder.
+        from repro.traffic.saturation import build_rmb
+        with pytest.raises(BatchUnsupported, match="watchdog"):
+            build_rmb(RMBConfig(nodes=8, lanes=2), "batch", watchdog=True)
 
     def test_admission_limit_refused_by_name(self):
         assert "admission_limit" in self.refused(admission_limit=2)
@@ -122,7 +124,5 @@ class TestBatchRefusalsByName:
         assert "obs" in self.refused(obs=Observability(level="full"))
 
     def test_combination_lists_every_flagged_feature(self):
-        from repro.resilience import RecoveryConfig
-        message = self.refused(admission_limit=2,
-                               recovery=RecoveryConfig())
+        message = self.refused(admission_limit=2, recovery=True)
         assert "recovery" in message and "admission_limit" in message

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.chaos import (
     ConservationMonitor,
     MonitorSuite,
@@ -11,6 +9,7 @@ from repro.chaos import (
     StuckBusMonitor,
     Violation,
 )
+from repro.chaos.monitors import STUCK_WINDOW
 from repro.core import Message, RMBConfig, RMBRing
 from repro.core.config import RetryPolicy
 
@@ -46,16 +45,11 @@ class TestConservationMonitor:
 
 
 class TestStuckBusMonitor:
-    def test_rejects_nonpositive_window(self):
-        ring = healthy_ring()
-        with pytest.raises(ValueError):
-            StuckBusMonitor(ring.routing, window=0.0)
-
     def test_live_traffic_is_not_stuck(self):
         ring = healthy_ring()
         ring.submit_all(Message(i, i, (i + 3) % 8, data_flits=4)
                         for i in range(6))
-        monitor = StuckBusMonitor(ring.routing, window=50.0)
+        monitor = StuckBusMonitor(ring.routing)
         for _ in range(30):
             ring.run(10)
             assert monitor.check(ring.sim.now) is None
@@ -70,10 +64,12 @@ class TestStuckBusMonitor:
         for lane in range(3):
             ring.grid.claim(2, lane, 900 + lane)
         ring.submit(Message(0, 0, 4, data_flits=2))
-        monitor = StuckBusMonitor(ring.routing, window=40.0)
+        monitor = StuckBusMonitor(ring.routing)
         ring.run(10)
         assert monitor.check(ring.sim.now) is None  # establishes the mark
-        ring.run(100)
+        ring.run(STUCK_WINDOW - 1)
+        assert monitor.check(ring.sim.now) is None
+        ring.run(1)
         violation = monitor.check(ring.sim.now)
         assert violation is not None
         assert violation.monitor == "stuck_bus"
@@ -82,7 +78,7 @@ class TestStuckBusMonitor:
     def test_marks_are_dropped_with_their_bus(self):
         ring = healthy_ring()
         ring.submit(Message(0, 0, 4, data_flits=2))
-        monitor = StuckBusMonitor(ring.routing, window=40.0)
+        monitor = StuckBusMonitor(ring.routing)
         ring.run(2)
         monitor.check(ring.sim.now)
         ring.drain()

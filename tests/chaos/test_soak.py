@@ -11,16 +11,12 @@ import pytest
 
 from repro.chaos import SoakConfig, build_soak_ring, run_soak
 from repro.errors import ConfigurationError
-from repro.resilience import RecoveryConfig
 
 
 def small_config(**overrides) -> SoakConfig:
     defaults = dict(
         nodes=8, lanes=3, ticks=600.0, rate=0.02, data_flits=4,
-        seed=5, spec="storm:0.2@100+200%150",
-        recovery=RecoveryConfig(period=10.0, storm_threshold=4,
-                                storm_window=100.0, calm_window=100.0),
-        monitor_period=25.0,
+        seed=5, spec="storm:0.2@100+200%150", monitor_period=25.0,
     )
     defaults.update(overrides)
     return SoakConfig(**defaults)
@@ -66,7 +62,7 @@ class TestSoakRuns:
 
     def test_soak_without_recovery_still_accounts(self):
         # Loop open: no recovery manager, conservation must still hold.
-        result = run_soak(small_config(recovery=None),
+        result = run_soak(small_config(recovery=False),
                           healthy_baseline=False)
         assert result.recovery_actions is None
         assert result.completed + result.abandoned + result.shed \
@@ -104,7 +100,7 @@ class TestBuildSoakRing:
         ring = build_soak_ring(config, plan=plan)
         assert ring.faults is not None
         assert ring.recovery is not None
-        ring = build_soak_ring(config, plan=plan, with_recovery=False)
+        ring = build_soak_ring(small_config(recovery=False), plan=plan)
         assert ring.recovery is None
 
 
@@ -114,7 +110,6 @@ class TestSoakConfigValidation:
         {"rate": 0.0},
         {"rate": 1.5},
         {"monitor_period": 0.0},
-        {"drain_ticks": -1.0},
     ])
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ConfigurationError):

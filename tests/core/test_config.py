@@ -30,7 +30,6 @@ def test_zero_lanes_rejected():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("flit_period", 0),
     ("cycle_period", -1),
     ("retry_delay", 0),
     ("retry_backoff", 0.5),

@@ -62,7 +62,7 @@ class TestAliases:
         policy = RetryPolicy(delay=2.0, jitter=0.0)
         assert config.with_overrides(retry=policy).retry == policy
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_old_checkpoint_version_is_refused_by_name(self, version):
         """Version-1 snapshots may hold configs pickled before the
         unification, without a ``retry`` slot; version-2 ones lack the
@@ -75,15 +75,17 @@ class TestAliases:
         trace recorders without pending columns and engines without
         their cached trace flag; version-8 ones hold a simulator's
         trace, a recorder's capacity and a compaction move log, which
-        are gone.  Each is refused with both versions named instead of
-        being half-restored."""
+        are gone; version-9 ones hold event priorities, a flit period
+        and watchdog, recovery and breaker configs, which are gone.
+        Each is refused with both versions named instead of being
+        half-restored."""
         ring = RMBRing(RMBConfig(nodes=8, lanes=3))
         header, payload = save_snapshot_bytes(ring).split(b"\n", 1)
         manifest = json.loads(header)
         manifest["version"] = version
         old = json.dumps(manifest).encode("utf-8") + b"\n" + payload
         with pytest.raises(SnapshotError,
-                           match=rf"version {version} unsupported .*version 9"):
+                           match=rf"version {version} unsupported .*version 10"):
             load_snapshot_bytes(old)
 
     def test_policy_survives_pickling(self):

@@ -2,9 +2,9 @@
 
 The observability layer (ISSUE PR 4) promises that attaching metrics
 and span recording at *any* level never changes what a run computes —
-no RNG draws, no scheduling, only reads.  This test pits fully observed
-runs (``level="full"``) against unobserved runs (``obs=None``) and
-level-``off`` runs across random seeds, fault plans, synchronous and
+no RNG draws, no scheduling, only reads.  This test pits observed runs
+(``level="full"`` and ``"sampled"``) against unobserved runs
+(``obs=None``) across random seeds, fault plans, synchronous and
 asynchronous clocking, and watchdog supervision, requiring byte-equal
 observables: the stats summary serialised as JSON, the grid signature,
 every message's lifecycle timestamps, and the compaction counters —
@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from repro.core import Message, RMBConfig, RMBRing
 from repro.core.config import RetryPolicy
 from repro.faults import FaultEvent, FaultKind, FaultPlan
-from repro.obs import Observability
-from repro.supervision import WatchdogConfig
+from repro.obs import OBS_LEVELS, Observability
 
 NODES = 8
 LANES = 3
@@ -59,7 +58,7 @@ def run_and_observe(seed: int, plan: FaultPlan | None, *,
                            max_retries=8 if plan is not None else None))
     ring = RMBRing(
         config, seed=seed, probe_period=16.0, fault_plan=plan, obs=obs,
-        watchdog=WatchdogConfig(period=8.0) if watchdog else None)
+        watchdog=watchdog)
     ring.submit_all(
         Message(message_id=i, source=(i + seed) % NODES,
                 destination=(i + seed + 2 + i % 3) % NODES,
@@ -98,7 +97,7 @@ def test_full_observation_changes_nothing(seed, plan, synchronous, watchdog):
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16),
        plan=fault_plans(),
-       level=st.sampled_from(["off", "sampled"]))
+       level=st.sampled_from(OBS_LEVELS))
 def test_every_obs_level_matches_the_unobserved_run(seed, plan, level):
     observed = run_and_observe(seed, plan, synchronous=True, watchdog=False,
                                obs=Observability(level))

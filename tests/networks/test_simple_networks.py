@@ -54,8 +54,6 @@ class TestMultiBus:
     def test_validation(self):
         with pytest.raises(TopologyError):
             MultiBusNetwork(8, buses=0)
-        with pytest.raises(TopologyError):
-            MultiBusNetwork(8, buses=1, bus_latency=-1)
 
     def test_drain_guard(self):
         net = MultiBusNetwork(8, buses=1)

@@ -125,9 +125,9 @@ class TestObservabilityBundle:
     def test_levels_configure_sampling(self):
         assert Observability("full").spans.sample_every == 1
         assert Observability("sampled").spans.sample_every == 8
-        assert Observability("off").enabled is False
-        with pytest.raises(ConfigurationError, match="obs level"):
-            Observability("verbose")
+        for level in ("off", "verbose"):
+            with pytest.raises(ConfigurationError, match="obs level"):
+                Observability(level)
 
     def test_armed_ring_exports_valid_prometheus(self, tmp_path):
         obs = Observability("full")

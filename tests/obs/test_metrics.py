@@ -162,13 +162,6 @@ class TestMetricsRegistry:
         assert collector.calls == 2
         assert gauge.value == 2.0
 
-    def test_disabled_registry_still_creates_instruments(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.enabled is False
-        counter = registry.counter("c")
-        counter.inc()
-        assert registry.value("c") == 1.0
-
     def test_registry_pickles(self):
         registry = MetricsRegistry()
         registry.counter("c", kind="x").inc(2)

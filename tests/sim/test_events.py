@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sim.events import (
-    EventQueue,
-    PRIORITY_EARLY,
-    PRIORITY_LATE,
-    PRIORITY_NORMAL,
-)
+from repro.sim.events import EventQueue
 
 
 def test_pop_orders_by_time():
@@ -22,16 +17,14 @@ def test_pop_orders_by_time():
     assert order == ["a", "b", "c"]
 
 
-def test_same_time_orders_by_priority_then_insertion():
+def test_same_time_orders_by_insertion():
     queue = EventQueue()
     order = []
-    queue.push(1.0, lambda: order.append("late"), priority=PRIORITY_LATE)
-    queue.push(1.0, lambda: order.append("n1"), priority=PRIORITY_NORMAL)
-    queue.push(1.0, lambda: order.append("early"), priority=PRIORITY_EARLY)
-    queue.push(1.0, lambda: order.append("n2"), priority=PRIORITY_NORMAL)
+    for name in ("n1", "n2", "n3", "n4"):
+        queue.push(1.0, lambda name=name: order.append(name))
     while queue:
         queue.pop().callback()
-    assert order == ["early", "n1", "n2", "late"]
+    assert order == ["n1", "n2", "n3", "n4"]
 
 
 def test_pop_empty_raises():

@@ -65,19 +65,10 @@ def test_counter_updates_even_when_run_raises():
 def test_schedule_trusted_matches_schedule_semantics():
     sim = Simulator()
     fired = []
-    sim._schedule_trusted(2.0, lambda: fired.append(sim.now), 0, "t")
+    sim._schedule_trusted(2.0, lambda: fired.append(sim.now), "t")
     sim.schedule(2.0, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [2.0, 2.0]
-
-
-def test_schedule_trusted_respects_priority_ordering():
-    sim = Simulator()
-    order = []
-    sim._schedule_trusted(1.0, lambda: order.append("late"), 10, "late")
-    sim._schedule_trusted(1.0, lambda: order.append("early"), -10, "early")
-    sim.run()
-    assert order == ["early", "late"]
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +87,9 @@ def test_trace_enabled_flag():
 
 def test_event_pickle_roundtrip():
     queue = EventQueue()
-    event = queue.push(3.0, _noop, 5, "label")
+    event = queue.push(3.0, _noop, "label")
     copy = pickle.loads(pickle.dumps(event))
-    assert (copy.time, copy.priority, copy.seq, copy.label) == \
-        (3.0, 5, event.seq, "label")
+    assert (copy.time, copy.seq, copy.label) == (3.0, event.seq, "label")
     assert copy.cancelled == event.cancelled
     assert isinstance(copy, Event)
 
@@ -110,9 +100,9 @@ def _noop():
 
 def test_queue_pickle_preserves_order_and_liveness():
     queue = EventQueue()
-    queue.push(2.0, _noop, 0, "b")
-    queue.push(1.0, _noop, 0, "a")
-    cancelled = queue.push(1.5, _noop, 0, "x")
+    queue.push(2.0, _noop, "b")
+    queue.push(1.0, _noop, "a")
+    cancelled = queue.push(1.5, _noop, "x")
     cancelled.cancel()
     queue.note_cancelled()
     restored = pickle.loads(pickle.dumps(queue))

@@ -104,13 +104,6 @@ def test_every_rejects_nonpositive_period(sim):
         every(sim, 0, lambda: None)
 
 
-def test_every_with_start(sim):
-    times = []
-    every(sim, 10, lambda: times.append(sim.now), start=3)
-    sim.run(until=25)
-    assert times == [3.0, 13.0, 23.0]
-
-
 def test_step_executes_single_event(sim):
     fired = []
     sim.schedule(1, lambda: fired.append(1))

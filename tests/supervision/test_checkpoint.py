@@ -20,7 +20,6 @@ from repro.supervision import (
     resume_run,
     save_snapshot,
     save_snapshot_bytes,
-    WatchdogConfig,
 )
 
 
@@ -43,7 +42,7 @@ def build_ring(seed=3, fault=False) -> RMBRing:
     config = RMBConfig(nodes=8, lanes=3, retry=RetryPolicy(
         jitter=0.25, max_retries=8 if fault else None))
     ring = RMBRing(config, seed=seed, probe_period=16.0, fault_plan=plan,
-                   watchdog=WatchdogConfig(), trace_kinds=None)
+                   watchdog=True, trace_kinds=None)
     ring.submit_all(msg(i, i % 8, (i + 3) % 8) for i in range(12))
     return ring
 

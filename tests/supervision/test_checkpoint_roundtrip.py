@@ -16,11 +16,7 @@ from hypothesis import strategies as st
 from repro.core import Message, RMBConfig, RMBRing
 from repro.core.config import RetryPolicy
 from repro.faults import FaultEvent, FaultKind, FaultPlan
-from repro.supervision import (
-    WatchdogConfig,
-    load_snapshot_bytes,
-    save_snapshot_bytes,
-)
+from repro.supervision import load_snapshot_bytes, save_snapshot_bytes
 
 NODES = 8
 LANES = 3
@@ -55,7 +51,7 @@ def build_ring(seed: int, plan: FaultPlan | None) -> RMBRing:
                            jitter=0.25,
                            max_retries=8 if plan is not None else None))
     ring = RMBRing(config, seed=seed, probe_period=16.0, fault_plan=plan,
-                   watchdog=WatchdogConfig(), trace_kinds=None)
+                   watchdog=True, trace_kinds=None)
     ring.submit_all(
         Message(message_id=i, source=(i + seed) % NODES,
                 destination=(i + seed + 2 + i % 3) % NODES,

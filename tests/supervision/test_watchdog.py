@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import Message, RMBConfig, RMBRing
 from repro.core.config import RetryPolicy
-from repro.errors import ConfigurationError
-from repro.supervision import Watchdog, WatchdogConfig
-from repro.supervision.watchdog import FORCE_TEARDOWN, REPORT, RESET_BACKOFF
+from repro.supervision import Watchdog
+from repro.supervision.watchdog import (
+    FORCE_TEARDOWN,
+    HANDSHAKE_WINDOW,
+    PROBE_PERIOD,
+    REPORT,
+    STALL_WINDOW,
+)
 
 
 def msg(mid, src, dst, flits=4):
@@ -16,9 +19,7 @@ def msg(mid, src, dst, flits=4):
                    data_flits=flits)
 
 
-def stalled_ring(action: str = FORCE_TEARDOWN,
-                 period: float = 8.0,
-                 stall_window: float = 32.0) -> RMBRing:
+def stalled_ring() -> RMBRing:
     """A ring whose first message will wedge against a blocked column.
 
     Compaction and the invariant monitor are off because the blockade is
@@ -29,10 +30,7 @@ def stalled_ring(action: str = FORCE_TEARDOWN,
                        retry=RetryPolicy(delay=8.0, jitter=0.0,
                                          header_timeout=None),
                        check_level="off")
-    ring = RMBRing(config, seed=1,
-                   watchdog=WatchdogConfig(period=period,
-                                           stall_window=stall_window,
-                                           stalled_bus_action=action))
+    ring = RMBRing(config, seed=1, watchdog=True)
     for lane in range(3):
         ring.grid.claim(2, lane, 900 + lane)
     return ring
@@ -47,12 +45,12 @@ class TestStalledBus:
     def test_detects_stall_within_window_and_recovers(self):
         ring = stalled_ring()
         record = ring.submit(msg(0, 0, 4))
-        ring.run(60)
+        ring.run(STALL_WINDOW + 2 * PROBE_PERIOD)
         incident = ring.watchdog.incidents.first("stalled_bus")
         assert incident is not None, "stall never detected"
         # The header wedges within a few flit ticks; detection must land
-        # within stall_window plus one probe period of that.
-        assert incident.time <= 3 + 32 + 8
+        # within the stall window plus one probe period of that.
+        assert incident.time <= 3 + STALL_WINDOW + PROBE_PERIOD
         assert incident.action == FORCE_TEARDOWN
         assert incident.subject.startswith("bus#")
         assert ring.routing.forced_teardowns >= 1
@@ -66,7 +64,7 @@ class TestStalledBus:
     def test_stats_carry_incidents_and_teardowns(self):
         ring = stalled_ring()
         ring.submit(msg(0, 0, 4))
-        ring.run(60)
+        ring.run(STALL_WINDOW + 2 * PROBE_PERIOD)
         release_blockade(ring)
         ring.drain()
         stats = ring.stats()
@@ -75,28 +73,9 @@ class TestStalledBus:
         assert stats.summary()["forced_teardowns"] >= 1.0
         assert stats.summary()["incidents"] >= 1.0
 
-    def test_report_action_leaves_the_bus_alone(self):
-        ring = stalled_ring(action=REPORT)
-        ring.submit(msg(0, 0, 4))
-        ring.run(60)
-        incidents = ring.watchdog.incidents.of_condition("stalled_bus")
-        assert incidents and incidents[0].action == REPORT
-        assert ring.routing.forced_teardowns == 0
-        assert len(ring.buses) == 1, "report mode must not tear down"
-
-    def test_report_mode_rate_limits_to_one_per_window(self):
-        ring = stalled_ring(action=REPORT, period=8.0, stall_window=16.0)
-        ring.submit(msg(0, 0, 4))
-        ring.run(8.0 * 12)
-        reports = ring.watchdog.incidents.of_condition("stalled_bus")
-        # ~96 ticks of stall with a 16-tick window: a handful of reports,
-        # not one per 8-tick probe.
-        assert 2 <= len(reports) <= 7
-
     def test_healthy_traffic_raises_no_incidents(self):
         config = RMBConfig(nodes=8, lanes=3)
-        ring = RMBRing(config, seed=1,
-                       watchdog=WatchdogConfig(period=8.0, stall_window=32.0))
+        ring = RMBRing(config, seed=1, watchdog=True)
         ring.submit_all(msg(i, i, (i + 3) % 8) for i in range(8))
         ring.drain()
         assert len(ring.watchdog.incidents) == 0
@@ -104,32 +83,31 @@ class TestStalledBus:
 
 
 class TestRetryStorm:
-    def busy_destination_ring(self, action: str) -> RMBRing:
+    def busy_destination_ring(self, recovery: bool = False) -> RMBRing:
         config = RMBConfig(nodes=8, lanes=3, retry=RetryPolicy(
-            delay=4.0, backoff=2.0, jitter=0.0))
-        ring = RMBRing(config, seed=1,
-                       watchdog=WatchdogConfig(period=8.0,
-                                               stall_window=10_000.0,
-                                               retry_threshold=3,
-                                               retry_storm_action=action))
+            delay=4.0, backoff=1.25, jitter=0.0))
+        ring = RMBRing(config, seed=1, watchdog=True, recovery=recovery)
         # Artificially exhaust node 4's receive port: every attempt Nacks.
         ring.routing._rx_active[4] = config.rx_ports
         return ring
 
     def test_reset_backoff_forgives_accumulated_delay(self):
-        ring = self.busy_destination_ring(RESET_BACKOFF)
+        # The watchdog reports the storm; the recovery manager acts on
+        # the report by forgiving the backoff.
+        ring = self.busy_destination_ring(recovery=True)
         record = ring.submit(msg(0, 0, 4))
         ring.run(600)
         incident = ring.watchdog.incidents.first("retry_storm")
         assert incident is not None
-        assert incident.action == RESET_BACKOFF
+        assert incident.action == REPORT
+        assert ring.recovery.stats.incidents_acted_on == 1
         assert record.backoff_floor > 0, "floor must move on reset"
         ring.routing._rx_active[4] = 0
         ring.drain()
         assert record.finished
 
     def test_report_action_does_not_touch_backoff(self):
-        ring = self.busy_destination_ring(REPORT)
+        ring = self.busy_destination_ring()
         record = ring.submit(msg(0, 0, 4))
         ring.run(600)
         incident = ring.watchdog.incidents.first("retry_storm")
@@ -138,12 +116,12 @@ class TestRetryStorm:
         assert record.backoff_floor == 0
 
     def test_same_storm_not_reported_every_probe(self):
-        ring = self.busy_destination_ring(REPORT)
+        ring = self.busy_destination_ring()
         ring.submit(msg(0, 0, 4))
         ring.run(600)
         storms = ring.watchdog.incidents.of_condition("retry_storm")
-        # Re-arms only after another `retry_threshold` retries, and the
-        # exponential backoff spaces attempts out fast.
+        # Re-arms only after another eight retries, and the exponential
+        # backoff spaces attempts out fast.
         assert 1 <= len(storms) <= 3
 
 
@@ -166,57 +144,32 @@ class TestHandshakeStall:
         ring = RMBRing(config, seed=1)
         watchdog = Watchdog(
             ring.sim, ring.routing,
-            config=WatchdogConfig(period=8.0, handshake_window=24.0),
             controllers=[_FrozenController(i) for i in range(4)],
         )
-        ring.run(100)
+        ring.run(HANDSHAKE_WINDOW + 2 * PROBE_PERIOD)
         incident = watchdog.incidents.first("handshake_stall")
         assert incident is not None
-        assert incident.time <= 8 + 24 + 8
+        assert incident.time <= PROBE_PERIOD + HANDSHAKE_WINDOW + PROBE_PERIOD
         assert "inc" in incident.detail
 
     def test_synchronous_mode_skips_the_check(self):
         config = RMBConfig(nodes=8, lanes=3)
-        ring = RMBRing(config, seed=1,
-                       watchdog=WatchdogConfig(period=8.0,
-                                               handshake_window=24.0))
+        ring = RMBRing(config, seed=1, watchdog=True)
         assert ring.controllers is None  # synchronous: no handshake
-        ring.run(200)
+        ring.run(HANDSHAKE_WINDOW + 2 * PROBE_PERIOD)
         assert len(ring.watchdog.incidents.of_condition("handshake_stall")) == 0
 
     def test_live_asynchronous_handshake_is_quiet(self):
         config = RMBConfig(nodes=8, lanes=3, synchronous=False)
-        ring = RMBRing(config, seed=1,
-                       watchdog=WatchdogConfig(period=8.0,
-                                               handshake_window=48.0))
-        ring.run(400)
+        ring = RMBRing(config, seed=1, watchdog=True)
+        ring.run(HANDSHAKE_WINDOW + 2 * PROBE_PERIOD)
         assert len(ring.watchdog.incidents.of_condition("handshake_stall")) == 0
 
 
 class TestConfigValidation:
-    def test_rejects_nonpositive_period(self):
-        with pytest.raises(ConfigurationError):
-            WatchdogConfig(period=0.0)
-
-    def test_rejects_window_shorter_than_period(self):
-        with pytest.raises(ConfigurationError):
-            WatchdogConfig(period=50.0, stall_window=10.0)
-        with pytest.raises(ConfigurationError):
-            WatchdogConfig(period=50.0, handshake_window=10.0)
-
-    def test_rejects_unknown_actions(self):
-        with pytest.raises(ConfigurationError):
-            WatchdogConfig(stalled_bus_action="reboot")
-        with pytest.raises(ConfigurationError):
-            WatchdogConfig(retry_storm_action="pray")
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ConfigurationError):
-            WatchdogConfig(retry_threshold=0)
-
     def test_stop_disarms_the_probe(self):
         ring = stalled_ring()
         ring.submit(msg(0, 0, 4))
         ring.watchdog.stop()
-        ring.run(200)
+        ring.run(STALL_WINDOW + 2 * PROBE_PERIOD)
         assert len(ring.watchdog.incidents) == 0

@@ -114,9 +114,8 @@ class TestComposition:
         assert point.offered > 0
 
     def test_admission_and_recovery_compose(self):
-        from repro.resilience import RecoveryConfig
         cfg = SaturationConfig(admission_limit=4, admission_policy="defer",
-                               recovery=RecoveryConfig(), **FAST)
+                               recovery=True, **FAST)
         pattern = make_pattern("uniform", 8, k=3, seed=1)
         point = run_point(cfg, pattern, rate=0.02)
         assert point.stable
