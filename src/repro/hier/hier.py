@@ -138,7 +138,7 @@ class HierRMB(RingFabric):
         probe_period: sampling period for fabric-level *and* per-ring
             utilization / live-bus probes; ``None`` disables both.
         obs: optional observability bundle; member metrics are labelled
-            ``ring=localL`` / ``ring=global`` plus ``rmb_ring{name=...}``
+            ``ring=localL`` / ``ring=global`` plus ``rmb_ring{ring=...}``
             membership gauges.
         trace_kinds: the kinds every member's trace records; ``None``
             records every kind, and the default records nothing.

@@ -41,6 +41,9 @@ GOLDEN = HERE / "cli_golden"
 #: The workload the run cases share (and event == batch is checked on).
 _RUN = ["run", "-n", "16", "-k", "4", "-m", "32", "--rate", "0.05",
         "--flits", "6", "--seed", "3"]
+_HIER = ["run", "--topology", "hier:4x4", "-n", "16", "-k", "4", "-m", "32",
+         "--rate", "0.05", "--flits", "6", "--seed", "5",
+         "--stats-json", "stats.json"]
 _SAT = ["saturate", "-n", "8", "-k", "3", "--pattern", "uniform",
         "--duration", "40", "--iterations", "2", "--json", "curve.json"]
 _STORM = ["chaos", "-n", "16", "-k", "4", "--seed", "7", "--ticks", "10000",
@@ -69,9 +72,12 @@ CASES: dict[str, list[str]] = {
                        "--obs-level", "full", "--metrics-out", "metrics.prom",
                        "--stats-json", "stats.json"],
     "run_batch": _RUN + ["--backend", "batch", "--stats-json", "stats.json"],
-    "run_hier": ["run", "--topology", "hier:4x4", "-n", "16", "-k", "4",
-                 "-m", "32", "--rate", "0.05", "--flits", "6", "--seed", "5",
-                 "--stats-json", "stats.json"],
+    "run_hier": _HIER,
+    # A fabric's member metrics and spans share one registry; its stats
+    # equal run_hier's byte for byte (observation is passive).
+    "run_hier_obs": _HIER + ["--obs-level", "full",
+                             "--metrics-out", "metrics.prom",
+                             "--spans-out", "spans.jsonl"],
     "trace": ["trace", "-n", "8", "-k", "3", "--frames", "4"],
     "arena": ["arena", "-n", "16", "-k", "4",
               "--patterns", "ring-shift,transpose",

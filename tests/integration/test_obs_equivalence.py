@@ -21,7 +21,10 @@ from hypothesis import strategies as st
 from repro.core import Message, RMBConfig, RMBRing
 from repro.core.config import RetryPolicy
 from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.hier import HierRMB
 from repro.obs import OBS_LEVELS, Observability
+from repro.sim import RandomStream
+from repro.traffic import bernoulli_schedule, replay_on_fabric
 
 NODES = 8
 LANES = 3
@@ -121,3 +124,30 @@ def test_observed_run_records_what_the_stats_report():
     assert len(spans) == 10
     completed = [span for span in spans if span.duration() is not None]
     assert len(completed) == summary["completed"]
+
+
+def run_fabric(seed: int, obs: Observability | None) -> tuple:
+    fabric = HierRMB(locals=4, nodes_per_local=4, lanes=3, seed=seed,
+                     probe_period=16.0, obs=obs)
+    replay_on_fabric(fabric, bernoulli_schedule(
+        16, 60, 0.05, 4, RandomStream(seed, name="obs")))
+    fabric.run(60)
+    fabric.drain()
+    return (
+        fabric.sim.now,
+        json.dumps(fabric.stats().summary(), sort_keys=True),
+        {name: json.dumps(stats.summary(), sort_keys=True)
+         for name, stats in fabric.stats_by_ring().items()},
+        {name: ring.grid.state_signature()
+         for name, ring in fabric.rings.items()},
+    )
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_observed_fabric_matches_the_unobserved_fabric(seed):
+    """A fabric's members share one registry, labelled by ring."""
+    obs = Observability("full")
+    assert run_fabric(seed, obs) == run_fabric(seed, None)
+    for name in ("local0", "local1", "local2", "local3", "global"):
+        assert obs.registry.value("rmb_ring", ring=name) == 1.0

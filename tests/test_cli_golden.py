@@ -2,8 +2,9 @@
 
 Reruns every command line of ``tests/fixtures/regen_cli_golden.py`` and
 compares its stdout and written files with ``tests/fixtures/cli_golden/``,
-then checks three cross-case properties the goldens imply: a run resumed
-from its first checkpoint reproduces the full run, and the batch backend
+then checks four cross-case properties the goldens imply: a run resumed
+from its first checkpoint reproduces the full run, an observed fabric
+run reports the unobserved run's stats, and the batch backend
 reproduces the event backend's run stats and saturation curve on the
 shared workloads.
 """
@@ -50,6 +51,11 @@ def test_resumed_run_reproduces_the_full_run(outputs):
     full, resumed = outputs["checkpoint"], outputs["resume"]
     assert resumed["stdout.txt"] == full["stdout.txt"]
     assert resumed["resumed.json"] == full["full.json"]
+
+
+def test_observed_fabric_stats_equal_unobserved(outputs):
+    assert outputs["run_hier_obs"]["stats.json"] == \
+        outputs["run_hier"]["stats.json"]
 
 
 def test_batch_stats_equal_event_stats(outputs):
