@@ -97,6 +97,11 @@ class AdmissionController:
             self._metric_verdicts[verdict].inc()
         return verdict
 
+    @property
+    def holding(self) -> bool:
+        """Is a deferred request held that a set limit may release?"""
+        return self.limit is not None and self.deferred != self.released
+
     def may_release(self, outstanding: int) -> bool:
         """May one deferred request be admitted now?"""
         return self.limit is None or outstanding < self.limit
