@@ -242,6 +242,11 @@ class CompactionEngine(DerivedState):
         if not self.config.compaction_enabled:
             return 0
         self.stats.cycles_run += 1
+        if not self.buses:
+            # Nothing to move or evacuate.  The dirty columns wait for
+            # the next busy pass, whose hot set is then a superset, which
+            # yields the same candidates (DESIGN.md §9 P2, P9).
+            return 0
         self._evacuate_all(cycle)
         if self.incremental:
             candidates = self._candidates_incremental(cycle)

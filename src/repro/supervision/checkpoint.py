@@ -58,8 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
 #: engine no move log.  Version 10: events and heap entries carry no
 #: priority, the simulator no finished flag, ``RMBConfig`` no flit
 #: period, and the watchdog, recovery manager and circuit breakers no
-#: config.
-SNAPSHOT_VERSION = 10
+#: config.  Version 11: the queue holds one ring clock's flit and cycle
+#: events for all the rings on a simulator, every ring carries its
+#: clock, and a ring no longer carries ``_stop_flit``.
+SNAPSHOT_VERSION = 11
 
 _FORMAT = "rmb-snapshot"
 

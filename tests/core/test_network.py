@@ -98,13 +98,16 @@ def test_trace_kinds_filtering():
 
 
 def test_shared_simulator_runs_two_rings_together():
+    from repro.core.network import RingClock
     from repro.sim import Simulator
 
-    sim = Simulator()
-    left = RMBRing(RMBConfig(nodes=8, lanes=2), seed=0, sim=sim, name="l")
-    right = RMBRing(RMBConfig(nodes=8, lanes=2), seed=1, sim=sim, name="r")
+    clock = RingClock(Simulator(), "pair")
+    left = RMBRing(RMBConfig(nodes=8, lanes=2), seed=0, clock=clock, name="l")
+    right = RMBRing(RMBConfig(nodes=8, lanes=2), seed=1, clock=clock,
+                    name="r")
+    assert left.sim is right.sim is clock.sim
     left.submit(Message(0, 0, 4, data_flits=4))
     right.submit(Message(0, 2, 6, data_flits=4))
-    sim.run(until=300)
+    clock.sim.run(until=300)
     assert left.routing.completed == 1
     assert right.routing.completed == 1

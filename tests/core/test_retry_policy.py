@@ -62,7 +62,7 @@ class TestAliases:
         policy = RetryPolicy(delay=2.0, jitter=0.0)
         assert config.with_overrides(retry=policy).retry == policy
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_old_checkpoint_version_is_refused_by_name(self, version):
         """Version-1 snapshots may hold configs pickled before the
         unification, without a ``retry`` slot; version-2 ones lack the
@@ -76,7 +76,9 @@ class TestAliases:
         their cached trace flag; version-8 ones hold a simulator's
         trace, a recorder's capacity and a compaction move log, which
         are gone; version-9 ones hold event priorities, a flit period
-        and watchdog, recovery and breaker configs, which are gone.
+        and watchdog, recovery and breaker configs, which are gone;
+        version-10 ones hold each ring's own flit and cycle events and
+        its flit canceller, where a ring clock now runs them.
         Each is refused with both versions named instead of being
         half-restored."""
         ring = RMBRing(RMBConfig(nodes=8, lanes=3))
@@ -85,7 +87,7 @@ class TestAliases:
         manifest["version"] = version
         old = json.dumps(manifest).encode("utf-8") + b"\n" + payload
         with pytest.raises(SnapshotError,
-                           match=rf"version {version} unsupported .*version 10"):
+                           match=rf"version {version} unsupported .*version 11"):
             load_snapshot_bytes(old)
 
     def test_policy_survives_pickling(self):
