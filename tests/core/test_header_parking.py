@@ -156,3 +156,10 @@ def test_each_pass_visits_only_what_can_act(job):
     assert job.visits == {"_advance_signals": 11_197,
                           "_advance_streams": 4_905,
                           "_admit": 100_977}
+
+
+def test_a_flat_ring_runs_as_many_kernel_events(job):
+    """A flat ring's own clock pushes its cycle and flit events where
+    the ring itself did (DESIGN.md §9 P9), so the job runs exactly the
+    kernel events it ran before; rmbbench pins E28's count likewise."""
+    assert job.ring.sim.events_executed == 45_087
