@@ -25,9 +25,10 @@ Nacked or timed-out requests retry after a configurable, jittered backoff.
 The lifecycle itself is declared as a transition table in
 :mod:`repro.protocol.lifecycle`; this engine is its interpreter.  Every
 state change funnels through :meth:`RoutingEngine._fire`, which looks up
-the ``(state, event)`` arc — raising
-:class:`~repro.errors.ProtocolError` for any undeclared transition — and
-executes the arc's effects via the ``_fx_*`` handler methods below.
+the ``(state, event)`` arc in the table compiled once per engine —
+raising :class:`~repro.errors.ProtocolError` for any undeclared
+transition — and executes the arc's effects via the ``_fx_*`` handler
+methods below.
 """
 
 from __future__ import annotations
@@ -93,14 +94,22 @@ PHASE_OF_STATE: Dict[LifecycleState, BusPhase] = {
     state: BusPhase(name) for state, name in PHASE_NAME_OF_STATE.items()
 }
 
-#: Bound once: ``_fire`` tests every transition against them, and an
-#: enum member lookup (or hash) costs several times a global read.
-_EXTENDING = LifecycleState.EXTENDING
-_ESTABLISHED = LifecycleState.ESTABLISHED
-_NACKED = LifecycleState.NACKED
-_RELEASING = LifecycleState.RELEASING
-_STREAMING = LifecycleState.STREAMING
-_DRAINING = LifecycleState.DRAINING
+#: Bound once: the passes test every visited bus or lane against them,
+#: and an enum member lookup costs several times a global read.
+_ACK_RETURN = BusPhase.ACK_RETURN
+_STREAMING_PHASE = BusPhase.STREAMING
+_OK = PortHealth.OK
+
+#: One arc of the lifecycle table compiled for an engine (see
+#: ``RoutingEngine._compile_arcs``): target state, its bus phase (or
+#: ``None``), the pass map the bus leaves and the one it enters (both
+#: ``None`` when the state does not change), and ``(bound handler,
+#: effect)`` pairs in effect order.
+CompiledArc = Tuple[
+    LifecycleState, Optional[BusPhase],
+    Optional[Dict[int, VirtualBus]], Optional[Dict[int, VirtualBus]],
+    Tuple[Tuple[Callable[..., None], Effect], ...],
+]
 
 
 class _RetryRequeue:
@@ -122,7 +131,7 @@ class RoutingEngine(DerivedState):
     """Message lifecycle driver for one unidirectional RMB ring."""
 
     _DERIVED = ("_dispatch", "_extending", "_signalling", "_streaming",
-                "_parked", "_ready")
+                "_parked", "_ready", "_reach", "_arcs")
 
     def __init__(
         self,
@@ -222,7 +231,8 @@ class RoutingEngine(DerivedState):
 
     def rebuild_derived(self) -> None:
         """Compute the dispatch table, pass maps (in ``buses`` order),
-        parked headers (none) and ready nodes (DESIGN.md §9 P8)."""
+        parked headers (none), ready nodes, header reach and compiled
+        arcs (DESIGN.md §9 P8, P10)."""
         #: Effect type -> handler method, resolved once per engine.
         self._dispatch: Dict[type, Callable[..., None]] = {
             Enqueue: self._fx_enqueue,
@@ -264,6 +274,33 @@ class RoutingEngine(DerivedState):
         self._ready: set[int] = set()
         for node in range(self.config.nodes):
             self._note_ready(node)
+        #: Entry lane -> the lanes a header on it may extend onto, in
+        #: preference order: straight, down, then up (if allowed).
+        lanes = self.config.lanes
+        steps = (0, -1, 1) if self.config.extend_up else (0, -1)
+        self._reach: tuple[tuple[int, ...], ...] = tuple(
+            tuple(entry + step for step in steps
+                  if 0 <= entry + step < lanes)
+            for entry in range(lanes))
+        self._compile_arcs()
+
+    def _compile_arcs(self) -> None:
+        """Compile :data:`LIFECYCLE` against this engine's pass maps and
+        handlers, so ``_fire`` resolves each arc with one lookup.  Call
+        it again after replacing a pass map."""
+        dispatch = self._dispatch
+        self._arcs: Dict[Tuple[LifecycleState, LifecycleEvent],
+                         CompiledArc] = {}
+        for (state, event), arc in LIFECYCLE.items():
+            moves = arc.target is not state
+            self._arcs[(state, event)] = (
+                arc.target,
+                PHASE_OF_STATE.get(arc.target),
+                self._pass_of(state) if moves else None,
+                self._pass_of(arc.target) if moves else None,
+                tuple((dispatch[type(effect)], effect)
+                      for effect in arc.effects),
+            )
 
     def __getstate__(self) -> dict:
         # Dropped parked headers must have counted their stall ticks;
@@ -287,52 +324,51 @@ class RoutingEngine(DerivedState):
         state is a protocol-conformance violation and raises
         :class:`~repro.errors.ProtocolError` — the transition table in
         :data:`repro.protocol.lifecycle.LIFECYCLE` is the single source
-        of truth for what may happen next.
+        of truth for what may happen next; ``_arcs`` is its compiled
+        form (DESIGN.md §9 P10).
         """
-        state = self._lifecycle[message.message_id]
-        arc = LIFECYCLE.get((state, event))
+        message_id = message.message_id
+        state = self._lifecycle[message_id]
+        arc = self._arcs.get((state, event))
         if arc is None:
             raise ProtocolError(
-                f"msg{message.message_id}: undeclared lifecycle transition "
+                f"msg{message_id}: undeclared lifecycle transition "
                 f"({state.value}, {event.value})"
             )
+        target, phase, left, entered, effects = arc
         if self.fsm_log is not None:
-            self.fsm_log.append(
-                (message.message_id, state, event, arc.target))
-        self._lifecycle[message.message_id] = arc.target
+            self.fsm_log.append((message_id, state, event, target))
+        self._lifecycle[message_id] = target
         if bus is not None:
-            phase = PHASE_OF_STATE.get(arc.target)
             if phase is not None:
                 bus.phase = phase
-            if arc.target is not state:
-                left = self._pass_of(state)
-                if left is not None:
-                    del left[bus.bus_id]
-                    wait = self._parked.pop(bus.bus_id, None)
-                    if wait is not None:
-                        # A parked header leaves EXTENDING: count the
-                        # passes it waited out unvisited (DESIGN.md P5).
-                        self._settle(bus, self._passes - wait[4])
-                entered = self._pass_of(arc.target)
-                if entered is not None:
-                    entered[bus.bus_id] = bus
+            if left is not None:
+                del left[bus.bus_id]
+                wait = self._parked.pop(bus.bus_id, None)
+                if wait is not None:
+                    # A parked header leaves EXTENDING: count the
+                    # passes it waited out unvisited (DESIGN.md P5).
+                    self._settle(bus, self._passes - wait[4])
+            if entered is not None:
+                entered[bus.bus_id] = bus
         if ctx is None:
             ctx = {}
-        record = self.records[message.message_id]
-        dispatch = self._dispatch
-        for effect in arc.effects:
-            dispatch[type(effect)](message, record, bus, ctx, effect)
+        record = self.records[message_id]
+        for handler, effect in effects:
+            handler(message, record, bus, ctx, effect)
         return ctx
 
     def _pass_of(self, state: LifecycleState) -> Optional[dict[int, VirtualBus]]:
         """The bus map of the flit-tick pass that acts in ``state``: the
         header pass, the reverse-signal pass (Hack, Nack or Fack walking
-        home) or the stream pass (data, then the FF)."""
-        if state is _EXTENDING:
+        home) or the stream pass (data, then the FF).  Read only when
+        the arcs are compiled."""
+        if state is LifecycleState.EXTENDING:
             return self._extending
-        if state is _ESTABLISHED or state is _NACKED or state is _RELEASING:
+        if state in (LifecycleState.ESTABLISHED, LifecycleState.NACKED,
+                     LifecycleState.RELEASING):
             return self._signalling
-        if state is _STREAMING or state is _DRAINING:
+        if state in (LifecycleState.STREAMING, LifecycleState.DRAINING):
             return self._streaming
         return None
 
@@ -657,6 +693,7 @@ class RoutingEngine(DerivedState):
     def _advance_headers(self) -> None:
         epochs = self.grid.epochs
         parked = self._parked
+        nodes = self.config.nodes
         self._passes += 1
         now = self._passes
         for bus_id, bus in list(self._extending.items()):
@@ -677,10 +714,12 @@ class RoutingEngine(DerivedState):
                 if stuck:
                     self._stall(bus)  # the header timeout falls due
                     continue
-            if bus.complete:
-                continue
-            next_segment = bus.segment_index(len(bus.hops))
-            entry = bus.head_lane()
+            hops = bus.hops
+            drawn = len(hops)
+            if drawn == bus.span:
+                continue  # complete: the header is at its destination
+            next_segment = (bus.source + drawn) % nodes
+            entry = hops[-1]
             lane = self._pick_extension_lane(next_segment, entry)
             if lane is None:
                 reason = self._dead_ahead(next_segment, entry)
@@ -697,7 +736,7 @@ class RoutingEngine(DerivedState):
                     self._fire(bus.message, LifecycleEvent.FAULT_NACK,
                                bus=bus)
                     continue
-                head_segment = bus.segment_index(len(bus.hops) - 1)
+                head_segment = (next_segment - 1) % nodes
                 stalls = self._stall_ticks[bus_id] + 1
                 parked[bus_id] = (
                     head_segment, epochs[head_segment],
@@ -719,14 +758,15 @@ class RoutingEngine(DerivedState):
         the lane it is on (the paper's "the request then propagates along
         that bus"); descending and ascending are fallbacks that let a
         stalled header slip past a busy lane.  Downward packing of the
-        drawn bus is compaction's job, not the header's.
+        drawn bus is compaction's job, not the header's.  ``_reach``
+        holds that order per entry lane; a lane is taken if it is healthy
+        and free (``SegmentGrid.is_usable``).
         """
-        reachable = [entry_lane, entry_lane - 1]
-        if self.config.extend_up:
-            reachable.append(entry_lane + 1)
-        for lane in reachable:
-            if 0 <= lane < self.config.lanes and \
-                    self.grid.is_usable(segment, lane):
+        grid = self.grid
+        occupant = grid._occupant[segment]
+        health = grid._health[segment]
+        for lane in self._reach[entry_lane]:
+            if occupant[lane] is None and health[lane] is _OK:
                 return lane
         return None
 
@@ -796,22 +836,25 @@ class RoutingEngine(DerivedState):
         the final destination the request is accepted iff an RX port is
         free, sending the Hack (or Nack) back along the virtual bus.
         """
-        at_node = bus.segment_index(len(bus.hops))  # INC the header is at
         message = bus.message
-        if at_node in message.extra_destinations and not bus.complete:
-            if self._reserve_rx(bus, at_node):
-                self._fire(message, LifecycleEvent.TAP_JOIN, bus=bus)
-                self._record("tap_join", message, bus=bus.bus_id,
-                             node=at_node)
-            else:
-                self._record("nack", message, bus=bus.bus_id,
-                             busy_tap=at_node)
-                if self._obs_on:
-                    self._spans.event(message.message_id, self._now(),
-                                      "nack", busy=at_node)
-                self._fire(message, LifecycleEvent.REFUSE, bus=bus)
-                return
-        if not bus.complete:
+        complete = len(bus.hops) == bus.span
+        if message.extra_destinations and not complete:
+            # The INC the header is at.
+            at_node = (bus.source + len(bus.hops)) % self.config.nodes
+            if at_node in message.extra_destinations:
+                if self._reserve_rx(bus, at_node):
+                    self._fire(message, LifecycleEvent.TAP_JOIN, bus=bus)
+                    self._record("tap_join", message, bus=bus.bus_id,
+                                 node=at_node)
+                else:
+                    self._record("nack", message, bus=bus.bus_id,
+                                 busy_tap=at_node)
+                    if self._obs_on:
+                        self._spans.event(message.message_id, self._now(),
+                                          "nack", busy=at_node)
+                    self._fire(message, LifecycleEvent.REFUSE, bus=bus)
+                    return
+        if not complete:
             return
         if self._reserve_rx(bus, bus.destination):
             self._fire(message, LifecycleEvent.ACCEPT, bus=bus)
@@ -851,7 +894,7 @@ class RoutingEngine(DerivedState):
         # Bus-id order, as ever: a finished Nack walk arms a retry timer
         # whose jitter draws from the RNG.
         for _, bus in sorted(self._signalling.items()):
-            if bus.phase is BusPhase.ACK_RETURN:
+            if bus.phase is _ACK_RETURN:
                 bus.signal_position -= 1
                 if bus.signal_position < 0:
                     self._fire(bus.message, LifecycleEvent.HACK_AT_SOURCE,
@@ -871,13 +914,15 @@ class RoutingEngine(DerivedState):
     def _release_step(self, bus: VirtualBus) -> None:
         position = bus.signal_position
         if position >= 0:
-            segment = bus.segment_index(position)
+            nodes = self.config.nodes
+            segment = (bus.source + position) % nodes
             self.grid.release(segment, bus.hops[position], bus.bus_id)
             bus.released_from = position
             bus.signal_position -= 1
             # The reverse signal passes the INC after this segment; any
-            # tap reservation there is released as it goes by.
-            self._release_rx(bus, (segment + 1) % self.config.nodes)
+            # receive reservation there is released as it goes by.
+            if self._rx_holders.get(bus.bus_id):
+                self._release_rx(bus, (segment + 1) % nodes)
         if bus.signal_position < 0:
             self._fire(bus.message, LifecycleEvent.RELEASE_DONE, bus=bus)
 
@@ -955,7 +1000,7 @@ class RoutingEngine(DerivedState):
         if not self._streaming:
             return
         for _, bus in sorted(self._streaming.items()):
-            if bus.phase is BusPhase.STREAMING:
+            if bus.phase is _STREAMING_PHASE:
                 if bus.data_sent < bus.message.data_flits:
                     if bus.data_sent == 0 and self._obs_on:
                         self._spans.event(bus.message.message_id,
@@ -969,22 +1014,8 @@ class RoutingEngine(DerivedState):
                                      bus=bus.bus_id)
             else:  # DRAINING
                 bus.signal_position += 1
-                # The FF has crossed hop signal_position - 1, reaching the
-                # INC after it: a tap there has now received every flit.
-                ff_at = bus.segment_index(bus.signal_position - 1)
-                tap_node = (ff_at + 1) % self.config.nodes
-                if tap_node in bus.message.extra_destinations and \
-                        tap_node not in bus.record.tap_delivered_at:
-                    bus.record.tap_delivered_at[tap_node] = self._now()
-                    self.flits_delivered += bus.message.total_flits
-                    self._release_rx(bus, tap_node)
-                    if self._trace_on:
-                        self._record("tap_delivered", bus.message,
-                                     bus=bus.bus_id, node=tap_node)
-                    if self._obs_on:
-                        self._spans.event(bus.message.message_id,
-                                          self._now(), "tap_delivered",
-                                          node=tap_node)
+                if bus.message.extra_destinations:
+                    self._deliver_tap(bus)
                 if bus.signal_position >= bus.span:
                     self._fire(bus.message, LifecycleEvent.DELIVER, bus=bus)
                     if self._trace_on:
@@ -993,6 +1024,23 @@ class RoutingEngine(DerivedState):
                     if self._obs_on:
                         self._spans.event(bus.message.message_id,
                                           self._now(), "delivered")
+
+    def _deliver_tap(self, bus: VirtualBus) -> None:
+        """The draining FF has crossed hop ``signal_position - 1`` and
+        reached the INC after it: a tap there has now received every
+        flit."""
+        tap_node = (bus.source + bus.signal_position) % self.config.nodes
+        if tap_node in bus.message.extra_destinations and \
+                tap_node not in bus.record.tap_delivered_at:
+            bus.record.tap_delivered_at[tap_node] = self._now()
+            self.flits_delivered += bus.message.total_flits
+            self._release_rx(bus, tap_node)
+            if self._trace_on:
+                self._record("tap_delivered", bus.message,
+                             bus=bus.bus_id, node=tap_node)
+            if self._obs_on:
+                self._spans.event(bus.message.message_id, self._now(),
+                                  "tap_delivered", node=tap_node)
 
     # ------------------------------------------------------------------
     # Effect handlers (the interpreter's vocabulary)

@@ -655,7 +655,8 @@ class _World:
         # Engine: node-indexed vectors rotate, message references and
         # message-id keys relabel.  Bus ids, the bus dict order, and the
         # per-bus geometry are untouched — a bus's ring position derives
-        # from its message's source, so swapping the message moves it.
+        # from its message's source, so swapping the message and
+        # rebinding its endpoints moves it.
         engine._queues = [deque(replace[m.message_id] for m in queue)
                           for queue in turn_rows(engine._queues)]
         engine._deferred = [deque(replace[m.message_id] for m in queue)
@@ -686,6 +687,7 @@ class _World:
         }
         for bus in self.buses.values():
             bus.message = replace[bus.message.message_id]
+            bus.rebuild_derived()
         for callback in self.timers.callbacks:
             callback._message = replace[  # type: ignore[attr-defined]
                 callback._message.message_id  # type: ignore[attr-defined]

@@ -43,7 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 
 class LifecycleState(enum.Enum):
-    """Explicit per-message protocol states (one per message, not per bus)."""
+    """Explicit per-message protocol states (one per message, not per bus).
+
+    Members are singletons compared by identity, so they hash by
+    identity in C: every table lookup keyed by them (``LIFECYCLE``, the
+    compiled arcs, the phase map) then runs no Python frame.  A member's
+    hash is read for lookups only; :class:`enum.Enum`'s own hash of the
+    name was randomized per process anyway.
+    """
+
+    __hash__ = object.__hash__  # type: ignore[assignment]
 
     NEW = "new"                      # record created, admission pending
     QUEUED = "queued"                # waiting in the source PE's queue
@@ -63,7 +72,10 @@ class LifecycleState(enum.Enum):
 
 
 class LifecycleEvent(enum.Enum):
-    """Stimuli that drive the lifecycle FSM."""
+    """Stimuli that drive the lifecycle FSM (hashed by identity, as
+    :class:`LifecycleState` is)."""
+
+    __hash__ = object.__hash__  # type: ignore[assignment]
 
     ADMIT = "admit"                    # admission verdict: queue it
     DEFER = "defer"                    # admission verdict: park it

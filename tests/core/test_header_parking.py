@@ -84,6 +84,8 @@ def job() -> SimpleNamespace:
     engine._signalling = _VisitedMap()
     engine._streaming = _VisitedMap()
     engine._ready = _VisitedSet()
+    # The compiled arcs hold the pass maps they move buses between.
+    engine._compile_arcs()
     calls = {"_pick_extension_lane": 0, "_stall": 0}
     overshoot = {name: 0 for name in _PASSES}
 
