@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -45,6 +45,12 @@ class RandomStream:
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""
         return self._random.random()
+
+    def bound_random(self) -> Callable[[], float]:
+        """The generator's own ``random``: the same draws as
+        :meth:`random`, from the same state, without this wrapper's
+        Python frame.  For loops that draw once per (tick, node)."""
+        return self._random.random
 
     def choice(self, options: Sequence[T]) -> T:
         """Uniform choice from a non-empty sequence."""

@@ -143,9 +143,10 @@ def bernoulli_schedule(
     injectors = _resolve_sources(nodes, sources)
     entries = []
     next_id = start_id
+    draw = rng.bound_random()  # one trial per (tick, node)
     for tick in range(duration):
         for node in injectors:
-            if rng.random() < injection_rate:
+            if draw() < injection_rate:
                 destination = choose(node, rng)
                 entries.append((
                     float(tick),

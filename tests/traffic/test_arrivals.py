@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.flits import Message
 from repro.errors import WorkloadError
 from repro.sim import RandomStream
 from repro.traffic.arrivals import (
@@ -11,6 +12,7 @@ from repro.traffic.arrivals import (
     poisson_schedule,
     uniform_destinations,
 )
+from repro.traffic.patterns import make_pattern
 
 
 def test_uniform_destinations_never_self():
@@ -110,3 +112,43 @@ def test_deterministic_given_stream_seed():
     second = bernoulli_schedule(4, 100, 0.1, 2, RandomStream(7))
     assert [(t, m.source, m.destination) for t, m in first] == \
         [(t, m.source, m.destination) for t, m in second]
+
+
+def _drawn_through_the_wrapper(nodes, duration, rate, data_flits, rng,
+                               destinations, sources):
+    """``bernoulli_schedule`` as it drew before: one
+    ``RandomStream.random`` call per (tick, node) trial."""
+    entries = []
+    for tick in range(duration):
+        for node in sources:
+            if rng.random() < rate:
+                destination = destinations(node, rng)
+                entries.append((float(tick), Message(
+                    message_id=len(entries), source=node,
+                    destination=destination, data_flits=data_flits,
+                    created_at=float(tick))))
+    return entries
+
+
+@pytest.mark.parametrize("spec", ["uniform", "local:8", "hotspot:0.3",
+                                  "tornado", "kperm:3"])
+@pytest.mark.parametrize("seed", [0, 7, 21])
+def test_bernoulli_schedule_draws_what_the_wrapper_drew(spec, seed):
+    """Drawing through the generator's own ``random`` changes no draw and
+    no order: same messages, same times, same generator state after."""
+    pattern = make_pattern(spec, 32, seed=seed)
+    sources = pattern.sources or tuple(range(32))
+    name = f"schedule/{spec}"
+    schedule = bernoulli_schedule(
+        32, 300, 0.05, 4, RandomStream(seed, name=name),
+        destinations=pattern.destination_fn(), sources=pattern.sources)
+    reference_rng = RandomStream(seed, name=name)
+    reference = _drawn_through_the_wrapper(
+        32, 300, 0.05, 4, reference_rng, pattern.destination_fn(), sources)
+    assert len(reference) >= 20
+    assert schedule.entries == reference
+    replayed = RandomStream(seed, name=name)
+    bernoulli_schedule(32, 300, 0.05, 4, replayed,
+                       destinations=pattern.destination_fn(),
+                       sources=pattern.sources)
+    assert replayed.getstate() == reference_rng.getstate()
