@@ -1,9 +1,10 @@
 """Rebuilt twins: what an owner's derived fields hold when computed afresh.
 
-The segment grid, the compaction engine and the routing engine each
-compute their derived fields from primary state in ``rebuild_derived``
-(DESIGN.md §9 P8).  The soundness tests compare a live owner, whose
-fields the hot paths keep up to date, with a twin that rebuilt them.
+The segment grid, the compaction engine, the routing engine and each
+virtual bus compute their derived fields from primary state in
+``rebuild_derived`` (DESIGN.md §9 P8).  The soundness tests compare a
+live owner, whose fields the hot paths keep up to date, with a twin
+that rebuilt them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ DERIVED_FIELDS = {
                     "_faulty_count", "_dirty", "epochs"),
     "CompactionEngine": ("_hot",),
     "RoutingEngine": ("_dispatch", "_extending", "_signalling",
-                      "_streaming", "_parked", "_ready"),
+                      "_streaming", "_parked", "_ready", "_reach", "_arcs"),
+    "VirtualBus": ("source", "destination", "span"),
 }
 
 
@@ -35,11 +37,11 @@ def rebuilt(owner: Any) -> Any:
 def derived(owner: Any) -> dict[str, Any]:
     """``owner``'s derived fields by name.  The extending headers are
     listed as items, since the header pass visits them in that order
-    (the other passes sort); the dispatch table holds bound methods of
-    its own owner and is left out."""
+    (the other passes sort); the dispatch table and the compiled arcs
+    hold bound methods of their own owner and are left out."""
     fields = {}
     for name in DERIVED_FIELDS[type(owner).__name__]:
-        if name == "_dispatch":
+        if name in ("_dispatch", "_arcs"):
             continue
         value = getattr(owner, name)
         fields[name] = list(value.items()) if name == "_extending" else value

@@ -234,6 +234,32 @@ def test_world_rotation_turns_node_retry_totals():
     _rotate_along_walk(config, messages, ExploreOptions(), 40, 3)
 
 
+def test_world_rotation_rebinds_every_bus_to_its_relabelled_message():
+    """A bus binds its endpoints and span from its message, and rotation
+    swaps the message: every rotated bus reads the endpoints of its new
+    message, which are its old ones turned by the rotation, and that
+    message's span."""
+    scenario = Scenario("4x2-mixed", 4, 2, ((0, 1), (2, 3), (1, 3), (3, 1)))
+    config = scenario.config()
+    world = _World(config, scenario.messages(), ExploreOptions())
+    world.apply(("tick",))
+    before = {bus_id: (bus.message.message_id, bus.source, bus.destination,
+                       bus.span) for bus_id, bus in world.buses.items()}
+    assert len(before) == 4 and {span for *_, span in before.values()} == \
+        {1, 2}
+    world.rotate(2)
+    assert world.buses.keys() == before.keys()
+    for bus_id, bus in world.buses.items():
+        message_id, source, destination, span = before[bus_id]
+        assert bus.message.message_id != message_id
+        assert (bus.source, bus.destination, bus.span) == (
+            bus.message.source, bus.message.destination,
+            bus.message.span(config.nodes))
+        assert (bus.source, bus.destination, bus.span) == (
+            (source + 2) % 4, (destination + 2) % 4, span)
+        assert derived(bus) == derived(rebuilt(bus))
+
+
 def test_world_rotation_rebuilds_derived_state():
     """Rotation turns primary state only and then rebuilds: the rotated
     world parks no header, the stall ticks its parked headers had not
@@ -264,7 +290,8 @@ def test_world_rotation_rebuilds_derived_state():
         world.rotate(group[1 + step % (len(group) - 1)][0])
         assert engine._parked == {}
         assert engine._stall_ticks == stalls
-        for owner in (world.grid, world.compaction, engine):
+        for owner in (world.grid, world.compaction, engine,
+                      *world.buses.values()):
             assert derived(owner) == derived(rebuilt(owner))
     assert unsettled_seen > 0
 

@@ -1,9 +1,10 @@
 """Snapshots carry primary state only; restores rebuild the rest.
 
-The grid's indexes, dirty set and epochs, the compaction hot map and
-the routing engine's pass maps, parked headers and ready nodes are
-derived from primary state (DESIGN.md §9 P8).  A snapshot drops them
-and the restored owners rebuild them.  These tests take a snapshot in
+The grid's indexes, dirty set and epochs, the compaction hot map, the
+routing engine's pass maps, parked headers, ready nodes, header reach
+and compiled arcs, and each virtual bus's endpoints and span are
+derived from primary state (DESIGN.md §9 P8, P10).  A snapshot drops
+them and the restored owners rebuild them.  These tests take a snapshot in
 the middle of a run that has parked headers, a faulty segment and
 non-empty pass maps, and check what the pickle holds, what the restore
 rebuilds, and that the resumed run ends exactly as the uninterrupted
@@ -58,7 +59,9 @@ def mid_run() -> RMBRing:
 
 
 def owners(ring: RMBRing) -> tuple:
-    return ring.grid, ring.compaction, ring.routing
+    """The grid, the two engines, then every live bus."""
+    return (ring.grid, ring.compaction, ring.routing,
+            *ring.routing.buses.values())
 
 
 def test_pickling_an_unsettled_parked_header_raises(mid_run):
@@ -78,8 +81,8 @@ def test_snapshot_carries_no_derived_field(mid_run):
 
 def test_restore_rebuilds_every_derived_field(mid_run):
     restored, _ = load_snapshot_bytes(save_snapshot_bytes(mid_run))
-    grid, compaction, engine = owners(restored)
-    live_grid, _, live_engine = owners(mid_run)
+    grid, compaction, engine, *buses = owners(restored)
+    live_grid, _, live_engine, *_ = owners(mid_run)
     for name in ("_occupied_index", "_occupied_count", "_faulty_index",
                  "_faulty_count"):
         assert getattr(grid, name) == getattr(live_grid, name), name
@@ -92,8 +95,31 @@ def test_restore_rebuilds_every_derived_field(mid_run):
     assert engine._parked == {}
     assert engine._ready == live_engine._ready
     assert engine._dispatch.keys() == live_engine._dispatch.keys()
+    assert engine._reach == live_engine._reach
+    assert buses and all(
+        (bus.source, bus.destination, bus.span) == (
+            bus.message.source, bus.message.destination,
+            bus.message.span(bus.ring_size)) for bus in buses)
     for owner in owners(restored):
         assert derived(owner) == derived(rebuilt(owner))
+
+
+def test_restored_arcs_hold_the_restored_engine(mid_run):
+    """The compiled arcs move buses between the restored engine's own
+    pass maps and run its own handlers, not the original's."""
+    restored, _ = load_snapshot_bytes(save_snapshot_bytes(mid_run))
+    engine, live_engine = restored.routing, mid_run.routing
+    own = (engine._extending, engine._signalling, engine._streaming)
+    assert engine._arcs.keys() == live_engine._arcs.keys()
+    for key, (target, phase, left, entered, effects) in engine._arcs.items():
+        live = live_engine._arcs[key]
+        assert (target, phase) == live[:2]
+        for held, live_held in ((left, live[2]), (entered, live[3])):
+            assert (held is None) == (live_held is None)
+            assert held is None or any(held is mine for mine in own)
+        assert [effect for _, effect in effects] == \
+            [effect for _, effect in live[4]]
+        assert all(handler.__self__ is engine for handler, _ in effects)
 
 
 def test_resumed_run_matches_the_uninterrupted_one(mid_run):
