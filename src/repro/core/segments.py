@@ -308,13 +308,12 @@ class SegmentGrid(DerivedState):
         """
         self._dirty.add(segment % self.nodes)
 
-    def collect_dirty(self) -> list[int]:
-        """Drain and return the dirty segment columns, ascending (a
-        deterministic order whatever the set's iteration history)."""
-        if not self._dirty:
-            return []
-        dirty = sorted(self._dirty)
-        self._dirty.clear()
+    def collect_dirty(self) -> set[int]:
+        """Drain and return the dirty segment columns.  The set is
+        unordered: its one consumer, compaction's hot map, only sets
+        bits per column."""
+        dirty = self._dirty
+        self._dirty = set()
         return dirty
 
     # ------------------------------------------------------------------

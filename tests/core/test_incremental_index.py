@@ -17,31 +17,34 @@ from repro.errors import ConfigurationError
 
 def test_grid_starts_clean():
     grid = SegmentGrid(8, 3)
-    assert grid.collect_dirty() == []
+    assert grid.collect_dirty() == set()
 
 
 def test_occupancy_mutations_mark_dirty():
     grid = SegmentGrid(8, 3)
     grid.claim(2, 2, bus_id=1)
-    assert grid.collect_dirty() == [2]
+    assert grid.collect_dirty() == {2}
     grid.move_down(2, 2, bus_id=1)
     grid.release(2, 1, bus_id=1)
-    assert grid.collect_dirty() == [2]
-    assert grid.collect_dirty() == []
+    assert grid.collect_dirty() == {2}
+    assert grid.collect_dirty() == set()
 
 
-def test_collect_dirty_is_sorted_and_drains():
+def test_collect_dirty_drains():
     grid = SegmentGrid(8, 3)
     for segment in (5, 1, 3):
         grid.touch(segment)
-    assert grid.collect_dirty() == [1, 3, 5]
-    assert grid.collect_dirty() == []
+    collected = grid.collect_dirty()
+    assert collected == {1, 3, 5}
+    assert grid.collect_dirty() == set()
+    grid.touch(2)
+    assert collected == {1, 3, 5}  # the drained set is the caller's
 
 
 def test_touch_wraps_around_the_ring():
     grid = SegmentGrid(8, 3)
     grid.touch(9)
-    assert grid.collect_dirty() == [1]
+    assert grid.collect_dirty() == {1}
 
 
 def test_health_changes_mark_dirty():
