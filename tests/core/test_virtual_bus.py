@@ -35,14 +35,6 @@ def test_hop_of_segment_inverse():
     assert bus.hop_of_segment(1) is None  # beyond the head
 
 
-def test_head_lane_requires_hops():
-    bus = make_bus()
-    with pytest.raises(ProtocolError):
-        bus.head_lane()
-    bus.hops = [2]
-    assert bus.head_lane() == 2
-
-
 def test_upstream_downstream_lanes():
     bus = make_bus(hops=[2, 1, 1])
     assert bus.upstream_lane(0) is None

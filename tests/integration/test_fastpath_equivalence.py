@@ -229,7 +229,7 @@ def check_parked_headers(engine: RoutingEngine) -> int:
             continue
         assert any(grid.health(ahead, lane) is PortHealth.OK
                    for lane in range(grid.lanes)), bus.describe()
-        assert engine._pick_extension_lane(ahead, bus.head_lane()) is None, \
+        assert engine._pick_extension_lane(ahead, bus.hops[-1]) is None, \
             bus.describe()
         checked += 1
     return checked
