@@ -246,5 +246,5 @@ class BatchState:
 
     def iter_occupied(self) -> "np.ndarray":
         """Occupied ``(segment, lane)`` cells, ascending — the same order
-        as ``SegmentGrid.iter_occupied``'s sorted walk."""
+        as ``SegmentGrid.iter_occupied``'s row walk."""
         return np.argwhere(self.occ_bus != FREE)

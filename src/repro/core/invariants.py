@@ -172,8 +172,8 @@ class InvariantMonitor:
         One walk over ``buses`` visits each hop once (DESIGN.md §9 P7).
         Per bus: it is filed under its own id; it has at most ``span``
         hops, every lane in ``[0, k)`` and adjacent lanes at most one
-        apart; each held hop's cell maps to the bus in the grid's
-        occupancy index; and no held hop rose since the last check.  The
+        apart; each held hop's cell holds the bus in the grid's
+        occupancy rows; and no held hop rose since the last check.  The
         held cells are then distinct, so a held-hop total equal to the
         occupied-cell count makes them a bijection: no orphan cell and no
         unknown bus.  With ±1 adjacency that is everything Table 1
@@ -182,8 +182,7 @@ class InvariantMonitor:
         grid = self.grid
         nodes = grid.nodes
         lanes = grid.lanes
-        owners = grid.owners()
-        owner = owners.get
+        occupant = grid._occupant
         monotonicity = self.monotonicity
         remembered: dict[int, list[int]] = {}
         held_total = 0
@@ -213,11 +212,11 @@ class InvariantMonitor:
                         bus, hop, segment, lane,
                         f"is disconnected from hop {hop - 1} (lane "
                         f"{before}): INC ports connect only within +/-1")
-                if hop < held and owner((segment, lane)) != bus_id:
+                if hop < held and occupant[segment][lane] != bus_id:
                     raise _hop_violation(
                         bus, hop, segment, lane,
                         f"is held, but the grid records "
-                        f"{owner((segment, lane))!r} there")
+                        f"{occupant[segment][lane]!r} there")
                 before = lane
                 segment += 1
                 if segment == nodes:
@@ -228,12 +227,13 @@ class InvariantMonitor:
                 remembered[bus_id] = held_lanes
                 held_total += held
         monotonicity._last = remembered
-        if held_total != len(owners):
+        occupied = grid.occupied_segments()
+        if held_total != occupied:
             # Some occupied cell is no held hop's: only this error path
-            # pays the sorted scan that names it.
+            # pays the row scan that names it.
             check_grid_bus_agreement(grid, self.buses)
             raise InvariantViolation(
-                f"the grid holds {len(owners)} segments but the buses hold "
+                f"the grid holds {occupied} segments but the buses hold "
                 f"{held_total} hops"
             )
         if grid.faulty_count():

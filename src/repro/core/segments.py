@@ -9,10 +9,10 @@ Alongside the occupancy and health rows the grid keeps derived
 structures, rebuilt from the rows and never pickled (DESIGN.md §9 P8),
 that keep the per-cycle engines off full ``N x k`` scans:
 
-* an **occupancy index** ``(segment, lane) -> bus_id`` so iterating the
-  occupied segments costs O(occupied), not O(N*k);
-* a **faulty index** ``(segment, lane) -> health`` with the same purpose
-  for the (usually tiny) set of DYING/DEAD segments;
+* an **occupied count**, so the utilisation probes and the invariant
+  monitor read it in O(1);
+* a **faulty index** ``(segment, lane) -> health``, so walking the
+  (usually tiny) set of DYING/DEAD segments costs O(faulty), not O(N*k);
 * a **dirty-segment set**: every mutation records which segment column
   changed, and the compaction engine drains this set each cycle to limit
   its candidate search to neighbourhoods where something actually moved;
@@ -23,7 +23,7 @@ that keep the per-cycle engines off full ``N x k`` scans:
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from repro.core.derived import DerivedState
 from repro.core.status import PortHealth
@@ -38,8 +38,8 @@ class SegmentGrid(DerivedState):
     virtual bus at a time.
     """
 
-    _DERIVED = ("_occupied_index", "_occupied_count", "_faulty_index",
-                "_faulty_count", "_dirty", "epochs")
+    _DERIVED = ("_occupied_count", "_faulty_index", "_faulty_count",
+                "_dirty", "epochs")
 
     def __init__(self, nodes: int, lanes: int) -> None:
         if nodes < 2 or lanes < 1:
@@ -64,14 +64,10 @@ class SegmentGrid(DerivedState):
         self._dirty.clear()  # a fresh grid starts clean
 
     def rebuild_derived(self) -> None:
-        """Compute the indexes from the rows; every column is dirty and
-        every epoch zero (DESIGN.md §9 P8)."""
-        self._occupied_index: dict[tuple[int, int], int] = {
-            (segment, lane): bus_id
-            for segment, column in enumerate(self._occupant)
-            for lane, bus_id in enumerate(column) if bus_id is not None
-        }
-        self._occupied_count = len(self._occupied_index)
+        """Compute the count and index from the rows; every column is
+        dirty and every epoch zero (DESIGN.md §9 P8)."""
+        self._occupied_count = sum(
+            self.lanes - column.count(None) for column in self._occupant)
         self._faulty_index: dict[tuple[int, int], PortHealth] = {
             (segment, lane): health
             for segment, row in enumerate(self._health)
@@ -139,27 +135,24 @@ class SegmentGrid(DerivedState):
         bottom-packing the paper's Figure 5 process works toward.
         """
         counts = [0] * self.lanes
-        for (_, lane) in self._occupied_index:
-            counts[lane] += 1
+        for column in self._occupant:
+            for lane, bus_id in enumerate(column):
+                if bus_id is not None:
+                    counts[lane] += 1
         return counts
 
-    def owners(self) -> Mapping[tuple[int, int], int]:
-        """The occupancy index itself, ``(segment, lane) -> bus_id``.
-
-        A read-only view for per-cell lookups (the invariant monitor's
-        walk): no copy and no sort.  Callers must not mutate it.
-        """
-        return self._occupied_index
-
     def iter_occupied(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(segment, lane, bus_id)`` for every occupied segment.
+        """Yield ``(segment, lane, bus_id)`` for every occupied segment,
+        in ``(segment, lane)`` ascending order.
 
-        Backed by the occupancy index: O(occupied), in ``(segment, lane)``
-        ascending order exactly as the historical full scan produced.
+        A walk over the rows, O(N*k): only cold paths call it (the model
+        checker, the monitor's error path and the exhaustive compaction
+        reference).
         """
-        index = self._occupied_index
-        for key in sorted(index):
-            yield key[0], key[1], index[key]
+        for segment, column in enumerate(self._occupant):
+            for lane, bus_id in enumerate(column):
+                if bus_id is not None:
+                    yield segment, lane, bus_id
 
     def state_signature(self) -> tuple:
         """A hashable digest of the complete grid state.
@@ -215,7 +208,6 @@ class SegmentGrid(DerivedState):
             )
         self._occupant[segment][lane] = bus_id
         self._occupied_count += 1
-        self._occupied_index[(segment, lane)] = bus_id
         self._dirty.add(segment)
         self.epochs[segment] += 1
         self.total_claims += 1
@@ -231,7 +223,6 @@ class SegmentGrid(DerivedState):
             )
         self._occupant[segment][lane] = None
         self._occupied_count -= 1
-        del self._occupied_index[(segment, lane)]
         self._dirty.add(segment)
         self.epochs[segment] += 1
         self.total_releases += 1
@@ -260,8 +251,6 @@ class SegmentGrid(DerivedState):
             )
         self._occupant[segment][lane] = None
         self._occupant[segment][lane - 1] = bus_id
-        del self._occupied_index[(segment, lane)]
-        self._occupied_index[(segment, lane - 1)] = bus_id
         self._dirty.add(segment)
         self.epochs[segment] += 1
 
@@ -291,8 +280,6 @@ class SegmentGrid(DerivedState):
             )
         self._occupant[segment][lane] = None
         self._occupant[segment][lane + 1] = bus_id
-        del self._occupied_index[(segment, lane)]
-        self._occupied_index[(segment, lane + 1)] = bus_id
         self._dirty.add(segment)
         self.epochs[segment] += 1
 

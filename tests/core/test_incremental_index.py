@@ -1,7 +1,8 @@
-"""Unit tests for the occupancy/faulty indexes and dirty-set tracking
-behind the incremental compaction candidate search."""
+"""Unit tests for the occupied walk, the faulty index and dirty-set
+tracking behind the incremental compaction candidate search."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.compaction import CompactionEngine
 from repro.core.config import RMBConfig
@@ -55,7 +56,8 @@ def test_health_changes_mark_dirty():
 
 
 # ---------------------------------------------------------------------------
-# Faulty / occupied indexes agree with the exhaustive definitions
+# The faulty index and the occupied walk agree with the exhaustive
+# definitions
 # ---------------------------------------------------------------------------
 
 def test_faulty_index_tracks_health_transitions():
@@ -72,13 +74,59 @@ def test_faulty_index_tracks_health_transitions():
     assert list(grid.faulty_segments()) == [(5, 0, PortHealth.DYING)]
 
 
-def test_iter_occupied_matches_full_scan_order():
-    grid = SegmentGrid(8, 3)
-    grid.claim(6, 1, bus_id=3)
-    grid.claim(2, 0, bus_id=1)
-    grid.claim(2, 2, bus_id=2)
-    # Segment-major, lane-minor ascending — the historical scan order.
-    assert list(grid.iter_occupied()) == [(2, 0, 1), (2, 2, 2), (6, 1, 3)]
+def _apply(grid, cells, op, pick, bus_id):
+    """Apply one legal occupancy mutation to ``grid`` and to ``cells``,
+    the test's own ``(segment, lane) -> bus_id`` model; skip an illegal
+    one."""
+    if op == "claim":
+        cell = divmod(pick % (grid.nodes * grid.lanes), grid.lanes)
+        if cell not in cells:
+            grid.claim(*cell, bus_id)
+            cells[cell] = bus_id
+        return
+    if not cells:
+        return
+    segment, lane = sorted(cells)[pick % len(cells)]
+    owner = cells[(segment, lane)]
+    if op == "release":
+        grid.release(segment, lane, owner)
+        del cells[(segment, lane)]
+        return
+    target = lane - 1 if op == "move_down" else lane + 1
+    if 0 <= target < grid.lanes and (segment, target) not in cells:
+        getattr(grid, op)(segment, lane, owner)
+        del cells[(segment, lane)]
+        cells[(segment, target)] = owner
+
+
+def _check_walk(grid, cells):
+    # Segment-major, lane-minor ascending: the order of the full scan.
+    assert list(grid.iter_occupied()) == sorted(
+        (segment, lane, bus_id) for (segment, lane), bus_id in cells.items())
+    assert grid.occupied_segments() == len(cells)
+    assert grid.lane_occupancy() == [
+        sum(1 for _, held in cells if held == lane)
+        for lane in range(grid.lanes)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=8),
+       st.integers(min_value=1, max_value=4),
+       st.lists(st.tuples(
+           st.sampled_from(("claim", "release", "move_down", "move_up")),
+           st.integers(min_value=0, max_value=63),
+           st.integers(min_value=0, max_value=7)), max_size=40))
+def test_iter_occupied_matches_full_scan_order(nodes, lanes, ops):
+    """After any claim, release and lane-move sequence, the row walk, the
+    occupied count and the per-lane counts describe exactly the occupied
+    cells, live and after a rebuild from the rows."""
+    grid = SegmentGrid(nodes, lanes)
+    cells = {}
+    for op, pick, bus_id in ops:
+        _apply(grid, cells, op, pick, bus_id)
+    _check_walk(grid, cells)
+    grid.rebuild_derived()
+    _check_walk(grid, cells)
 
 
 # ---------------------------------------------------------------------------
