@@ -4,7 +4,6 @@ from repro.analysis.bisection import (
     ANALYTIC_BISECTION,
     dimension_half,
     empirical_bisection,
-    index_half,
 )
 from repro.analysis.competitive import (
     CompetitivenessReport,
@@ -25,9 +24,7 @@ from repro.analysis.cost import (
 )
 from repro.analysis.latency_model import (
     LatencyBreakdown,
-    bandwidth_per_circuit,
     efficiency,
-    predict_message,
     unloaded_latency,
 )
 from repro.analysis.offline import (
@@ -49,7 +46,6 @@ __all__ = [
     "OfflineSchedule",
     "ScheduledMessage",
     "area_advantage",
-    "bandwidth_per_circuit",
     "cost_table",
     "dimension_half",
     "efficiency",
@@ -59,11 +55,9 @@ __all__ = [
     "gfc_cost",
     "greedy_schedule",
     "hypercube_cost",
-    "index_half",
     "lower_bound",
     "measure_competitiveness",
     "mesh_cost",
-    "predict_message",
     "render_comparison",
     "render_series",
     "render_table",

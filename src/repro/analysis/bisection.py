@@ -71,16 +71,6 @@ def empirical_bisection(engine: WormholeEngine,
     return float(crossing)
 
 
-def index_half(nodes: int):
-    """The standard halving predicate: node id below N/2."""
-    boundary = nodes // 2
-
-    def predicate(node: int) -> bool:
-        return node < boundary
-
-    return predicate
-
-
 def dimension_half(bit: int):
     """Hypercube halving along address bit ``bit``."""
 

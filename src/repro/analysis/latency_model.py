@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import RMBConfig
-from repro.core.flits import Message
 from repro.errors import ConfigurationError
 
 
@@ -90,24 +88,6 @@ def unloaded_latency(span: int, data_flits: int) -> LatencyBreakdown:
         drain=float(span),
         teardown=float(span),
     )
-
-
-def predict_message(config: RMBConfig, message: Message) -> LatencyBreakdown:
-    """Unloaded breakdown for a concrete message on a concrete ring."""
-    span = message.span(config.nodes)
-    return unloaded_latency(span, message.data_flits)
-
-
-def bandwidth_per_circuit(data_flits: int, span: int) -> float:
-    """Sustained payload flits per tick of one repeating transfer.
-
-    The circuit-switched overhead (setup + teardown round trips) is
-    amortised over the payload; long messages approach one flit per
-    tick, the wire rate — quantifying the paper's advice that the RMB
-    favours streaming transfers.
-    """
-    breakdown = unloaded_latency(span, data_flits)
-    return data_flits / breakdown.completion
 
 
 def efficiency(data_flits: int, span: int) -> float:

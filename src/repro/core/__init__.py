@@ -15,13 +15,7 @@ from repro.core.cycles import (
     max_neighbour_skew,
     wire_ring,
 )
-from repro.core.flits import (
-    Flit,
-    FlitKind,
-    Message,
-    MessageRecord,
-    broadcast_message,
-)
+from repro.core.flits import Message, MessageRecord, broadcast_message
 from repro.core.invariants import InvariantMonitor
 from repro.core.network import RMBRing
 from repro.core.ports import PE_SOURCE, PortView, all_ports, inc_ports, port_view
@@ -40,7 +34,7 @@ from repro.core.status import (
     move_sequences,
     move_sequences_up,
 )
-from repro.core.trace_render import film, glyph_for, render_bus, render_grid, render_ring
+from repro.core.trace_render import glyph_for, render_grid, render_ring
 from repro.core.virtual_bus import BusPhase, VirtualBus
 
 __all__ = [
@@ -50,8 +44,6 @@ __all__ = [
     "CompactionEngine",
     "CompactionStats",
     "CycleController",
-    "Flit",
-    "FlitKind",
     "GlobalCycleDriver",
     "HandshakePhase",
     "InvariantMonitor",
@@ -73,7 +65,6 @@ __all__ = [
     "broadcast_message",
     "classify_condition",
     "code_for",
-    "film",
     "format_census",
     "glyph_for",
     "inc_ports",
@@ -82,7 +73,6 @@ __all__ = [
     "move_sequences",
     "move_sequences_up",
     "port_view",
-    "render_bus",
     "render_grid",
     "render_ring",
     "run_selfcheck",

@@ -1,4 +1,4 @@
-"""Flit and acknowledgement vocabulary of the RMB protocol.
+"""Messages and their lifecycle records.
 
 Paper Section 2.2: a request is a **header flit** (HF) carrying the
 destination address, followed by **data flits** (DF) and a **final flit**
@@ -7,13 +7,13 @@ same virtual bus: **Hack** (header accepted, data may flow), **Dack**
 (data-flit flow control), **Fack** (teardown: frees ports as it passes) and
 **Nack** (refusal: releases the partial virtual bus).
 
-The simulator is phase-based rather than per-flit, but the vocabulary is
-kept explicit so traces and tests speak the paper's language.
+The simulator is phase-based rather than per-flit: a :class:`Message`
+carries its flit count, and a :class:`MessageRecord` the times of its
+lifecycle steps (injection, Hack return, FF delivery, Fack return).
 """
 
 from __future__ import annotations
 
-import enum
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,35 +21,9 @@ from typing import Optional
 from repro.errors import ConfigurationError
 
 # ``dataclass(slots=True)`` needs 3.10+; on 3.9 these classes simply keep
-# their __dict__.  Flits and message records are the highest-volume
+# their __dict__.  Messages and their records are the highest-volume
 # allocations in a run, so the slot layout is worth the version gate.
 _SLOTS: dict = {"slots": True} if sys.version_info >= (3, 10) else {}
-
-
-class FlitKind(enum.Enum):
-    """Forward-travelling flit types (clockwise on the virtual bus)."""
-
-    HEADER = "HF"
-    DATA = "DF"
-    FINAL = "FF"
-
-
-@dataclass(frozen=True, **_SLOTS)
-class Flit:
-    """One flit of a message.
-
-    Attributes:
-        kind: header/data/final.
-        message_id: owning message.
-        index: 0 for the header, 1..L for data, L+1 for the final flit.
-    """
-
-    kind: FlitKind
-    message_id: int
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.kind.value}({self.message_id}.{self.index})"
 
 
 @dataclass(**_SLOTS)
@@ -103,10 +77,6 @@ class Message:
         """Number of receivers (1 for unicast)."""
         return 1 + len(self.extra_destinations)
 
-    def all_destinations(self) -> tuple[int, ...]:
-        """Every receiver, final stop last (order as given)."""
-        return self.extra_destinations + (self.destination,)
-
     def validate_multicast_order(self, ring_size: int) -> None:
         """Check every tap lies strictly inside the clockwise span.
 
@@ -127,16 +97,6 @@ class Message:
     def total_flits(self) -> int:
         """HF + DFs + FF."""
         return self.data_flits + 2
-
-    def flits(self) -> list[Flit]:
-        """Materialise the flit train (used by tests and the renderer)."""
-        train = [Flit(FlitKind.HEADER, self.message_id, 0)]
-        train.extend(
-            Flit(FlitKind.DATA, self.message_id, i + 1)
-            for i in range(self.data_flits)
-        )
-        train.append(Flit(FlitKind.FINAL, self.message_id, self.data_flits + 1))
-        return train
 
     def span(self, ring_size: int) -> int:
         """Clockwise hop count from source to destination on an N-ring."""

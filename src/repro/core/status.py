@@ -61,11 +61,6 @@ def is_legal(code: int) -> bool:
     return code in LEGAL_CODES
 
 
-def is_steady(code: int) -> bool:
-    """True iff ``code`` is legal and single-sourced (or unused)."""
-    return code in LEGAL_CODES and code not in TRANSIENT_CODES
-
-
 def sources(code: int, output_lane: int) -> set[int]:
     """Input lanes driving an output port with the given register value."""
     if not is_legal(code):

@@ -15,7 +15,6 @@ from typing import Optional
 from repro.core.network import RMBRing
 from repro.core.segments import SegmentGrid
 from repro.core.status import PortHealth
-from repro.core.virtual_bus import VirtualBus
 
 _GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -59,18 +58,6 @@ def render_grid(grid: SegmentGrid, highlight: Optional[int] = None) -> str:
     return "\n".join(lines)
 
 
-def render_bus(bus: VirtualBus, lanes: int) -> str:
-    """Draw one virtual bus as a lane-vs-hop profile."""
-    lines = [bus.describe()]
-    for lane in range(lanes - 1, -1, -1):
-        row = [
-            " o" if hop_lane == lane else " ."
-            for hop_lane in bus.hops
-        ]
-        lines.append(f"lane {lane}:" + "".join(row))
-    return "\n".join(lines)
-
-
 def render_ring(ring: RMBRing) -> str:
     """Grid picture plus a one-line summary of every live bus."""
     parts = [f"t={ring.sim.now:.1f}  cycle={ring.cycle_count()}"]
@@ -84,18 +71,3 @@ def render_ring(ring: RMBRing) -> str:
         parts.append("live buses: none")
     return "\n".join(parts)
 
-
-def film(ring: RMBRing, ticks: float, step: float) -> list[str]:
-    """Advance the ring, capturing a rendered frame every ``step`` ticks.
-
-    Used by the compaction-trace example to show buses entering at the top
-    lane and sinking to the bottom (Figures 2/3) without needing any
-    plotting dependency.
-    """
-    frames = [render_ring(ring)]
-    elapsed = 0.0
-    while elapsed < ticks:
-        ring.run(step)
-        elapsed += step
-        frames.append(render_ring(ring))
-    return frames

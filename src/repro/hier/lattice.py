@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import RMBConfig
 from repro.core.flits import Message
-from repro.core.network import RMBRing
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hier.fabric import Hop, Member, RingFabric, RouteMap
 
@@ -141,9 +140,3 @@ class RMBLattice(RingFabric):
         self.nodes = route_map.nodes
         self.node_id = route_map.node_id
         self.coordinates = route_map.coordinates
-
-    def ring_for(self, dim: int, coords: Sequence[int]) -> RMBRing:
-        """The ring running along ``dim`` through the given coordinates."""
-        fixed = [coordinate for axis, coordinate in enumerate(coords)
-                 if axis != dim]
-        return self.rings[line_ring_name(dim, fixed)]

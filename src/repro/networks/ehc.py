@@ -42,7 +42,3 @@ class EnhancedHypercubeNetwork(WormholeEngine):
         )
         super().__init__(nodes, channels, ecube_route, name="ehc")
         self.dimension = dimension
-
-    def links_per_node(self) -> int:
-        """Degree including the duplicate pair: ``n + 1``."""
-        return self.dimension + 1

@@ -105,13 +105,6 @@ class KAryNCubeNetwork(WormholeEngine):
             crossing_now = here == 0
         return "vc1" if (crossed or crossing_now) else "vc0"
 
-    # ------------------------------------------------------------------
-    # Structural accounting
-    # ------------------------------------------------------------------
-    def physical_links(self) -> int:
-        """Unidirectional physical links (VCs share the physical wire)."""
-        return self.nodes * self.dimensions * 2
-
     def describe(self) -> str:
         return (f"karyncube(r={self.radix}, n={self.dimensions}, "
                 f"N={self.nodes})")

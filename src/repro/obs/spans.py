@@ -118,10 +118,6 @@ class SpanCollector:
         self.sample_every = sample_every
         self._spans: dict[int, Span] = {}
 
-    def wants(self, message_id: int) -> bool:
-        """Would a message with this id be recorded?"""
-        return message_id % self.sample_every == 0
-
     def begin(self, message: Message, time: float) -> None:
         """Open the span for ``message`` with its ``submit`` event."""
         if message.message_id % self.sample_every != 0:

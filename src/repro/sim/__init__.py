@@ -5,7 +5,7 @@ skew/jitter for modelling asynchronous hardware, deterministic named random
 streams, tracing, and measurement accumulators.
 """
 
-from repro.sim.clock import ClockDomain, homogeneous_domains, skewed_domains
+from repro.sim.clock import ClockDomain, skewed_domains
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator, every
 from repro.sim.monitor import Tally, TimeSeries, percentile
@@ -24,7 +24,6 @@ __all__ = [
     "TraceEntry",
     "TraceRecorder",
     "every",
-    "homogeneous_domains",
     "percentile",
     "skewed_domains",
 ]

@@ -118,15 +118,6 @@ class ClockDomain:
                               label=f"{self.name}.edge")
 
 
-def homogeneous_domains(
-    sim: Simulator, count: int, period: float
-) -> list[ClockDomain]:
-    """``count`` identical, phase-aligned domains (synchronous operation)."""
-    return [
-        ClockDomain(sim, period, name=f"clk{i}") for i in range(count)
-    ]
-
-
 def skewed_domains(
     sim: Simulator,
     count: int,

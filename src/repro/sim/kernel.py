@@ -303,11 +303,6 @@ class Periodic:
         if self._event is not None and not self._event.cancelled:
             self._sim.cancel(self._event)
 
-    def __call__(self) -> None:
-        # ``every`` historically returned a stop *function*; keeping the
-        # instance callable preserves that contract.
-        self.stop()
-
 
 def every(
     sim: Simulator,
@@ -315,11 +310,10 @@ def every(
     callback: Callable[[], Any],
     label: str = "",
 ) -> Periodic:
-    """Schedule ``callback`` periodically; return a canceller.
+    """Schedule ``callback`` periodically; return its :class:`Periodic`.
 
     Used by the RMB tick engines and by monitors.  The callback runs first
-    one period from now and then every ``period`` units until the
-    returned canceller is invoked (either call it, or call its
-    :meth:`Periodic.stop`).
+    one period from now and then every ``period`` units until
+    :meth:`Periodic.stop` is called.
     """
     return Periodic(sim, period, callback, label)

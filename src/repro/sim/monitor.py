@@ -141,7 +141,7 @@ class RateMeter:
         self._last = current
 
     def stop(self) -> None:
-        self._stop()
+        self._stop.stop()
 
     def minimum(self) -> float:
         """Lowest rate observed (0 when nothing was sampled)."""

@@ -8,7 +8,6 @@ from repro.analysis.bisection import (
     empirical_bisection,
     fattree_bisection,
     hypercube_bisection,
-    index_half,
     mesh_bisection,
     rmb_bisection,
 )
@@ -71,8 +70,3 @@ def test_fattree_root_capacity_is_bisection():
         measured = empirical_bisection(net, left_subtree)
         # The only channels crossing are root<->left-child bundles.
         assert measured == fattree_bisection(n, k) == k
-
-
-def test_index_half_predicate():
-    half = index_half(8)
-    assert [half(i) for i in range(8)] == [True] * 4 + [False] * 4

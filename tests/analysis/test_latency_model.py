@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.latency_model import (
-    bandwidth_per_circuit,
-    efficiency,
-    predict_message,
-    unloaded_latency,
-)
+from repro.analysis.latency_model import efficiency, unloaded_latency
 from repro.core import Message, RMBConfig, RMBRing
 from repro.errors import ConfigurationError
 
@@ -32,12 +27,6 @@ class TestModelMatchesSimulator:
         assert record.latency() == predicted.delivery, "delivery"
         assert record.completed_at - record.message.created_at == \
             predicted.completion, "completion"
-
-    def test_predict_message_wrapper(self):
-        config = RMBConfig(nodes=12, lanes=3)
-        message = Message(0, 9, 2, data_flits=5)  # wraps: span 5
-        breakdown = predict_message(config, message)
-        assert breakdown.setup == unloaded_latency(5, 5).setup
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=11),
@@ -67,12 +56,6 @@ class TestModelStructure:
 
 
 class TestDerivedMetrics:
-    def test_bandwidth_increases_with_message_length(self):
-        short = bandwidth_per_circuit(8, span=4)
-        long = bandwidth_per_circuit(512, span=4)
-        assert long > short
-        assert long < 1.0  # can never beat the wire rate
-
     def test_efficiency_bounds(self):
         assert 0 < efficiency(1, 8) < 0.2
         assert efficiency(1000, 2) > 0.98

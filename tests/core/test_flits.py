@@ -1,8 +1,8 @@
-"""Unit tests for messages, flits and lifecycle records."""
+"""Unit tests for messages and lifecycle records."""
 
 import pytest
 
-from repro.core.flits import Flit, FlitKind, Message, MessageRecord
+from repro.core.flits import Message, MessageRecord
 from repro.errors import ConfigurationError
 
 
@@ -24,17 +24,6 @@ def test_total_flits_includes_header_and_final():
 def test_zero_data_flits_allowed():
     message = Message(0, 0, 1, data_flits=0)
     assert message.total_flits == 2
-    kinds = [flit.kind for flit in message.flits()]
-    assert kinds == [FlitKind.HEADER, FlitKind.FINAL]
-
-
-def test_flit_train_structure():
-    message = Message(7, 2, 5, data_flits=3)
-    train = message.flits()
-    assert train[0] == Flit(FlitKind.HEADER, 7, 0)
-    assert [flit.kind for flit in train[1:-1]] == [FlitKind.DATA] * 3
-    assert train[-1] == Flit(FlitKind.FINAL, 7, 4)
-    assert [flit.index for flit in train] == [0, 1, 2, 3, 4]
 
 
 def test_span_wraps_around_ring():
@@ -58,8 +47,3 @@ def test_record_latency_requires_delivery():
     assert record.setup_time() == 15.0
     assert record.latency() == 30.0
     assert record.finished
-
-
-def test_flit_str_is_compact():
-    assert str(Flit(FlitKind.HEADER, 3, 0)) == "HF(3.0)"
-    assert str(Flit(FlitKind.DATA, 3, 2)) == "DF(3.2)"

@@ -35,7 +35,6 @@ class TestMessageValidation:
     def test_fan_out_and_all_destinations(self):
         message = mc(0, 0, 6, [2, 4])
         assert message.fan_out == 3
-        assert message.all_destinations() == (2, 4, 6)
 
 
 class TestDelivery:

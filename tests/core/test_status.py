@@ -16,7 +16,6 @@ from repro.core.status import (
     classify_condition,
     code_for,
     is_legal,
-    is_steady,
     move_condition,
     move_sequences,
     sources,
@@ -41,7 +40,6 @@ def test_transient_codes_are_the_two_source_superpositions():
     assert TRANSIENT_CODES == {0b011, 0b110}
     for code in TRANSIENT_CODES:
         assert is_legal(code)
-        assert not is_steady(code)
 
 
 def test_code_for_adjacent_lanes():

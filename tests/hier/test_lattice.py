@@ -65,12 +65,6 @@ class TestConstruction:
         for node in (0, 17, 100, lattice.nodes - 1):
             assert lattice.node_id(lattice.coordinates(node)) == node
 
-    def test_ring_for_lookup(self):
-        lattice = RMBLattice((4, 4), lanes=2)
-        ring = lattice.ring_for(0, (2, 3))
-        assert ring is lattice.rings["d0@(3,)"]
-        assert ring.config.nodes == 4
-
     def test_members_register_dimension_major(self):
         # Registration order fixes member seeds (seed + 1, seed + 2, ...),
         # so it is part of the fixed-seed contract.

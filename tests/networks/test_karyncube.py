@@ -14,7 +14,6 @@ class TestStructure:
         assert net.nodes == 16
         # 2 dims x 2 directions x 2 VCs per node.
         assert len(net.channels) == 16 * 2 * 2 * 2
-        assert net.physical_links() == 16 * 4
 
     def test_coordinates(self):
         net = KAryNCubeNetwork(radix=4, dimensions=2)
@@ -99,7 +98,6 @@ class TestThreeDimensions:
     def test_3d_structure(self):
         net = KAryNCubeNetwork(radix=4, dimensions=3)
         assert net.nodes == 64
-        assert net.physical_links() == 64 * 6
 
     def test_3d_path_length(self):
         net = KAryNCubeNetwork(radix=4, dimensions=3)

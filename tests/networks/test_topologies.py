@@ -62,7 +62,6 @@ class TestEHC:
         single = [c for c in net.channels if c.label in ("dim1", "dim2")]
         assert all(c.multiplicity == 2 for c in doubled)
         assert all(c.multiplicity == 1 for c in single)
-        assert net.links_per_node() == 4
 
     def test_doubled_dimension_bounds(self):
         with pytest.raises(TopologyError):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim import ClockDomain, RandomStream, Simulator, skewed_domains
-from repro.sim.clock import homogeneous_domains
 
 
 def test_edges_arrive_at_period(sim):
@@ -97,13 +96,6 @@ def test_invalid_parameters(sim, bad_kwargs):
 def test_jitter_must_be_below_period(sim, rng):
     with pytest.raises(ConfigurationError):
         ClockDomain(sim, period=5, jitter=5, rng=rng)
-
-
-def test_homogeneous_domains_are_identical(sim):
-    domains = homogeneous_domains(sim, 4, period=7)
-    assert len(domains) == 4
-    assert all(domain.effective_period == 7 for domain in domains)
-    assert all(domain.jitter == 0 for domain in domains)
 
 
 def test_skewed_domains_differ(sim, rng):

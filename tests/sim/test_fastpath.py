@@ -54,7 +54,7 @@ def test_counter_updates_even_when_run_raises():
     stop = every(sim, 1.0, lambda: None)
     with pytest.raises(SimulationError):
         sim.run(max_events=4)
-    stop()
+    stop.stop()
     assert sim.events_executed == 4
 
 

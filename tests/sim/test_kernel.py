@@ -94,7 +94,7 @@ def test_every_stop_function(sim):
     times = []
     stop = every(sim, 5, lambda: times.append(sim.now))
     sim.run(until=12)
-    stop()
+    stop.stop()
     sim.run(until=50)
     assert times == [5.0, 10.0]
 
