@@ -7,10 +7,12 @@ throughput / latency curve along the way — the evaluation the paper's
 own Section 3 race implies and the MIN / hierarchical-ring literature
 makes explicit.
 
-A load point is *stable* when the run drains inside its tick budget,
-delivers at least ``min_completion`` of the offered messages, and keeps
-mean latency under ``latency_cap``.  Saturation is the highest stable
-rate bracketed by the search.  Every point is a fresh, fully seeded
+A load point is *stable* when the run drains inside its tick budget
+(:data:`DRAIN_CAP_FACTOR` times the arrival window, at least 4,000
+ticks), delivers at least :data:`MIN_COMPLETION` of the offered
+messages, and keeps mean latency under ``LATENCY_CAP_FACTOR *
+(data_flits + nodes)`` ticks.  Saturation is the highest stable rate
+bracketed by the search.  Every point is a fresh, fully seeded
 simulation, so curves are deterministic and bit-comparable across the
 event and batch backends (the differential suite in ``tests/batch``
 guarantees the two backends agree point by point).
@@ -51,6 +53,14 @@ BOUNDED_RETRY = RetryPolicy(delay=8.0, backoff=1.4, jitter=0.5,
 #: Ticks between utilisation probes on every network :func:`build_rmb`
 #: builds.
 PROBE_PERIOD = 8.0
+
+#: Stability criteria of every load point (see the module docstring):
+#: the least completed share of offered messages, the mean-latency cap
+#: in ticks per ``data_flits + nodes``, and the drain budget as a
+#: multiple of the arrival window.
+MIN_COMPLETION = 0.99
+LATENCY_CAP_FACTOR = 20.0
+DRAIN_CAP_FACTOR = 10.0
 
 #: What the batch backend does not model: each run feature it refuses,
 #: by field name, with the ``repro`` flag that switches it on.
@@ -161,7 +171,8 @@ def build_rmb(config: RMBConfig, backend: str = "event",
 
 @dataclass
 class SaturationConfig:
-    """Geometry, workload shape and stability criteria for one sweep."""
+    """Geometry, workload shape, search bracket and run features for
+    one sweep; the stability criteria are module constants."""
 
     nodes: int = 16
     lanes: int = 4
@@ -175,10 +186,6 @@ class SaturationConfig:
     #: (journey-level completion and end-to-end latency) and load points
     #: carry per-ring delivery rates.  Event backend only.
     topology: str = "ring"
-    # --- stability criteria ------------------------------------------
-    min_completion: float = 0.99
-    latency_cap: Optional[float] = None     # None: 20 * (flits + nodes)
-    drain_cap_factor: float = 10.0
     # --- search bracket ----------------------------------------------
     rate_floor: float = 0.002
     rate_ceiling: float = 0.5
@@ -189,11 +196,6 @@ class SaturationConfig:
     admission_policy: str = "defer"
     recovery: bool = False
     obs: Optional["Observability"] = None
-
-    def resolved_latency_cap(self) -> float:
-        if self.latency_cap is not None:
-            return self.latency_cap
-        return 20.0 * (self.data_flits + self.nodes)
 
 
 @dataclass
@@ -314,7 +316,7 @@ def run_point(cfg: SaturationConfig, pattern: TrafficPattern,
         replay_on_batch(ring, schedule)
     else:
         replay_on_ring(ring, schedule)
-    drain_cap = max(4000.0, cfg.drain_cap_factor * cfg.duration)
+    drain_cap = max(4000.0, DRAIN_CAP_FACTOR * cfg.duration)
     drained = True
     ring.run(schedule.horizon() + 1.0)
     try:
@@ -342,10 +344,10 @@ def _classify(cfg: SaturationConfig, rate: float, stats: RunStats,
     duration = stats.duration if stats.duration > 0 else 1.0
     completion = stats.completion_rate
     mean_latency = stats.latency.mean
-    cap = cfg.resolved_latency_cap()
+    cap = LATENCY_CAP_FACTOR * (cfg.data_flits + cfg.nodes)
     if not drained:
         stable, reason = False, "drain"
-    elif completion < cfg.min_completion:
+    elif completion < MIN_COMPLETION:
         stable, reason = False, "completion"
     elif mean_latency > cap:
         stable, reason = False, "latency"
