@@ -31,23 +31,26 @@ lanes in even cycles and so on.  Two engines are provided:
 ``(i, l)`` depends only on state at columns ``i-1``, ``i`` and ``i+1``
 (the occupancy/health of ``i``, and the adjacent hops' lanes, which live
 one column to either side) plus the occupying bus's phase.  The grid
-records every column whose state changed in a dirty set, and the one
+records every column whose state changed as a dirty bit, and the one
 phase transition that relaxes legality without touching the grid (a bus
 leaving EXTENDING via a Nack) marks the head column dirty explicitly
-(:meth:`SegmentGrid.touch`).  ``global_pass`` therefore keeps a *hot map*
-``segment -> parity bitmask``: a dirtied column heats itself and both
-neighbours for both cycle parities; a heated column cools a parity once
-it has been examined in a cycle of that parity.  Cold columns provably
-admit no candidate, so the per-cycle search is O(recent activity), not
-O(N·k) — with identical candidate sets, ordering, and committed moves
-to the exhaustive scan (``incremental = False`` keeps the reference
-full-scan path for the determinism property tests).
+(:meth:`SegmentGrid.touch`).  ``global_pass`` therefore keeps the *hot
+columns*, one ring-wide ``int`` per cycle parity: a dirtied column heats
+itself and both neighbours (with ring wrap-around) at both parities; a
+heated column cools a parity once it has been examined in a cycle of
+that parity.  Cold columns provably admit no candidate, so the search
+examines only recent activity — with identical candidate sets,
+ordering, and committed moves to the exhaustive scan (``incremental =
+False`` keeps the reference full-scan path for the determinism property
+tests).  The examined cells are found per lane ``l`` with whole-ring
+masks over the grid's lane bits: occupied on ``l``, neither occupied
+nor faulty on ``l - 1``, hot, and in the D2 parity class of ``l``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.config import RMBConfig
 from repro.core.derived import DerivedState
@@ -106,7 +109,7 @@ class CompactionEngine(DerivedState):
         grid: SegmentGrid,
         buses: dict[int, VirtualBus],
         trace: Optional[TraceRecorder] = None,
-        now: Optional[callable] = None,
+        now: Optional[Callable[[], float]] = None,
         obs: Optional["Observability"] = None,
     ) -> None:
         self.config = config
@@ -134,9 +137,10 @@ class CompactionEngine(DerivedState):
         self.rebuild_derived()
 
     def rebuild_derived(self) -> None:
-        """Empty the hot map: segment -> 2-bit mask of cycle parities
-        still to examine, fed from the grid's dirty set with ±1 expansion."""
-        self._hot: dict[int, int] = {}
+        """Nothing is hot: ``_hot[p]`` holds the columns still to examine
+        at cycle parity ``p``, fed from the grid's dirty columns with ±1
+        expansion."""
+        self._hot: list[int] = [0, 0]
 
     # ------------------------------------------------------------------
     # Legality
@@ -323,17 +327,18 @@ class CompactionEngine(DerivedState):
         return candidates
 
     def _absorb_dirty(self) -> None:
-        """Heat the ±1 neighbourhood of every dirtied column, both
-        parities.  Heating only sets bits, so the columns need no order."""
+        """Heat the ±1 neighbourhood of every dirtied column, with ring
+        wrap-around, at both parities."""
         dirty = self.grid.collect_dirty()
         if not dirty:
             return
         nodes = self.grid.nodes
+        top = nodes - 1
+        heated = (dirty | dirty << 1 | dirty >> 1 | dirty >> top
+                  | (dirty & 1) << top) & ((1 << nodes) - 1)
         hot = self._hot
-        for segment in dirty:
-            hot[(segment - 1) % nodes] = 0b11
-            hot[segment] = 0b11
-            hot[(segment + 1) % nodes] = 0b11
+        hot[0] |= heated
+        hot[1] |= heated
 
     def _candidates_incremental(self, cycle: int) -> list[_Candidate]:
         """Candidate builder restricted to hot columns.
@@ -344,42 +349,41 @@ class CompactionEngine(DerivedState):
         occupancy and health, neighbours' hop lanes, occupant phase via
         :meth:`SegmentGrid.touch`) dirties that neighbourhood when it
         changes — so cold columns contribute no candidates and the
-        result equals :meth:`_candidates_full`'s.  The columns are
-        examined in hot-map order, not sorted: ``global_pass`` sorts the
-        candidates before it commits any.
+        result equals :meth:`_candidates_full`'s.  Per lane ``l >= 1``
+        one mask selects the cells the full scan would pass to
+        :meth:`_candidate_at`: occupied at ``l``, usable at ``l - 1``,
+        in a hot column that no dropped INC owns, and considered this
+        cycle (D2).  They are found from the top lane and the highest
+        column down, the order ``global_pass`` commits them in, so its
+        sort finds them sorted.
         """
         self._absorb_dirty()
-        bit = 1 << (cycle & 1)
         hot = self._hot
-        candidates: list[_Candidate] = []
+        parity = cycle & 1
+        examined = hot[parity]
+        # Cool the examined parity; this pass's commits re-dirty their
+        # neighbourhoods and are absorbed at the next pass.
+        hot[parity] = 0
         grid = self.grid
+        bits = grid._column_bits
+        for inc in self.dropped_incs:
+            examined &= ~bits[inc]
+        candidates: list[_Candidate] = []
+        if not examined:
+            return candidates
         occupant = grid._occupant
-        lanes = grid.lanes
-        dropped = self.dropped_incs
-        # Health is read only while some segment is faulty.
-        health = grid._health if grid._faulty_count else None
-        for segment, mask in list(hot.items()):
-            if not mask & bit:
-                continue
-            # Cool the examined parity; this pass's commits re-dirty
-            # their neighbourhoods and are absorbed at the next pass.
-            if mask == bit:
-                del hot[segment]
-            else:
-                hot[segment] = mask & ~bit
-            if segment in dropped:
-                continue
-            column = occupant[segment]
-            # D2: lanes with (segment + lane + cycle) even, from lane 1.
-            first = 1 + ((segment + 1 + cycle) & 1)
-            for lane in range(first, lanes, 2):
-                bus_id = column[lane]
-                if bus_id is None or column[lane - 1] is not None:
-                    continue
-                if health is not None and \
-                        health[segment][lane - 1] is not PortHealth.OK:
-                    continue
-                self._candidate_at(segment, lane, bus_id, candidates)
+        occupied = grid._occupied_bits
+        faulty = grid._faulty_bits
+        considered = grid._parity_columns
+        for lane in range(grid.lanes - 1, 0, -1):
+            # D2: columns with (segment + lane + cycle) even.
+            found = (occupied[lane] & ~(occupied[lane - 1] | faulty[lane - 1])
+                     & examined & considered[(lane + cycle) & 1])
+            while found:
+                segment = found.bit_length() - 1
+                found ^= bits[segment]
+                self._candidate_at(segment, lane, occupant[segment][lane],
+                                   candidates)
         return candidates
 
     # ------------------------------------------------------------------
@@ -397,7 +401,7 @@ class CompactionEngine(DerivedState):
             return 0
         moves = self._evacuate_segment_column(inc_index, cycle)
         if self.incremental:
-            # Same hot-map gate as the synchronous builder, restricted to
+            # Same hot-column gate as the synchronous builder, restricted to
             # this INC's column: evacuation above is unconditional (a
             # dying port is an emergency and ignores parity), but the
             # regular lane walk is skipped when the column is cold for
@@ -406,15 +410,12 @@ class CompactionEngine(DerivedState):
             # before a column may go cold — the cold-column argument of
             # :meth:`_candidates_incremental` carries over unchanged.
             self._absorb_dirty()
-            bit = 1 << (cycle & 1)
-            mask = self._hot.get(inc_index, 0)
-            if not mask & bit:
+            hot = self._hot
+            parity = cycle & 1
+            bit = self.grid._column_bits[inc_index]
+            if not hot[parity] & bit:
                 return moves
-            remaining = mask & ~bit
-            if remaining:
-                self._hot[inc_index] = remaining
-            else:
-                del self._hot[inc_index]
+            hot[parity] ^= bit
         for lane in range(1, self.grid.lanes):
             if not self.considered(inc_index, lane, cycle):
                 continue

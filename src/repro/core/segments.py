@@ -7,18 +7,25 @@ grid through this class so occupancy invariants live in one place.
 
 Alongside the occupancy and health rows the grid keeps derived
 structures, rebuilt from the rows and never pickled (DESIGN.md §9 P8),
-that keep the per-cycle engines off full ``N x k`` scans:
+that keep the per-cycle engines off full ``N x k`` scans.  A set of
+columns is an ``int`` whose bit ``s`` stands for column ``s``:
 
 * an **occupied count**, so the utilisation probes and the invariant
   monitor read it in O(1);
 * a **faulty index** ``(segment, lane) -> health``, so walking the
   (usually tiny) set of DYING/DEAD segments costs O(faulty), not O(N*k);
-* a **dirty-segment set**: every mutation records which segment column
-  changed, and the compaction engine drains this set each cycle to limit
-  its candidate search to neighbourhoods where something actually moved;
+* **lane bits**: per lane, the columns whose segment on that lane is
+  occupied, and the columns whose segment on that lane is not OK, so the
+  compaction engine finds its candidates with a few whole-ring mask
+  operations per lane;
+* the **dirty columns**: every mutation records which segment column
+  changed, and the compaction engine drains them each cycle to limit its
+  candidate search to neighbourhoods where something actually moved;
 * a **per-column epoch**: a counter every occupancy or health mutation
   of the column bumps, so a reader can tell later whether anything in a
-  column it examined has changed (stalled headers park on it).
+  column it examined has changed (stalled headers park on it);
+* two tables that depend on ``N`` only: each column's bit, and the even
+  and odd columns (the D2 parity rule's two column sets).
 """
 
 from __future__ import annotations
@@ -38,8 +45,9 @@ class SegmentGrid(DerivedState):
     virtual bus at a time.
     """
 
-    _DERIVED = ("_occupied_count", "_faulty_index", "_faulty_count",
-                "_dirty", "epochs")
+    _DERIVED = ("_column_bits", "_parity_columns", "_occupied_count",
+                "_faulty_index", "_faulty_count", "_occupied_bits",
+                "_faulty_bits", "_dirty", "epochs")
 
     def __init__(self, nodes: int, lanes: int) -> None:
         if nodes < 2 or lanes < 1:
@@ -61,11 +69,16 @@ class SegmentGrid(DerivedState):
         self.total_faults = 0
         self.total_repairs = 0
         self.rebuild_derived()
-        self._dirty.clear()  # a fresh grid starts clean
+        self._dirty = 0  # a fresh grid starts clean
 
     def rebuild_derived(self) -> None:
-        """Compute the count and index from the rows; every column is
-        dirty and every epoch zero (DESIGN.md §9 P8)."""
+        """Compute the counts, index and lane bits from the rows; every
+        column is dirty and every epoch zero (DESIGN.md §9 P8)."""
+        bits = [1 << segment for segment in range(self.nodes)]
+        self._column_bits: list[int] = bits
+        every = (1 << self.nodes) - 1
+        even = sum(bits[0::2])
+        self._parity_columns: tuple[int, int] = (even, every ^ even)
         self._occupied_count = sum(
             self.lanes - column.count(None) for column in self._occupant)
         self._faulty_index: dict[tuple[int, int], PortHealth] = {
@@ -74,7 +87,15 @@ class SegmentGrid(DerivedState):
             for lane, health in enumerate(row) if health is not PortHealth.OK
         }
         self._faulty_count = len(self._faulty_index)
-        self._dirty: set[int] = set(range(self.nodes))
+        self._occupied_bits: list[int] = [
+            sum(bit for bit, column in zip(bits, self._occupant)
+                if column[lane] is not None)
+            for lane in range(self.lanes)]
+        self._faulty_bits: list[int] = [
+            sum(bit for bit, row in zip(bits, self._health)
+                if row[lane] is not PortHealth.OK)
+            for lane in range(self.lanes)]
+        self._dirty: int = every
         # Per-column mutation counters (see the module docstring).
         self.epochs: list[int] = [0] * self.nodes
 
@@ -134,12 +155,8 @@ class SegmentGrid(DerivedState):
         Under compaction the profile should skew toward lane 0 — the
         bottom-packing the paper's Figure 5 process works toward.
         """
-        counts = [0] * self.lanes
-        for column in self._occupant:
-            for lane, bus_id in enumerate(column):
-                if bus_id is not None:
-                    counts[lane] += 1
-        return counts
+        # ``int.bit_count`` needs Python 3.10.
+        return [bin(bits).count("1") for bits in self._occupied_bits]
 
     def iter_occupied(self) -> Iterator[tuple[int, int, int]]:
         """Yield ``(segment, lane, bus_id)`` for every occupied segment,
@@ -208,7 +225,9 @@ class SegmentGrid(DerivedState):
             )
         self._occupant[segment][lane] = bus_id
         self._occupied_count += 1
-        self._dirty.add(segment)
+        bit = self._column_bits[segment]
+        self._occupied_bits[lane] |= bit
+        self._dirty |= bit
         self.epochs[segment] += 1
         self.total_claims += 1
 
@@ -223,7 +242,9 @@ class SegmentGrid(DerivedState):
             )
         self._occupant[segment][lane] = None
         self._occupied_count -= 1
-        self._dirty.add(segment)
+        bit = self._column_bits[segment]
+        self._occupied_bits[lane] ^= bit
+        self._dirty |= bit
         self.epochs[segment] += 1
         self.total_releases += 1
 
@@ -251,7 +272,10 @@ class SegmentGrid(DerivedState):
             )
         self._occupant[segment][lane] = None
         self._occupant[segment][lane - 1] = bus_id
-        self._dirty.add(segment)
+        bit = self._column_bits[segment]
+        self._occupied_bits[lane] ^= bit
+        self._occupied_bits[lane - 1] |= bit
+        self._dirty |= bit
         self.epochs[segment] += 1
 
     def move_up(self, segment: int, lane: int, bus_id: int) -> None:
@@ -280,7 +304,10 @@ class SegmentGrid(DerivedState):
             )
         self._occupant[segment][lane] = None
         self._occupant[segment][lane + 1] = bus_id
-        self._dirty.add(segment)
+        bit = self._column_bits[segment]
+        self._occupied_bits[lane] ^= bit
+        self._occupied_bits[lane + 1] |= bit
+        self._dirty |= bit
         self.epochs[segment] += 1
 
     # ------------------------------------------------------------------
@@ -293,14 +320,13 @@ class SegmentGrid(DerivedState):
         (e.g. a bus phase transition) relaxes a move-legality rule at a
         segment, so incremental compaction re-examines the neighbourhood.
         """
-        self._dirty.add(segment % self.nodes)
+        self._dirty |= self._column_bits[segment % self.nodes]
 
-    def collect_dirty(self) -> set[int]:
-        """Drain and return the dirty segment columns.  The set is
-        unordered: its one consumer, compaction's hot map, only sets
-        bits per column."""
+    def collect_dirty(self) -> int:
+        """Drain and return the dirty segment columns, bit ``s`` for
+        column ``s``."""
         dirty = self._dirty
-        self._dirty = set()
+        self._dirty = 0
         return dirty
 
     # ------------------------------------------------------------------
@@ -317,16 +343,19 @@ class SegmentGrid(DerivedState):
         previous = self._health[segment][lane]
         if previous is health:
             return
+        bit = self._column_bits[segment]
         if previous is PortHealth.OK:
             self._faulty_count += 1
+            self._faulty_bits[lane] |= bit
             self.total_faults += 1
         elif health is PortHealth.OK:
             self._faulty_count -= 1
+            self._faulty_bits[lane] ^= bit
             self.total_repairs += 1
         self._health[segment][lane] = health
         if health is PortHealth.OK:
             self._faulty_index.pop((segment, lane), None)
         else:
             self._faulty_index[(segment, lane)] = health
-        self._dirty.add(segment)
+        self._dirty |= bit
         self.epochs[segment] += 1

@@ -15,8 +15,9 @@ from typing import Any
 #: from the owners' own ``_DERIVED`` lists, so that a name dropped there
 #: shows up as a carried field.
 DERIVED_FIELDS = {
-    "SegmentGrid": ("_occupied_count", "_faulty_index", "_faulty_count",
-                    "_dirty", "epochs"),
+    "SegmentGrid": ("_column_bits", "_parity_columns", "_occupied_count",
+                    "_faulty_index", "_faulty_count", "_occupied_bits",
+                    "_faulty_bits", "_dirty", "epochs"),
     "CompactionEngine": ("_hot",),
     "RoutingEngine": ("_extending", "_signalling", "_streaming",
                       "_parked", "_ready", "_reach", "_arcs"),

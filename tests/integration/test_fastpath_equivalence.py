@@ -196,16 +196,17 @@ def test_check_level_is_read_only(seed, plan, level, snapshot_at):
 
 def check_pass_maps(engine: RoutingEngine) -> None:
     """The pass maps and ready nodes the engine keeps up to date, and
-    the grid's occupied count and faulty index, are what a rebuild from
-    primary state gives (DESIGN.md §9 P8).  The header pass visits its
-    buses in order, so that order must agree too."""
+    the grid's occupied count, faulty index and lane bits, are what a
+    rebuild from primary state gives (DESIGN.md §9 P8).  The header pass
+    visits its buses in order, so that order must agree too."""
     twin = rebuilt(engine)
     for name in ("_signalling", "_streaming", "_ready"):
         assert getattr(engine, name) == getattr(twin, name), name
     assert list(engine._extending.items()) == list(twin._extending.items())
     grid = engine.grid
     grid_twin = rebuilt(grid)
-    for name in ("_occupied_count", "_faulty_index", "_faulty_count"):
+    for name in ("_occupied_count", "_faulty_index", "_faulty_count",
+                 "_occupied_bits", "_faulty_bits"):
         assert getattr(grid, name) == getattr(grid_twin, name), name
 
 

@@ -1,9 +1,10 @@
 """Snapshots carry primary state only; restores rebuild the rest.
 
-The grid's indexes, dirty set and epochs, the compaction hot map, the
-routing engine's pass maps, parked headers, ready nodes, header reach
-and compiled arcs, and each virtual bus's endpoints and span are
-derived from primary state (DESIGN.md §9 P8, P10).  A snapshot drops
+The grid's indexes, lane bits, dirty columns and epochs, the
+compaction hot columns, the routing engine's pass maps, parked headers,
+ready nodes, header reach and compiled arcs, and each virtual bus's
+endpoints and span are derived from primary state (DESIGN.md §9 P8,
+P10).  A snapshot drops
 them and the restored owners rebuild them.  These tests take a snapshot in
 the middle of a run that has parked headers, a faulty segment and
 non-empty pass maps, and check what the pickle holds, what the restore
@@ -83,11 +84,13 @@ def test_restore_rebuilds_every_derived_field(mid_run):
     restored, _ = load_snapshot_bytes(save_snapshot_bytes(mid_run))
     grid, compaction, engine, *buses = owners(restored)
     live_grid, _, live_engine, *_ = owners(mid_run)
-    for name in ("_occupied_count", "_faulty_index", "_faulty_count"):
+    for name in ("_column_bits", "_parity_columns", "_occupied_count",
+                 "_faulty_index", "_faulty_count", "_occupied_bits",
+                 "_faulty_bits"):
         assert getattr(grid, name) == getattr(live_grid, name), name
-    assert grid._dirty == set(range(grid.nodes))
+    assert grid._dirty == (1 << grid.nodes) - 1  # every column
     assert grid.epochs == [0] * grid.nodes
-    assert compaction._hot == {}
+    assert compaction._hot == [0, 0]
     assert list(engine._extending) == list(live_engine._extending)
     assert engine._signalling.keys() == live_engine._signalling.keys()
     assert engine._streaming.keys() == live_engine._streaming.keys()
