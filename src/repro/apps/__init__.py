@@ -14,7 +14,6 @@ from repro.apps.fairness import (
     per_node_waits,
     spread,
 )
-from repro.apps.stencil import StencilResult, run_stencil
 from repro.apps.streams import (
     SessionReport,
     StreamDriver,
@@ -27,13 +26,11 @@ __all__ = [
     "CollectiveResult",
     "STANDARD_COLLECTIVES",
     "SessionReport",
-    "StencilResult",
     "StreamDriver",
     "StreamSession",
     "evenly_spread_sessions",
     "fairness_report",
     "jain_index",
-    "run_stencil",
     "per_node_latencies",
     "per_node_waits",
     "spread",

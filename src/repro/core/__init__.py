@@ -15,7 +15,7 @@ from repro.core.cycles import (
     max_neighbour_skew,
     wire_ring,
 )
-from repro.core.flits import Message, MessageRecord, broadcast_message
+from repro.core.flits import Message, MessageRecord
 from repro.core.invariants import InvariantMonitor
 from repro.core.network import RMBRing
 from repro.core.ports import PE_SOURCE, PortView, all_ports, inc_ports, port_view
@@ -62,7 +62,6 @@ __all__ = [
     "SegmentGrid",
     "VirtualBus",
     "all_ports",
-    "broadcast_message",
     "classify_condition",
     "code_for",
     "format_census",

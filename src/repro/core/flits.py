@@ -159,24 +159,3 @@ class MessageRecord:
         if self.established_at is None:
             return None
         return self.established_at - self.message.created_at
-
-
-def broadcast_message(message_id: int, source: int, nodes: int,
-                      data_flits: int,
-                      created_at: float = 0.0) -> Message:
-    """A broadcast as one multicast bus: every other node is a receiver.
-
-    The virtual bus spans the whole ring (``N - 1`` segments); the final
-    stop is the source's counter-clockwise neighbour and every node in
-    between taps the stream — the paper's Section 1 "broadcasting"
-    extension in one call.
-    """
-    if nodes < 3:
-        raise ConfigurationError(
-            f"broadcast needs at least 3 nodes, got {nodes}"
-        )
-    final = (source - 1) % nodes
-    taps = tuple((source + offset) % nodes for offset in range(1, nodes - 1))
-    return Message(message_id=message_id, source=source, destination=final,
-                   data_flits=data_flits, created_at=created_at,
-                   extra_destinations=taps)

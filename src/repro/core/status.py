@@ -40,9 +40,6 @@ FROM_BELOW = 0b001
 #: The six legal codes of Table 1 (``101`` and ``111`` are "not allowed").
 LEGAL_CODES = frozenset({0b000, 0b001, 0b010, 0b011, 0b100, 0b110})
 
-#: Codes that denote a transient make-before-break superposition.
-TRANSIENT_CODES = frozenset({0b011, 0b110})
-
 #: Table 1 wording, keyed by code.
 CODE_MEANINGS = {
     0b000: "Bus is unused",

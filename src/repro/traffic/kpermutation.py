@@ -109,10 +109,3 @@ def worst_case_virtual_buses(nodes: int, k: int) -> list[tuple[int, int]]:
     if not 1 <= k <= nodes:
         raise WorkloadError(f"k must be in 1..{nodes}, got {k}")
     return [(i, (i - 1) % nodes) for i in range(k)]
-
-
-def many_short_messages(nodes: int) -> list[tuple[int, int]]:
-    """The other end of E15: ``N`` single-segment messages — an RMB with
-    one lane carries all ``N`` concurrently (far more than 1 bus's worth).
-    """
-    return [(i, (i + 1) % nodes) for i in range(nodes)]

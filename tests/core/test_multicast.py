@@ -158,20 +158,13 @@ class TestMultiPort:
 
 class TestBroadcastHelper:
     def test_broadcast_reaches_every_node(self):
-        from repro.core import broadcast_message
-
+        # A broadcast is one multicast bus around the whole ring: the
+        # final stop is the source's counter-clockwise neighbour, and
+        # every node in between taps the stream.
         ring = RMBRing(RMBConfig(nodes=10, lanes=3, cycle_period=2.0),
                        seed=0)
-        record = ring.submit(broadcast_message(0, source=4, nodes=10,
-                                               data_flits=12))
+        record = ring.submit(mc(0, 4, 3, (5, 6, 7, 8, 9, 0, 1, 2), flits=12))
         ring.drain()
         assert record.finished
         receivers = set(record.tap_delivered_at) | {record.message.destination}
         assert receivers == set(range(10)) - {4}
-
-    def test_broadcast_validates_size(self):
-        from repro.core import broadcast_message
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            broadcast_message(0, source=0, nodes=2, data_flits=1)

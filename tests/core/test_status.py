@@ -12,7 +12,6 @@ from repro.core.status import (
     FROM_BELOW,
     LEGAL_CODES,
     STRAIGHT,
-    TRANSIENT_CODES,
     classify_condition,
     code_for,
     is_legal,
@@ -34,12 +33,6 @@ def test_meanings_cover_all_eight_codes():
     assert set(CODE_MEANINGS) == set(range(8))
     assert CODE_MEANINGS[0b101] == "Not allowed"
     assert CODE_MEANINGS[0b111] == "Not allowed"
-
-
-def test_transient_codes_are_the_two_source_superpositions():
-    assert TRANSIENT_CODES == {0b011, 0b110}
-    for code in TRANSIENT_CODES:
-        assert is_legal(code)
 
 
 def test_code_for_adjacent_lanes():

@@ -14,8 +14,8 @@ from repro.core import (
     max_neighbour_skew,
 )
 from repro.traffic import (
-    many_short_messages,
     max_ring_load,
+    ring_load,
     ring_shift,
     worst_case_virtual_buses,
 )
@@ -24,6 +24,12 @@ from repro.traffic import (
 def batch_from_pairs(pairs, flits=8):
     return [Message(i, s, d, data_flits=flits)
             for i, (s, d) in enumerate(pairs)]
+
+
+def many_short_messages(nodes):
+    """The other end of E15: ``N`` single-segment messages, which load
+    every segment exactly once."""
+    return [(i, (i + 1) % nodes) for i in range(nodes)]
 
 
 class TestE2TopLaneEntryAndPacking:
@@ -103,10 +109,12 @@ class TestE15VirtualBusCount:
 
     def test_one_lane_carries_n_concurrent_virtual_buses(self):
         nodes = 12
+        pairs = many_short_messages(nodes)
+        assert len(pairs) == nodes
+        assert ring_load(pairs, nodes) == [1] * nodes
         ring = RMBRing(RMBConfig(nodes=nodes, lanes=1), seed=0,
                        probe_period=2.0)
-        ring.submit_all(batch_from_pairs(many_short_messages(nodes),
-                                         flits=30))
+        ring.submit_all(batch_from_pairs(pairs, flits=30))
         ring.run(10)
         live = ring.routing.live_bus_count()
         assert live == nodes, (

@@ -7,7 +7,6 @@ from repro.errors import WorkloadError
 from repro.sim import RandomStream
 from repro.traffic.kpermutation import (
     bounded_load_pairs,
-    many_short_messages,
     max_ring_load,
     random_kpermutation,
     ring_load,
@@ -100,9 +99,3 @@ def test_worst_case_virtual_buses_geometry():
 def test_worst_case_bounds():
     with pytest.raises(WorkloadError):
         worst_case_virtual_buses(8, 0)
-
-
-def test_many_short_messages_unit_load():
-    pairs = many_short_messages(8)
-    assert len(pairs) == 8
-    assert ring_load(pairs, 8) == [1] * 8
