@@ -201,6 +201,23 @@ def test_dirty_heating_expands_neighbourhood():
     assert engine._hot == [columns(3, 4, 5)] * 2
 
 
+@pytest.mark.parametrize("dropped", [(), (2,), (0, 3)])
+@pytest.mark.parametrize("cycle", [0, 1])
+def test_lane_masks_select_the_full_scans_candidates(cycle, dropped):
+    """With every column hot, the masks pick the cells the exhaustive
+    scan passes on: not under a dropped INC, nor above a faulty lane."""
+    engine, grid = _engine(nodes=8, lanes=3)
+    add_bus(grid, engine.buses, 0, source=0, destination=6, lanes=[2] * 6)
+    add_bus(grid, engine.buses, 1, source=5, destination=2, lanes=[1] * 5)
+    grid.set_health(4, 1, PortHealth.DEAD)
+    engine.dropped_incs.update(dropped)
+    full = sorted(engine._candidates_full(cycle))
+    assert full
+    assert sorted(engine._candidates_incremental(cycle)) == full
+    assert not {(segment, lane) for lane, segment, *_ in full} & {
+        (4, 2), *((inc, lane) for inc in dropped for lane in (1, 2))}
+
+
 @pytest.mark.parametrize("touched, heated", [(0, (7, 0, 1)), (7, (6, 7, 0))])
 def test_heating_wraps_around_the_ring(touched, heated):
     engine, grid = _engine(nodes=8)
