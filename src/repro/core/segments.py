@@ -69,7 +69,7 @@ class SegmentGrid(DerivedState):
         self.total_faults = 0
         self.total_repairs = 0
         self.rebuild_derived()
-        self._dirty = 0  # a fresh grid starts clean
+        self.collect_dirty()  # a fresh grid starts clean
 
     def rebuild_derived(self) -> None:
         """Compute the counts, index and lane bits from the rows; every
@@ -155,7 +155,7 @@ class SegmentGrid(DerivedState):
         Under compaction the profile should skew toward lane 0 — the
         bottom-packing the paper's Figure 5 process works toward.
         """
-        # ``int.bit_count`` needs Python 3.10.
+        # Not ``int.bit_count``: it needs Python 3.10, and 3.9 is supported.
         return [bin(bits).count("1") for bits in self._occupied_bits]
 
     def iter_occupied(self) -> Iterator[tuple[int, int, int]]:

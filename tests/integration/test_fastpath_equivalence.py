@@ -168,7 +168,7 @@ def test_incremental_compaction_matches_reference(seed, plan, snapshot_at):
        plan=fault_plans(),
        snapshot_at=st.integers(min_value=1, max_value=80))
 def test_incremental_inc_pass_matches_reference(seed, plan, snapshot_at):
-    """Asynchronous mode: the per-INC hot-map gate changes nothing."""
+    """Asynchronous mode: the per-INC hot-column gate changes nothing."""
     fast, _ = run_and_observe(
         seed, plan, incremental=True, check_level="full",
         synchronous=False, snapshot_at=float(snapshot_at))
