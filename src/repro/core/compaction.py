@@ -401,14 +401,15 @@ class CompactionEngine(DerivedState):
             return 0
         moves = self._evacuate_segment_column(inc_index, cycle)
         if self.incremental:
-            # Same hot-column gate as the synchronous builder, restricted to
-            # this INC's column: evacuation above is unconditional (a
-            # dying port is an emergency and ignores parity), but the
-            # regular lane walk is skipped when the column is cold for
-            # this local-cycle parity.  Each INC's local counter
-            # alternates parity strictly, so both parities are examined
-            # before a column may go cold — the cold-column argument of
-            # :meth:`_candidates_incremental` carries over unchanged.
+            # Same hot-column gate as the synchronous candidate search,
+            # restricted to this INC's column: evacuation above is
+            # unconditional (a dying port is an emergency and ignores
+            # parity), but the regular lane walk is skipped when the
+            # column is cold for this local-cycle parity.  Each INC's
+            # local counter alternates parity strictly, so both parities
+            # are examined before a column may go cold — the cold-column
+            # argument of :meth:`_candidates_incremental` carries over
+            # unchanged.
             self._absorb_dirty()
             hot = self._hot
             parity = cycle & 1
