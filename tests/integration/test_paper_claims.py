@@ -15,7 +15,6 @@ from repro.core import (
 )
 from repro.traffic import (
     max_ring_load,
-    ring_load,
     ring_shift,
     worst_case_virtual_buses,
 )
@@ -110,8 +109,6 @@ class TestE15VirtualBusCount:
     def test_one_lane_carries_n_concurrent_virtual_buses(self):
         nodes = 12
         pairs = many_short_messages(nodes)
-        assert len(pairs) == nodes
-        assert ring_load(pairs, nodes) == [1] * nodes
         ring = RMBRing(RMBConfig(nodes=nodes, lanes=1), seed=0,
                        probe_period=2.0)
         ring.submit_all(batch_from_pairs(pairs, flits=30))

@@ -99,3 +99,11 @@ def test_worst_case_virtual_buses_geometry():
 def test_worst_case_bounds():
     with pytest.raises(WorkloadError):
         worst_case_virtual_buses(8, 0)
+
+
+def test_many_short_messages_unit_load():
+    # E15's many-short-messages pattern: N single-segment messages load
+    # every segment exactly once.
+    pairs = [(i, (i + 1) % 8) for i in range(8)]
+    assert len(pairs) == 8
+    assert ring_load(pairs, 8) == [1] * 8
